@@ -60,7 +60,13 @@ def _candidate_cover(cfg: RunConfig, system, hyper):
     """The region a validation run checks: a cells file if given, else the full box."""
     path = cfg.options.get("cells_file")
     if path:
-        cover, mask = load_cover_csv(path, domain=system.state_box)
+        try:
+            cover, _ = load_cover_csv(path, domain=system.state_box)
+        except (OSError, ValueError) as exc:
+            raise ConfigError("E-DOMAIN", f"options.cells_file {path!r} cannot be read: {exc}") from None
+        if cover.centers.shape[1] != system.state_box.dim or cover.n_active() == 0:
+            raise ConfigError("E-DOMAIN", f"options.cells_file {path!r} holds no active "
+                                          f"{system.state_box.dim}-dimensional cell")
         return cover
     return build_cover(system.state_box, hyper.delta0)
 
@@ -126,7 +132,13 @@ def dispatch(cfg: RunConfig, workers: int = 1, output: str | None = None) -> int
         exit_code = 0 if verdict.result else 1
 
     elif alg == "oracle":
-        horizon = int(opts.get("horizon", 1))
+        try:
+            horizon = int(opts.get("horizon", 1))
+            if horizon < 1:
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ConfigError("E-DOMAIN",
+                              f"options.horizon must be a positive integer, got {opts['horizon']!r}") from None
         samples = default_action_samples(actions)
         oracle = brute_force_invariant(system, hyper.delta0, action_samples=samples, horizon=horizon)
         vol = oracle.volume()

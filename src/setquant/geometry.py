@@ -119,12 +119,113 @@ def _axis_centers(lo: float, hi: float, delta: float) -> list[float]:
     return out
 
 
+# Reach slack of the bucket index on top of the cover radius: the largest
+# tolerance any membership test adds (``project_to_grid``'s default), so a
+# point within radius + tolerance of a live center is always answered from
+# its neighbouring buckets alone.
+_INDEX_TOL = 1e-9
+# Point-center differences per chunk of the brute-force fallback scan.
+_SCAN_CHUNK = 1 << 20
+
+
+class _BucketIndex:
+    """Uniform sup-norm bucket grid over the first ``n`` centers of a cover, in CSR form.
+
+    Center ``c`` lies in bucket ``floor((c - lower) / h)``.  ``order`` lists
+    the ordinals sorted by bucket (ascending within a bucket), ``keys`` the
+    row-major numbers of the non-empty buckets and ``starts`` where each one
+    begins in ``order``.  A query visits every bucket that the sup-norm ball
+    of radius ``reach`` around a point touches: 2^d of them when
+    ``reach <= h / 2``, more when the cover radius grew after the build.
+    Candidates that lie beyond the reach, and those of distinct buckets whose
+    numbers coincide because the row-major product wrapped in int64 on a very
+    sparse cover, only lengthen the candidate list; the exact minimum over
+    the candidates is therefore the global minimum whenever it is within
+    reach.
+    """
+
+    def __init__(self, centers: np.ndarray, lower: np.ndarray, h: float):
+        self.n, self.lower, self.h = centers.shape[0], lower, h
+        cell = np.floor((centers - lower) / h)
+        self.kmin, self.kmax = cell.min(axis=0), cell.max(axis=0)
+        extent = (self.kmax - self.kmin + 1).astype(np.int64)
+        self.strides = np.append(np.cumprod(extent[:0:-1])[::-1], 1)
+        flat = (cell - self.kmin).astype(np.int64) @ self.strides
+        self.order = np.argsort(flat, kind="stable")
+        flat = flat[self.order]
+        first = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+        self.keys = flat[first]
+        self.starts = np.append(first, self.n)
+        self._steps: dict = {}
+
+    def _reach_box(self, pts: np.ndarray, reach: float):
+        """Per point and axis, the first bucket and the number of buckets within reach."""
+        # widened past the rounding of a computed distance that is <= reach;
+        # a non-finite coordinate gets a non-positive or NaN span: no bucket
+        r = reach * (1.0 + 1e-9)
+        lo = np.maximum(np.floor((pts - r - self.lower) / self.h), self.kmin)
+        hi = np.minimum(np.floor((pts + r - self.lower) / self.h), self.kmax)
+        return lo - self.kmin, hi - lo + 1.0
+
+    def _offsets(self, span) -> np.ndarray:
+        """Every bucket offset of a block of ``span`` buckets per axis, row-major, shape (prod(span), d)."""
+        shape = tuple(int(x) for x in span)
+        steps = self._steps.get(shape)
+        if steps is None:
+            steps = self._steps[shape] = np.indices(shape).reshape(len(shape), -1).T
+        return steps
+
+    def _lookup(self, flat: np.ndarray):
+        """Slot in ``keys`` of each bucket number, and whether the bucket is non-empty."""
+        j = np.minimum(np.searchsorted(self.keys, flat), self.keys.shape[0] - 1)
+        return j, self.keys[j] == flat
+
+    def _members(self, j: np.ndarray):
+        """Ordinals of the centers in the buckets at slots ``j``, bucket by bucket, and their counts."""
+        start, count = self.starts[j], self.starts[j + 1] - self.starts[j]
+        pos = np.arange(int(count.sum())) + np.repeat(start - (np.cumsum(count) - count), count)
+        return self.order[pos], count
+
+    def candidates(self, pts: np.ndarray, reach: float):
+        """(row, ordinal) of every center in a bucket within reach of a row of ``pts``, grouped by row."""
+        base, span = self._reach_box(pts, reach)
+        rows = np.flatnonzero((span > 0).all(axis=1))
+        if rows.size == 0:
+            return rows, rows
+        base, span = base[rows].astype(np.int64), span[rows]
+        steps = self._offsets(span.max(axis=0))
+        inside = (steps[None, :, :] < span[:, None, :]).all(axis=2)
+        j, hit = self._lookup((base[:, None, :] + steps[None, :, :]) @ self.strides)
+        r, s = np.nonzero(hit & inside)
+        ords, count = self._members(j[r, s])
+        return np.repeat(rows[r], count), ords
+
+    def near(self, point: np.ndarray, reach: float) -> np.ndarray:
+        """Ordinals, ascending, of every center in a bucket within reach of one point."""
+        base, span = self._reach_box(point, reach)
+        if not (span > 0).all():
+            return np.empty(0, dtype=np.int64)
+        steps = self._offsets(span)
+        j, hit = self._lookup((base.astype(np.int64) + steps) @ self.strides)
+        return np.sort(self._members(j[hit])[0])
+
+
 class DeltaCover:
     """A finite set of centers whose closed ``radius``-balls cover a region.
 
     Centers are held in append-only ordinal order with an activity mask;
     deactivation never renumbers, so reach graphs and replay buffers that
     store ordinals stay valid across pruning and refinement.
+
+    Storage is one growable center buffer (capacity doubles, so appends are
+    amortised O(1)) with the activity mask beside it, plus the dedup map of
+    10-digit-rounded coordinates that makes a repeated append return, and
+    reactivate, the existing ordinal.  Nearest-center queries go through a
+    sup-norm bucket index (``_BucketIndex``) with bucket width
+    ``2 * (radius + 1e-9)``, rebuilt lazily once centers were appended: a
+    point is compared only with the centers of the 2^d buckets its reach
+    touches, and a point with no live center within reach falls back to a
+    full scan, so every answer equals the brute-force one bit for bit.
     """
 
     def __init__(self, centers, radius: float, domain: BoxRegion, active=None):
@@ -133,15 +234,16 @@ class DeltaCover:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2:
             raise ValueError("centers must be an (m, n) array")
-        self._centers = [tuple(row) for row in arr]
         self.radius = float(radius)
         self.domain = domain
+        self._n = arr.shape[0]
+        self._buf = arr.copy() if arr.size else arr.reshape(0, domain.dim)
         if active is None:
-            self.active = np.ones(len(self._centers), dtype=bool)
+            self._act = np.ones(self._n, dtype=bool)
         else:
-            self.active = np.asarray(active, dtype=bool).copy()
-        self._array = arr.copy() if arr.size else arr.reshape(0, domain.dim)
-        self._seen = {self._key(c): i for i, c in enumerate(self._centers)}
+            self._act = np.asarray(active, dtype=bool).copy()
+        self._seen = {self._key(c): i for i, c in enumerate(self._buf)}
+        self._index = None
 
     @staticmethod
     def _key(pt) -> tuple:
@@ -150,7 +252,7 @@ class DeltaCover:
     # -- basic accessors -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._centers)
+        return self._n
 
     @property
     def dim(self) -> int:
@@ -159,19 +261,24 @@ class DeltaCover:
     @property
     def centers(self) -> np.ndarray:
         """All centers ever added, ordinal order, shape (m, n)."""
-        return self._array
+        return self._buf[:self._n]
+
+    @property
+    def active(self) -> np.ndarray:
+        """Activity flag per ordinal (a writable view)."""
+        return self._act[:self._n]
 
     def active_indices(self) -> np.ndarray:
         return np.flatnonzero(self.active)
 
     def active_centers(self) -> np.ndarray:
-        return self._array[self.active]
+        return self.centers[self.active]
 
     def n_active(self) -> int:
         return int(self.active.sum())
 
     def cell(self, ordinal: int) -> Cell:
-        return Cell(self._array[ordinal], self.radius)
+        return Cell(self.centers[ordinal], self.radius)
 
     # -- mutation ---------------------------------------------------------
 
@@ -181,35 +288,101 @@ class DeltaCover:
         A duplicate of a deactivated center reactivates it — that is exactly
         the hole-refilling move the discovery rule relies on.
         """
-        pt = tuple(float(x) for x in np.asarray(point, dtype=float))
+        pt = np.asarray(point, dtype=float)
         key = self._key(pt)
         if key in self._seen:
             i = self._seen[key]
             self.active[i] = True
             return i
-        self._centers.append(pt)
-        self._seen[key] = len(self._centers) - 1
-        self._array = np.vstack([self._array, np.asarray(pt)]) if self._array.size else np.asarray([pt])
-        self.active = np.append(self.active, True)
-        return len(self._centers) - 1
+        i = self._n
+        if i == self._buf.shape[0]:
+            grown = max(16, 2 * i)
+            self._buf = np.concatenate([self._buf, np.empty((grown - i, self.dim))])
+            self._act = np.concatenate([self._act, np.zeros(grown - i, dtype=bool)])
+        self._buf[i] = pt
+        self._act[i] = True
+        self._seen[key] = i
+        self._n = i + 1
+        return i
 
     def deactivate(self, ordinals) -> None:
         self.active[np.asarray(ordinals, dtype=int)] = False
 
     # -- queries ----------------------------------------------------------
 
+    def _bucket_index(self, reach: float) -> _BucketIndex:
+        """The bucket index over every center, rebuilt when one was appended or ``reach`` outgrew it."""
+        idx = self._index
+        if idx is None or idx.n != self._n or idx.h < 2.0 * reach:
+            h = 2.0 * max(reach, self.radius + _INDEX_TOL)
+            idx = self._index = _BucketIndex(self.centers, self.domain.lower, h)
+        return idx
+
     def distances(self, point) -> np.ndarray:
         """Sup-norm distances from ``point`` to every center (active or not)."""
         p = np.asarray(point, dtype=float)
-        return np.abs(self._array - p).max(axis=1)
+        return np.abs(self.centers - p).max(axis=1)
+
+    def distances_within(self, points, reach: float) -> np.ndarray:
+        """Min sup-norm distance from each row of ``points`` to the active centers, up to ``reach``.
+
+        Rows whose nearest active center lies farther than ``reach`` get
+        ``inf``; every other row gets the exact minimum.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        best = np.full(pts.shape[0], np.inf)
+        if self._n == 0:
+            return best
+        row, cand = self._bucket_index(reach).candidates(pts, reach)
+        live = self.active[cand]
+        row, cand = row[live], cand[live]
+        if row.size:
+            d = np.abs(self.centers[cand] - pts[row]).max(axis=1)
+            first = np.flatnonzero(np.diff(row, prepend=-1))
+            best[row[first]] = np.minimum.reduceat(d, first)
+            best[best > reach] = np.inf
+        return best
 
     def batch_distances(self, points) -> np.ndarray:
         """Min sup-norm distance from each row of ``points`` to the active centers."""
-        act = self.active_centers()
-        if act.shape[0] == 0:
+        if not self.active.any():
             raise ValueError("cover has no active centers")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.abs(pts[:, None, :] - act[None, :, :]).max(axis=2).min(axis=1)
+        d = self.distances_within(pts, self.radius + _INDEX_TOL)
+        far = np.flatnonzero(np.isinf(d))
+        if far.size:
+            act = self.active_centers()
+            rows = max(1, _SCAN_CHUNK // act.size)
+            d[far] = np.concatenate([
+                np.abs(pts[far[i:i + rows], None, :] - act[None, :, :]).max(axis=2).min(axis=1)
+                for i in range(0, far.size, rows)])
+        return d
+
+    def nearest(self, point, active_only: bool = True) -> tuple[int, float]:
+        """(ordinal, distance) of the nearest center, the lowest ordinal on ties.
+
+        ``active_only=False`` searches deactivated centers too.  A point with
+        no candidate center within reach falls back to a full scan.  Raises
+        ``ValueError`` when there is no center to search.
+        """
+        if self._n == 0:
+            raise ValueError("cover has no centers")
+        p = np.asarray(point, dtype=float)
+        reach = self.radius + _INDEX_TOL
+        cand = self._bucket_index(reach).near(p, reach)
+        if active_only:
+            cand = cand[self.active[cand]]
+        if cand.size:
+            d = np.abs(self.centers[cand] - p).max(axis=1)
+            k = int(np.argmin(d))  # candidates ascend, so the first minimum is the lowest ordinal
+            if d[k] <= reach:
+                return int(cand[k]), float(d[k])
+        cand = self.active_indices() if active_only else np.arange(self._n)
+        if cand.size == 0:
+            raise ValueError("cover has no active centers")
+        d = np.abs(self.centers[cand] - p).max(axis=1)
+        k = int(np.argmin(d))
+        return int(cand[k]), float(d[k])
 
 
 def build_cover(region: BoxRegion, delta: float) -> DeltaCover:
@@ -234,12 +407,7 @@ def nearest_center(cover: DeltaCover, point) -> tuple[int, float]:
     Raises ``ValueError`` on an empty active set rather than returning an
     infinite distance, so callers cannot mistake emptiness for remoteness.
     """
-    idx = cover.active_indices()
-    if idx.size == 0:
-        raise ValueError("cover has no active centers")
-    d = np.abs(cover.centers[idx] - np.asarray(point, dtype=float)).max(axis=1)
-    k = int(np.argmin(d))  # argmin returns the first minimum: lowest ordinal
-    return int(idx[k]), float(d[k])
+    return cover.nearest(point)
 
 
 def cover_distance(cover: DeltaCover, point) -> float:
@@ -383,10 +551,10 @@ def load_cover_csv(path, domain: BoxRegion | None = None):
     """
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, [])
         if [h.strip() for h in header] != ["dim", "delta"]:
             raise ValueError(f"unexpected cover header: {header!r}")
-        dim_s, delta_s = next(r)
+        dim_s, delta_s = next(r, ("", ""))
         dim, delta = int(dim_s), float(delta_s)
         rows, flags = [], []
         has_flags = None

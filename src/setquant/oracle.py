@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoxRegion, DeltaCover, build_cover
+from .geometry import BoxRegion, DeltaCover, build_cover, compare_grids
 from .scenario import ScenarioSystem, default_action_samples, step
 
 __all__ = [
@@ -57,8 +57,7 @@ class OracleSet:
 
 def _nearest_all(grid: DeltaCover, point) -> int:
     """Nearest lattice cell over *all* cells, active or not (first index on ties)."""
-    d = np.abs(grid.centers - np.asarray(point, dtype=float)).max(axis=1)
-    return int(np.argmin(d))
+    return grid.nearest(point, active_only=False)[0]
 
 
 def brute_force_invariant(sys: ScenarioSystem, delta: float, action_samples=None,
@@ -122,16 +121,8 @@ def project_to_grid(cover: DeltaCover, grid: DeltaCover, tol: float = 1e-9) -> O
     nearest active cover center at most the cover radius).  An empty cover
     rasterizes to the empty mask.
     """
-    mask = np.zeros(len(grid), dtype=bool)
-    act = cover.active_centers()
-    if act.shape[0]:
-        pts = grid.centers
-        # chunked broadcast keeps memory bounded on large grids
-        for lo in range(0, pts.shape[0], 4096):
-            chunk = pts[lo:lo + 4096]
-            d = np.abs(chunk[:, None, :] - act[None, :, :]).max(axis=2).min(axis=1)
-            mask[lo:lo + 4096] = d <= cover.radius + tol
-    return OracleSet(grid=grid, mask=mask)
+    reach = cover.radius + tol
+    return OracleSet(grid=grid, mask=cover.distances_within(grid.centers, reach) <= reach)
 
 
 def compare_sets(a: OracleSet, b: OracleSet, tol: float = 1e-9) -> dict:
@@ -140,8 +131,7 @@ def compare_sets(a: OracleSet, b: OracleSet, tol: float = 1e-9) -> dict:
     Refuses mismatched lattices: a comparison across resolutions is a silent
     lie, the caller must rasterize onto a common grid first.
     """
-    if abs(a.grid.radius - b.grid.radius) > tol or len(a.grid) != len(b.grid) \
-            or not np.all(np.abs(a.grid.centers - b.grid.centers) <= tol):
+    if not compare_grids(a.grid, b.grid, tol):
         raise ValueError("sets live on different lattices; project onto a common grid first")
     vols = cell_volumes(a.grid)
     inter = a.mask & b.mask

@@ -154,24 +154,26 @@ def _make_stream(desc: dict) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _eval_batch(sys: ScenarioSystem, starts, horizon: int, policy, seed_descs, membership, indices) -> list[int]:
-    """Evaluate a batch of rollouts; returns the failing sample indices."""
-    bad = []
+def _eval_batch(sys: ScenarioSystem, starts, horizon: int, policy, seed_descs, membership, indices) -> int:
+    """Evaluate a batch of rollouts in order; returns the first failing sample index or -1."""
     for j, i in enumerate(indices):
         stream = _make_stream(seed_descs[j])
         traj = run_scenario(sys, starts[j], horizon, policy, stream)
         if not _check_trajectory(traj, membership):
-            bad.append(i)
-    return bad
+            return i
+    return -1
 
 
 def _run_samples(sys, starts, horizon, policy, seed_descs, membership, workers: int, record=None):
     """Run all samples; returns the earliest failing index or -1.
 
-    Sequential mode short-circuits at the first failure; parallel mode
-    evaluates everything and keeps the lowest index, so the verdict and the
-    counterexample are identical for any worker count.  ``record`` (sample
-    logging) forces the sequential path.
+    Both modes stop at the first failure.  The parallel mode reads its
+    chunks' results in submission order and stops at the first chunk that
+    failed: every earlier chunk then passed in full, so that chunk's first
+    failure is the lowest failing index overall, and the verdict and the
+    counterexample are identical for any worker count.  Chunks not yet
+    started are cancelled.  ``record`` (sample logging) forces the
+    sequential path.
     """
     n = len(starts)
     if workers <= 1 or record is not None:
@@ -184,15 +186,19 @@ def _run_samples(sys, starts, horizon, policy, seed_descs, membership, workers: 
                 return i
         return -1
     chunks = max(1, math.ceil(n / (workers * 4)))
-    futures = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = []
         for lo in range(0, n, chunks):
             idx = list(range(lo, min(lo + chunks, n)))
             futures.append(pool.submit(
                 _eval_batch, sys, [starts[i] for i in idx], horizon, policy,
                 [seed_descs[i] for i in idx], membership, idx))
-        failing = [i for f in futures for i in f.result()]
-    return min(failing) if failing else -1
+        for f in futures:
+            bad = f.result()
+            if bad >= 0:
+                pool.shutdown(cancel_futures=True)
+                return bad
+    return -1
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +300,7 @@ def validate_eps_delta(sys: ScenarioSystem, cover: DeltaCover, horizon: int, eps
             return ValidationVerdict(result=True, n_samples=0, epsilon=epsilon, beta=beta,
                                      delta=cover.radius, kind="eps-delta")
     seed_descs = _child_seeds(rng, n)
-    pick = _make_stream({"entropy": seed_descs[0]["entropy"], "spawn_key": [2**31]})
+    pick = _make_stream({"entropy": seed_descs[0]["entropy"], "spawn_key": [2**31]}) if seed_descs else None
     starts = [cover.centers[int(act[int(pick.integers(act.size))])] for _ in range(n)]
     membership = _CoverMembership(cover)
     policy = UniformPolicy(actions)

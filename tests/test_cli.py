@@ -157,6 +157,29 @@ def test_main_rejects_bad_input(tmp_path, capsys):
     assert main(["run", str(cfg), "--workers", "0"]) == 2
 
 
+@pytest.mark.parametrize("extra", [
+    'options.horizon = "abc"',
+    "options.horizon = 0",
+])
+def test_main_rejects_a_bad_oracle_horizon(tmp_path, capsys, extra):
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text(ORACLE_CFG.replace("options.horizon = 1", extra))
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    assert "E-DOMAIN: options.horizon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cells", [None, "", "dim,delta\n1,0.5\n", "dim,delta\n1,abc\n"])
+def test_main_rejects_a_missing_or_unreadable_cells_file(tmp_path, capsys, cells):
+    path = tmp_path / "cells.csv"
+    if cells is not None:
+        path.write_text(cells)
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("algorithm = val-eps-delta\nseed = 0\nsystem.name = toy-threshold\n"
+                   f"options.cells_file = {json.dumps(str(path))}\n")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    assert "E-DOMAIN: options.cells_file" in capsys.readouterr().err
+
+
 def test_main_compare_prints_and_saves_canonical_json(tmp_path, capsys):
     run_into(ORACLE_CFG, tmp_path / "a")
     run_into(ORACLE_CFG, tmp_path / "b")

@@ -18,6 +18,7 @@ from setquant.geometry import (
     signed_distance,
     volume_estimate,
 )
+from strategies import query_points, scrambled_covers
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +132,39 @@ def test_deactivate_removes_from_queries():
     # distance queries now ignore the dead center
     _, d = nearest_center(cv, [1.0])
     assert d == pytest.approx(2.0)
+
+
+@given(scrambled_covers())
+@settings(max_examples=80, deadline=None)
+def test_indexed_queries_equal_the_brute_force_scan(case):
+    """The bucket index answers exactly what a scan over every active center does."""
+    cover, rng = case
+    if not cover.active.any():
+        return
+    pts = query_points(cover, rng)
+    idx = cover.active_indices()
+    d = np.abs(pts[:, None, :] - cover.centers[idx][None, :, :]).max(axis=2)
+    np.testing.assert_array_equal(cover.batch_distances(pts), d.min(axis=1))
+    for p, row in zip(pts, d):
+        k = int(np.argmin(row))  # first minimum: the lowest ordinal wins a tie
+        assert nearest_center(cover, p) == (int(idx[k]), float(row[k]))
+
+
+def test_nearest_center_tie_goes_to_the_lowest_ordinal():
+    cv = DeltaCover(np.array([[3.0], [1.0], [5.0]]), 1.0, BoxRegion([0.0], [6.0]))
+    assert nearest_center(cv, [2.0]) == (0, 1.0)
+    assert nearest_center(cv, [4.0]) == (0, 1.0)
+    cv.deactivate([0])
+    assert nearest_center(cv, [3.0]) == (1, 2.0)  # beyond reach: the full scan decides
+
+
+def test_append_grows_past_the_initial_capacity():
+    cv = DeltaCover(np.array([[0.0]]), 0.5, BoxRegion([0.0], [100.0]))
+    for x in range(1, 100):
+        assert cv.append([float(x)]) == x
+    assert cv.centers[:, 0].tolist() == [float(x) for x in range(100)]
+    assert cv.active.shape == (100,) and cv.active.all()
+    np.testing.assert_array_equal(cv.batch_distances([[41.25], [99.5]]), [0.25, 0.5])
 
 
 def test_batch_distances_empty_active_raises():

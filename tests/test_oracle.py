@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import query_points, scrambled_covers
 
 from setquant.geometry import BoxRegion, DeltaCover, build_cover
-from setquant.oracle import brute_force_invariant, compare_sets, project_to_grid
+from setquant.oracle import _nearest_all, brute_force_invariant, compare_sets, project_to_grid
 from setquant.scenario import (
     make_lead_follow,
     make_toy_flip,
@@ -66,6 +69,19 @@ def test_project_to_grid_membership_semantics():
     hit = grid.centers[proj.mask][:, 0]
     # grid centers within 0.3 of {2.0, 2.4}: 1.5 is 0.5 away and misses
     assert hit.tolist() == [2.5]
+
+
+@given(scrambled_covers(), st.sampled_from([0.25, 0.5, 1.0]), st.sampled_from([1e-9, 0.3]))
+@settings(max_examples=60, deadline=None)
+def test_indexed_oracle_queries_equal_the_brute_force_scan(case, grid_delta, tol):
+    cover, rng = case
+    for p in query_points(cover, rng):
+        # all cells, active or not; the first minimum is the lowest index
+        assert _nearest_all(cover, p) == int(np.argmin(np.abs(cover.centers - p).max(axis=1)))
+    grid = build_cover(cover.domain, grid_delta)
+    act = cover.active_centers()
+    d = np.abs(grid.centers[:, None, :] - act[None, :, :]).max(axis=2).min(axis=1, initial=np.inf)
+    np.testing.assert_array_equal(project_to_grid(cover, grid, tol=tol).mask, d <= cover.radius + tol)
 
 
 def test_project_empty_cover_is_empty():

@@ -7,11 +7,15 @@ from setquant.geometry import BoxRegion, boundary_band, build_cover
 from setquant.scenario import (
     EXIT_UNSAFE,
     FixedActionPolicy,
+    UniformPolicy,
     make_lead_follow,
     make_toy_shrink,
     make_toy_threshold,
 )
 from setquant.validation import (
+    _BoxMembership,
+    _child_seeds,
+    _run_samples,
     replay_counterexample,
     sample_size_probabilistic,
     sample_size_resolution,
@@ -135,3 +139,23 @@ def test_worker_pool_reproduces_the_sequential_verdict():
     assert seq.n_samples == par.n_samples
     assert seq.counterexample_start == par.counterexample_start
     assert seq.counterexample_seed == par.counterexample_seed
+
+
+def test_worker_pool_returns_the_lowest_failure_across_chunks():
+    # 16 samples on two workers run as eight chunks of two; the starts below
+    # 1 fall off the threshold, in chunks 2, 5 and 7
+    toy = make_toy_threshold()
+    starts = [np.array([0.5 if i in (5, 11, 15) else 5.0]) for i in range(16)]
+    args = (toy, starts, 4, UniformPolicy(toy.action_box), _child_seeds(0, 16),
+            _BoxMembership(toy.state_box))
+    assert _run_samples(*args, 1) == 5
+    assert _run_samples(*args, 2) == 5
+
+
+def test_zero_samples_give_a_vacuous_flagged_verdict():
+    toy = make_toy_threshold()
+    cover = build_cover(toy.state_box, 0.5)
+    with pytest.warns(UserWarning, match="n_samples=0"):
+        v = validate_eps_delta(toy, cover, 8, 0.05, 0.1, toy.action_box, rng=0, n_samples=0)
+    assert v.result and v.n_samples == 0 and v.undersampled
+    assert v.counterexample_start is None
