@@ -1,0 +1,121 @@
+"""Golden artifacts: sha256 digests of the canonical outputs of small fixed runs.
+
+The digests were recorded from the sequential reference implementation (one
+scalar ``step`` at a time).  Any change to the rollouts, the random draw
+order, the cover queries or the artifact writers that alters a single byte
+of a canonical file fails here, so every refactor or fast path must leave
+them unchanged.  The configs cover passing and failing ``val-eps-delta``
+(the failing ones past several sample blocks), ``val-eps`` on a region box,
+a finite action set with noise, the oracle at ``horizon > 1`` on lead-follow
+and on a noisy toy map, and one trajectory log.
+"""
+
+import hashlib
+import warnings
+
+import pytest
+
+from setquant.cli import dispatch
+from setquant.config import parse_config
+
+CASES = {
+    "val-eps-delta-pass": (
+        "algorithm = val-eps-delta\nseed = 4\nsystem.name = lead-follow\n"
+        "system.state_box = [[0, 4], [0, 16], [20, 60]]\n"
+        "hyper.delta0 = 2.0\nhyper.K = 20\nhyper.epsilon = 0.005\nhyper.beta = 0.1\n"
+    ),
+    # fails at sample 773 of 920
+    "val-eps-delta-fail": (
+        "algorithm = val-eps-delta\nseed = 4\nsystem.name = lead-follow\nsystem.sv_policy = idm\n"
+        "system.state_box = [[0, 3], [0, 16], [12, 60]]\nhyper.omega_bar = 0.3\n"
+        "hyper.delta0 = 2.0\nhyper.K = 20\nhyper.epsilon = 0.0025\nhyper.beta = 0.1\n"
+    ),
+    "val-eps-delta-three-vehicle": (
+        "algorithm = val-eps-delta\nseed = 0\nsystem.name = three-vehicle\n"
+        "hyper.delta0 = 2.5\nhyper.K = 15\nhyper.epsilon = 0.01\nhyper.beta = 0.1\n"
+    ),
+    "val-eps-region-box": (
+        "algorithm = val-eps\nseed = 3\nsystem.name = lead-follow\n"
+        "options.region_box = [[0, 4], [0, 16], [20, 60]]\n"
+        "hyper.K = 20\nhyper.epsilon = 0.005\nhyper.beta = 0.1\n"
+    ),
+    "val-eps-region-box-three-vehicle": (
+        "algorithm = val-eps\nseed = 0\nsystem.name = three-vehicle\nsystem.sv_policy = idm\n"
+        "hyper.omega_bar = 0.2\noptions.region_box = [[0, 3], [0, 6], [0, 6], [12, 25], [-25, -12]]\n"
+        "hyper.K = 15\nhyper.epsilon = 0.01\nhyper.beta = 0.1\n"
+    ),
+    "val-eps-finite-noisy": (
+        "algorithm = val-eps-delta\nseed = 8\nsystem.name = toy-shrink\n"
+        "options.action_points = [[-0.5], [0.0], [0.5]]\nhyper.omega_bar = 0.1\n"
+        "hyper.delta0 = 0.25\nhyper.K = 6\nhyper.epsilon = 0.05\nhyper.beta = 0.1\n"
+    ),
+    "oracle-lead-follow": (
+        "algorithm = oracle\nseed = 0\nsystem.name = lead-follow\n"
+        "hyper.delta0 = 2.0\noptions.horizon = 12\n"
+    ),
+    "oracle-noisy-toy": (
+        "algorithm = oracle\nseed = 0\nsystem.name = toy-two-basins\nhyper.omega_bar = 0.1\n"
+        "hyper.delta0 = 0.5\noptions.horizon = 3\n"
+    ),
+    # fails at sample 275 of 920; every rollout up to it is logged
+    "trajectories": (
+        "algorithm = val-eps-delta\nseed = 3\nsystem.name = lead-follow\nsystem.sv_policy = idm\n"
+        "system.state_box = [[0, 3], [0, 16], [12, 60]]\nhyper.omega_bar = 0.3\n"
+        "hyper.delta0 = 2.0\nhyper.K = 20\nhyper.epsilon = 0.0025\nhyper.beta = 0.1\n"
+        "options.emit_trajectories = true\n"
+    ),
+}
+
+GOLDEN = {
+    "oracle-lead-follow": {
+        "report.json": "bf1fd1d1b3bc2fcad03b7e659cc9c2588ca2dd8145a76006e03fb1165b66df50",
+        "oracle.csv": "e4bd25f7b57f8d5ea346293c2908e9069af3207f17676ac0a6442127dff0abe1",
+        "slices.csv": "31e9b1962e5b459b90a20c8d4be5ac0d4624e284e01d823cf84dfbcd08950fbb",
+    },
+    "oracle-noisy-toy": {
+        "report.json": "d8d0eeb50f3becf5eba9765d0aa75300483601305b5888532e7a9267cb29ddb0",
+        "oracle.csv": "b8a9a7cc5160e845046f1b2a55e3c527e9483b27e214bf72c7d5ce39a904ad9c",
+        "slices.csv": "7c3f43e08aa22b28b57e6c7ba4e5eba6194797666527393cf52d2e2596c1b33a",
+    },
+    "trajectories": {
+        "report.json": "b65011fab2f8aafd4773eb606ab8b86e42a459febc8fd63b4b9d2d0a8806ab83",
+        "cells.csv": "d6cdb59287227a8f549f9b782d221225ab93473b4c35a40cb94cb479ed2f143a",
+        "trajectories.ndjson": "48008a759e9433faa3b267a4897304cb7fc3a4ff4cd6a13289ac7a1a6a9588a8",
+    },
+    "val-eps-delta-fail": {
+        "report.json": "cd464654f781b5596fbc0516b49da1eafb3320a7b245c6fc13fdf11b68d0a0d9",
+        "cells.csv": "d6cdb59287227a8f549f9b782d221225ab93473b4c35a40cb94cb479ed2f143a",
+    },
+    "val-eps-delta-pass": {
+        "report.json": "2ad57530f68d92b6d02e74b63f21d7d7e6a2afc680cdf37811a7495f24fe58c1",
+        "cells.csv": "b1ed4a2fb9cccc67750c97ef3d1a36be117497b7035ad85626d273f91b8b8a39",
+    },
+    "val-eps-delta-three-vehicle": {
+        "report.json": "3c45d96eb0fa14739c0825874c42d1fc07ade694054eeccdbe45b1cfe34634f5",
+        "cells.csv": "201fb952ec1327c1ef7aa1097d386bde0856e4dd563539e09c8eb52821a4fa23",
+    },
+    "val-eps-finite-noisy": {
+        "report.json": "3e969c269a92dfb4aa0da82e411b54fd2f2c036d868b7e9c10790fc55fd5cc79",
+        "cells.csv": "39f1e57053241163d10ee985ed4f658d5a445431333b5b9f49aa2e3e289b93d9",
+    },
+    "val-eps-region-box": {
+        "report.json": "9d9beb791507692107c338e86fb8060f8f41f3f312d240b7e0d3680e867b7be4",
+    },
+    "val-eps-region-box-three-vehicle": {
+        "report.json": "5b487f25065935e15e2aa556482c07a412e3c372e3a17259fc9dcb26eee15de3",
+    },
+}
+
+
+def _digests(out_dir) -> dict:
+    names = ("report.json", "cells.csv", "oracle.csv", "slices.csv", "trajectories.ndjson")
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in names if (out_dir / name).exists()}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_canonical_artifacts_match_their_golden_digests(name, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dispatch(parse_config(CASES[name]), output=str(tmp_path))
+    assert _digests(tmp_path) == GOLDEN[name]
