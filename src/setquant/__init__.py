@@ -39,6 +39,7 @@ from .scenario import (
     make_toy_two_basins,
     run_scenario,
     step,
+    step_batch,
 )
 from .validation import (
     ValidationVerdict,

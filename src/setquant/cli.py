@@ -132,15 +132,9 @@ def dispatch(cfg: RunConfig, workers: int = 1, output: str | None = None) -> int
         exit_code = 0 if verdict.result else 1
 
     elif alg == "oracle":
-        try:
-            horizon = int(opts.get("horizon", 1))
-            if horizon < 1:
-                raise ValueError
-        except (TypeError, ValueError):
-            raise ConfigError("E-DOMAIN",
-                              f"options.horizon must be a positive integer, got {opts['horizon']!r}") from None
         samples = default_action_samples(actions)
-        oracle = brute_force_invariant(system, hyper.delta0, action_samples=samples, horizon=horizon)
+        oracle = brute_force_invariant(system, hyper.delta0, action_samples=samples,
+                                       horizon=opts.get("horizon", 1))
         vol = oracle.volume()
         rep = RunReport(algorithm="oracle", seed=cfg.seed, hyper={**cfg.hyper},
                         n_fresh_samples=0, n_replayed=0, n_decays=0,
@@ -156,7 +150,7 @@ def dispatch(cfg: RunConfig, workers: int = 1, output: str | None = None) -> int
     else:
         if alg == "qnt-vs":
             result = quantify_vanilla(system, actions, hyper, cfg.seed,
-                                      n_attempts=int(opts.get("n_attempts", 10)), record=rec)
+                                      n_attempts=opts.get("n_attempts", 10), record=rec)
         elif alg == "qnt-dp":
             result = quantify_delta_pruning(system, actions, hyper.delta0, hyper.budget,
                                             hyper.horizon, cfg.seed, hyper=hyper, record=rec)
@@ -167,7 +161,7 @@ def dispatch(cfg: RunConfig, workers: int = 1, output: str | None = None) -> int
             result = quantify_spe(system, actions, hyper, cfg.seed,
                                   prioritized=bool(opts.get("prioritized", False)),
                                   replay=bool(opts.get("replay", False)),
-                                  weight_power=float(opts.get("weight_power", 1.0)),
+                                  weight_power=opts.get("weight_power", 1.0),
                                   min_feature_scale=opts.get("min_feature_scale"),
                                   record=rec)
         else:  # pragma: no cover - parse_config guards the algorithm name
@@ -269,7 +263,8 @@ def _build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="run the algorithm named in a config file")
     runp.add_argument("config", help="path to the key/value config document")
     runp.add_argument("--workers", type=int, default=1,
-                      help="worker processes for validation rollouts (1 = bit-exact reference)")
+                      help="accepted for compatibility, must be >= 1; validation runs its samples "
+                           "as in-process batches, so every N gives the same, bit-exact result")
     runp.add_argument("--output", default=None, help="override the output directory")
     cmpp = sub.add_parser("compare", help="compare two run directories on a common lattice")
     cmpp.add_argument("run_a")

@@ -15,6 +15,7 @@ error with a diagnostic code:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .geometry import BoxRegion
@@ -97,6 +98,30 @@ def _parse_lines(text: str) -> dict:
 def _domain(cond: bool, message: str):
     if not cond:
         raise ConfigError("E-DOMAIN", message)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and (isinstance(v, int) or math.isfinite(v))
+
+
+# numeric options: (integers only, least allowed value)
+_NUMERIC_OPTIONS = {"horizon": (True, 1), "n_attempts": (True, 1),
+                    "weight_power": (False, 1.0), "min_feature_scale": (False, 0.0)}
+
+
+def _check_options(opts: dict, state_dim: int, action_dim: int) -> None:
+    for key, (integer, least) in _NUMERIC_OPTIONS.items():
+        v = opts.get(key, least)
+        _domain(_is_number(v) and (isinstance(v, int) or not integer) and v >= least,
+                f"options.{key} must be {'an integer' if integer else 'a number'} >= {least}, got {v!r}")
+    state = opts.get("initial_state")
+    _domain(state is None or (isinstance(state, list) and len(state) == state_dim
+                              and all(_is_number(x) for x in state)),
+            f"options.initial_state must be a list of {state_dim} numbers, got {state!r}")
+    pts = opts.get("action_points", [[0.0] * action_dim])
+    _domain(isinstance(pts, list) and pts and all(
+        isinstance(p, list) and len(p) == action_dim and all(_is_number(x) for x in p) for p in pts),
+        f"options.action_points must be a non-empty list of points of {action_dim} numbers, got {pts!r}")
 
 
 def _check_hyper(h: dict) -> None:
@@ -234,15 +259,13 @@ def materialize(cfg: RunConfig) -> tuple[ScenarioSystem, object, HyperParams]:
                 raise ConfigError("E-DOMAIN", f"facet dimension {d} outside 0..{n - 1}")
             sys.facets[(d, side)] = label
 
+    _check_options(cfg.options, sys.state_box.dim, sys.action_box.dim)
     if cfg.options.get("adversarial"):
         if sys.adversarial is None:
             raise ConfigError("E-DOMAIN", f"system {sys.name!r} defines no adversarial action set")
         actions = sys.adversarial
     elif "action_points" in cfg.options:
-        pts = cfg.options["action_points"]
-        if not isinstance(pts, list) or not pts:
-            raise ConfigError("E-DOMAIN", "options.action_points must be a non-empty list of points")
-        actions = FiniteActionSet(pts)
+        actions = FiniteActionSet(cfg.options["action_points"])
     else:
         actions = sys.action_box
 

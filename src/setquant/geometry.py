@@ -126,6 +126,8 @@ def _axis_centers(lo: float, hi: float, delta: float) -> list[float]:
 _INDEX_TOL = 1e-9
 # Point-center differences per chunk of the brute-force fallback scan.
 _SCAN_CHUNK = 1 << 20
+# Query points per chunk of ``DeltaCover.nearest_all``.
+_QUERY_ROWS = 1 << 12
 
 
 class _BucketIndex:
@@ -383,6 +385,38 @@ class DeltaCover:
         d = np.abs(self.centers[cand] - p).max(axis=1)
         k = int(np.argmin(d))
         return int(cand[k]), float(d[k])
+
+    def nearest_all(self, points) -> np.ndarray:
+        """Ordinal of the nearest center, active or not, to each row of ``points``.
+
+        Row by row equal to ``nearest(p, active_only=False)[0]``: the lowest
+        ordinal wins ties, and a row with no center within reach falls back
+        to a full scan.  Rows go through in chunks, so transient memory stays
+        bounded whatever their number.
+        """
+        if self._n == 0:
+            raise ValueError("cover has no centers")
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        reach = self.radius + _INDEX_TOL
+        index = self._bucket_index(reach)
+        out = np.zeros(pts.shape[0], dtype=np.int64)
+        best = np.full(pts.shape[0], np.inf)
+        for lo in range(0, pts.shape[0], _QUERY_ROWS):
+            chunk = pts[lo:lo + _QUERY_ROWS]
+            row, cand = index.candidates(chunk, reach)
+            if row.size:
+                d = np.abs(self.centers[cand] - chunk[row]).max(axis=1)
+                first = np.flatnonzero(np.diff(row, prepend=-1))
+                dmin = np.minimum.reduceat(d, first)
+                tied = d == np.repeat(dmin, np.diff(np.append(first, row.size)))
+                best[lo + row[first]] = dmin
+                out[lo + row[first]] = np.minimum.reduceat(np.where(tied, cand, self._n), first)
+        far = np.flatnonzero(~(best <= reach))
+        rows = max(1, _SCAN_CHUNK // self.centers.size)
+        for i in range(0, far.size, rows):
+            sel = far[i:i + rows]
+            out[sel] = np.abs(pts[sel, None, :] - self.centers[None, :, :]).max(axis=2).argmin(axis=1)
+        return out
 
 
 def build_cover(region: BoxRegion, delta: float) -> DeltaCover:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BoxRegion, DeltaCover, build_cover, compare_grids
-from .scenario import ScenarioSystem, default_action_samples, step
+from .scenario import ScenarioSystem, default_action_samples, step_batch
 
 __all__ = [
     "OracleSet",
@@ -55,9 +55,47 @@ class OracleSet:
         return float(cell_volumes(self.grid)[self.mask].sum())
 
 
-def _nearest_all(grid: DeltaCover, point) -> int:
-    """Nearest lattice cell over *all* cells, active or not (first index on ties)."""
-    return grid.nearest(point, active_only=False)[0]
+# (cell, action, disturbance) rows rolled out together.
+_ROLLOUT_ROWS = 1 << 14
+
+
+def _nearest_all(grid: DeltaCover, points) -> np.ndarray:
+    """Nearest lattice cell of each row of ``points`` over *all* cells, active or not (lowest index on ties)."""
+    return grid.nearest_all(points)
+
+
+def _final_cells(sys: ScenarioSystem, grid: DeltaCover, pairs: list, horizon: int):
+    """Where each cell's held-input rollouts end.
+
+    Returns ``(dest, doomed)``: ``dest[i, j]`` is the lattice cell nearest the
+    final state of the ``horizon``-step rollout from center ``i`` under pair
+    ``j``, and ``doomed[i]`` whether one of the cell's rollouts crossed an
+    unsafe facet (its ``dest`` entry is then meaningless).  The rollouts do
+    not depend on which cells are alive, so one pass serves every sweep.
+    """
+    m, p = len(grid), len(pairs)
+    dest = np.zeros((m, p), dtype=np.int64)
+    doomed = np.zeros(m, dtype=bool)
+    if p == 0:
+        return dest, doomed
+    u = np.array([np.atleast_1d(np.asarray(a, dtype=float)) for a, _ in pairs])
+    w = np.array([np.asarray(o, dtype=float) for _, o in pairs]).reshape(p, -1)
+    per = max(1, _ROLLOUT_ROWS // p)
+    for lo in range(0, m, per):
+        x = np.repeat(grid.centers[lo:lo + per], p, axis=0)
+        cells = x.shape[0] // p
+        uu, ww = np.tile(u, (cells, 1)), np.tile(w, (cells, 1))
+        unsafe = np.zeros(x.shape[0], dtype=bool)
+        for _t in range(horizon):
+            rows = np.flatnonzero(~unsafe)
+            x[rows], code = step_batch(sys, x[rows], uu[rows], ww[rows])
+            unsafe[rows] = code >= 0
+        safe = np.flatnonzero(~unsafe)
+        flat = np.zeros(x.shape[0], dtype=np.int64)
+        flat[safe] = _nearest_all(grid, x[safe])
+        dest[lo:lo + cells] = flat.reshape(cells, p)
+        doomed[lo:lo + cells] = unsafe.reshape(cells, p).any(axis=1)
+    return dest, doomed
 
 
 def brute_force_invariant(sys: ScenarioSystem, delta: float, action_samples=None,
@@ -70,7 +108,8 @@ def brute_force_invariant(sys: ScenarioSystem, delta: float, action_samples=None
     ``horizon`` steps.  Crossing an unsafe facet kills the cell immediately;
     truncations clamp and continue; otherwise the final state is snapped to
     its nearest lattice cell and the cell dies if that one is already dead.
-    Removals apply synchronously at the end of the sweep.
+    Removals apply synchronously at the end of the sweep, so each sweep is
+    one mask update over the rollouts' end cells, which are computed once.
     """
     grid = build_cover(domain if domain is not None else sys.state_box, delta)
     if action_samples is None:
@@ -82,35 +121,18 @@ def brute_force_invariant(sys: ScenarioSystem, delta: float, action_samples=None
                                    (w,) * sys.disturbance_dim]
         else:
             disturbance_samples = [sys.zero_disturbance()]
+    pairs = [(u, w) for u in action_samples for w in disturbance_samples]
+    dest, doomed = _final_cells(sys, grid, pairs, horizon)
     alive = np.ones(len(grid), dtype=bool)
     converged = False
     sweeps = 0
     for _ in range(max_sweeps):
         sweeps += 1
-        kill = []
-        for i in np.flatnonzero(alive):
-            center = grid.centers[int(i)]
-            dead = False
-            for u in action_samples:
-                for w in disturbance_samples:
-                    state = tuple(float(x) for x in center)
-                    unsafe = False
-                    for _t in range(horizon):
-                        state, out = step(sys, state, u, w)
-                        if out.kind == "unsafe":
-                            unsafe = True
-                            break
-                    if unsafe or not alive[_nearest_all(grid, state)]:
-                        dead = True
-                        break
-                if dead:
-                    break
-            if dead:
-                kill.append(i)
-        if not kill:
+        kill = alive & (doomed | ~alive[dest].all(axis=1))
+        if not kill.any():
             converged = True
             break
-        alive[np.asarray(kill, dtype=int)] = False
+        alive &= ~kill
     return OracleSet(grid=grid, mask=alive, converged=converged, sweeps=sweeps)
 
 

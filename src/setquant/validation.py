@@ -21,18 +21,21 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import BoxRegion, DeltaCover, signed_distance
 from .scenario import (
+    EXIT_NONE,
     EXIT_UNSAFE,
     ScenarioSystem,
     Trajectory,
     UniformPolicy,
+    noise_sampler,
+    outside_domain,
     run_scenario,
+    step_batch,
 )
 
 __all__ = [
@@ -103,11 +106,9 @@ class _BoxMembership:
         self.box = box
         self.delta = None
 
-    def trajectory_ok(self, states: np.ndarray) -> int:
-        """Index of the first state outside the box, or -1 if all inside."""
-        inside = np.all(states >= self.box.lower - 1e-12, axis=1) & np.all(states <= self.box.upper + 1e-12, axis=1)
-        bad = np.flatnonzero(~inside)
-        return int(bad[0]) if bad.size else -1
+    def outside(self, states: np.ndarray) -> np.ndarray:
+        """Per row of ``states``, whether it lies outside the box."""
+        return ~(np.all(states >= self.box.lower - 1e-12, axis=1) & np.all(states <= self.box.upper + 1e-12, axis=1))
 
 
 class _CoverMembership:
@@ -115,17 +116,14 @@ class _CoverMembership:
         self.cover = cover
         self.delta = cover.radius
 
-    def trajectory_ok(self, states: np.ndarray) -> int:
-        d = self.cover.batch_distances(states)
-        bad = np.flatnonzero(d > self.cover.radius + 1e-12)
-        return int(bad[0]) if bad.size else -1
+    def outside(self, states: np.ndarray) -> np.ndarray:
+        """Per row of ``states``, whether it lies farther than delta from every active center."""
+        return self.cover.batch_distances(states) > self.cover.radius + 1e-12
 
 
 def _check_trajectory(traj: Trajectory, membership) -> bool:
     """True when the rollout stayed safe and inside the candidate region."""
-    if traj.exit_kind == EXIT_UNSAFE:
-        return False
-    return membership.trajectory_ok(traj.states[1:]) < 0
+    return traj.exit_kind != EXIT_UNSAFE and not membership.outside(traj.states[1:]).any()
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +136,8 @@ def _child_seeds(rng, n: int) -> list[dict]:
 
     An integer master seed spawns children; a Generator draws independent
     64-bit entropies.  Either way the descriptor alone reconstructs the
-    stream, so counterexamples replay exactly and workers can evaluate
-    samples in any order.
+    stream, so counterexamples replay exactly and samples can be evaluated
+    in any grouping.
     """
     if isinstance(rng, (int, np.integer)):
         return [{"entropy": int(rng), "spawn_key": [i]} for i in range(n)]
@@ -154,50 +152,82 @@ def _make_stream(desc: dict) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _eval_batch(sys: ScenarioSystem, starts, horizon: int, policy, seed_descs, membership, indices) -> int:
-    """Evaluate a batch of rollouts in order; returns the first failing sample index or -1."""
-    for j, i in enumerate(indices):
-        stream = _make_stream(seed_descs[j])
-        traj = run_scenario(sys, starts[j], horizon, policy, stream)
-        if not _check_trajectory(traj, membership):
-            return i
-    return -1
+# ---------------------------------------------------------------------------
+# the batched sample runner
+# ---------------------------------------------------------------------------
+
+# Samples stepped together: enough rows to amortise the per-step numpy and
+# cover-query overhead, few enough that a failing run stops soon after its
+# first failure and a block's states stay small.
+_BLOCK = 256
+
+
+def _run_block(sys, x0, first, steps, draw, seed_descs, membership, record) -> int:
+    """Roll samples ``first .. first + len(x0) - 1`` in lock-step; returns the lowest failing index or -1.
+
+    A row stops when it goes unsafe; the others run to the horizon.  Each
+    step queries membership once, for the rows that have neither gone unsafe
+    nor already left the region.
+    """
+    b, n = x0.shape
+    noise = [draw(_make_stream(seed_descs[first + j])) for j in range(b)]
+    acts = np.stack([u for u, _ in noise])
+    omegas = np.stack([w for _, w in noise])
+    states = np.empty((b, steps + 1, n))
+    states[:, 0] = x0
+    code = np.full(b, -1)
+    length = np.full(b, steps + 1)
+    failed = np.zeros(b, dtype=bool)
+    for t in range(steps):
+        rows = np.flatnonzero(code < 0)
+        if rows.size == 0:
+            break
+        states[rows, t + 1], ex = step_batch(sys, states[rows, t], acts[rows, t], omegas[rows, t])
+        gone = ex >= 0
+        code[rows[gone]], length[rows[gone]], failed[rows[gone]] = ex[gone], t + 2, True
+        check = rows[~failed[rows]]
+        if check.size:
+            failed[check] = membership.outside(states[check, t + 1])
+    bad = np.flatnonzero(failed)
+    if record is not None:
+        for j in range(bad[0] + 1 if bad.size else b):
+            k, e = length[j], int(code[j])
+            record(first + j, Trajectory(
+                states=states[j, :k].copy(), actions=acts[j, :k - 1].copy(),
+                exit_kind=EXIT_UNSAFE if e >= 0 else EXIT_NONE,
+                exit_facet=(e // 2, ("lower", "upper")[e % 2]) if e >= 0 else None))
+    return first + int(bad[0]) if bad.size else -1
 
 
 def _run_samples(sys, starts, horizon, policy, seed_descs, membership, workers: int, record=None):
-    """Run all samples; returns the earliest failing index or -1.
+    """Run the samples in index order; returns the earliest failing index or -1.
 
-    Both modes stop at the first failure.  The parallel mode reads its
-    chunks' results in submission order and stops at the first chunk that
-    failed: every earlier chunk then passed in full, so that chunk's first
-    failure is the lowest failing index overall, and the verdict and the
-    counterexample are identical for any worker count.  Chunks not yet
-    started are cancelled.  ``record`` (sample logging) forces the
-    sequential path.
+    The samples go through in blocks of ``_BLOCK``, each rolled in lock-step
+    by ``step_batch`` from actions and disturbances pre-drawn from the
+    sample's own stream (``noise_sampler``), so every trajectory equals the
+    one ``run_scenario`` draws.  The run stops at the first block with a
+    failure and returns its lowest failing index: the verdict of a
+    sequential loop.  ``record(i, traj)`` sees the trajectories of samples
+    0 up to that index, in order.  A start outside the domain raises
+    ``run_scenario``'s ``ValueError`` once every sample before it passed.
+    ``workers`` is accepted for compatibility and changes nothing.
     """
     n = len(starts)
-    if workers <= 1 or record is not None:
-        for i in range(n):
-            stream = _make_stream(seed_descs[i])
-            traj = run_scenario(sys, starts[i], horizon, policy, stream)
-            if record is not None:
-                record(i, traj)
-            if not _check_trajectory(traj, membership):
-                return i
-        return -1
-    chunks = max(1, math.ceil(n / (workers * 4)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = []
-        for lo in range(0, n, chunks):
-            idx = list(range(lo, min(lo + chunks, n)))
-            futures.append(pool.submit(
-                _eval_batch, sys, [starts[i] for i in idx], horizon, policy,
-                [seed_descs[i] for i in idx], membership, idx))
-        for f in futures:
-            bad = f.result()
-            if bad >= 0:
-                pool.shutdown(cancel_futures=True)
-                return bad
+    if n and horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    steps = max(horizon - 1, 0)
+    draw = noise_sampler(sys, policy, steps)
+    x0 = np.asarray(starts, dtype=float).reshape(n, sys.state_box.dim)
+    stop = n
+    if steps:
+        outside = np.flatnonzero(outside_domain(sys, x0))
+        stop = int(outside[0]) if outside.size else n
+    for lo in range(0, stop, _BLOCK):
+        bad = _run_block(sys, x0[lo:min(lo + _BLOCK, stop)], lo, steps, draw, seed_descs, membership, record)
+        if bad >= 0:
+            return bad
+    if stop < n:
+        run_scenario(sys, starts[stop], horizon, policy, _make_stream(seed_descs[stop]))
     return -1
 
 
@@ -232,18 +262,36 @@ def validate_delta(sys: ScenarioSystem, cover: DeltaCover, horizon: int, policy,
     return ValidationVerdict(result=True, n_samples=int(idx.size), delta=cover.radius, kind="delta")
 
 
-def _finish(sys, starts, horizon, policy, seed_descs, membership, workers,
-            n_planned, epsilon, beta, delta, undersampled, kind, record=None) -> ValidationVerdict:
+def _validate_sampled(sys, horizon, epsilon, beta, actions, rng, n_samples, workers, record,
+                      membership, pick_start, kind) -> ValidationVerdict:
+    """The shared body of ``validate_eps`` and ``validate_eps_delta``.
+
+    Sizes the sample (warning when ``n_samples`` is below the bound), spawns
+    one seed descriptor per sample, draws the starts with ``pick_start`` from
+    a stream of their own, runs them and wraps the verdict; a failure
+    carries its start, its seed descriptor and the trajectory they replay
+    to.  ``pick_start=None`` means no start is eligible: the verdict is then
+    vacuously true on zero samples.
+    """
+    required = sample_size_probabilistic(epsilon, beta)
+    n = required if n_samples is None else int(n_samples)
+    undersampled = n < required
+    if undersampled:
+        warnings.warn(f"n_samples={n} below the ({epsilon}, {beta}) bound {required}; verdict flagged")
+    delta = membership.delta
+    if pick_start is None:
+        return ValidationVerdict(result=True, n_samples=0, epsilon=epsilon, beta=beta, delta=delta, kind=kind)
+    seed_descs = _child_seeds(rng, n)
+    pick = _make_stream({"entropy": seed_descs[0]["entropy"], "spawn_key": [2**31]}) if seed_descs else None
+    starts = [pick_start(pick) for _ in range(n)]
+    policy = UniformPolicy(actions)
     bad = _run_samples(sys, starts, horizon, policy, seed_descs, membership, workers, record=record)
-    if bad < 0:
-        return ValidationVerdict(result=True, n_samples=n_planned, epsilon=epsilon, beta=beta,
-                                 delta=delta, undersampled=undersampled, kind=kind)
-    traj = run_scenario(sys, starts[bad], horizon, policy, _make_stream(seed_descs[bad]))
-    return ValidationVerdict(
-        result=False, n_samples=n_planned, epsilon=epsilon, beta=beta, delta=delta,
-        undersampled=undersampled, kind=kind,
-        counterexample_start=[float(x) for x in starts[bad]],
-        counterexample_seed=seed_descs[bad], counterexample=traj)
+    found = {} if bad < 0 else {
+        "counterexample_start": [float(x) for x in starts[bad]],
+        "counterexample_seed": seed_descs[bad],
+        "counterexample": run_scenario(sys, starts[bad], horizon, policy, _make_stream(seed_descs[bad]))}
+    return ValidationVerdict(result=bad < 0, n_samples=n, epsilon=epsilon, beta=beta, delta=delta,
+                             undersampled=undersampled, kind=kind, **found)
 
 
 def validate_eps(sys: ScenarioSystem, region, horizon: int, epsilon: float, beta: float,
@@ -256,26 +304,15 @@ def validate_eps(sys: ScenarioSystem, region, horizon: int, epsilon: float, beta
     ``n_samples`` below the bound only warns — the verdict is then flagged
     undersampled rather than refused.
     """
-    required = sample_size_probabilistic(epsilon, beta)
-    n = required if n_samples is None else int(n_samples)
-    undersampled = n < required
-    if undersampled:
-        warnings.warn(f"n_samples={n} below the ({epsilon}, {beta}) bound {required}; verdict flagged")
-    seed_descs = _child_seeds(rng, n)
     if isinstance(region, DeltaCover):
-        membership = _CoverMembership(region)
         act = region.active_indices()
-        pick = _make_stream({"entropy": seed_descs[0]["entropy"], "spawn_key": [2**31]}) if seed_descs else None
-        starts = [region.centers[int(act[int(pick.integers(act.size))])] for _ in range(n)]
-        delta = region.radius
+        membership = _CoverMembership(region)
+        pick_start = lambda pick: region.centers[int(act[int(pick.integers(act.size))])]
     else:
         membership = _BoxMembership(region)
-        pick = _make_stream({"entropy": seed_descs[0]["entropy"], "spawn_key": [2**31]}) if seed_descs else None
-        starts = [region.sample(pick) for _ in range(n)]
-        delta = None
-    policy = UniformPolicy(actions)
-    return _finish(sys, starts, horizon, policy, seed_descs, membership, workers,
-                   n, epsilon, beta, delta, undersampled, "eps", record=record)
+        pick_start = region.sample
+    return _validate_sampled(sys, horizon, epsilon, beta, actions, rng, n_samples, workers, record,
+                             membership, pick_start, "eps")
 
 
 def validate_eps_delta(sys: ScenarioSystem, cover: DeltaCover, horizon: int, epsilon: float,
@@ -288,24 +325,14 @@ def validate_eps_delta(sys: ScenarioSystem, cover: DeltaCover, horizon: int, eps
     be covered by the boundary sweep.  With no eligible center the verdict is
     vacuously true on zero samples.
     """
-    required = sample_size_probabilistic(epsilon, beta)
-    n = required if n_samples is None else int(n_samples)
-    undersampled = n < required
-    if undersampled:
-        warnings.warn(f"n_samples={n} below the ({epsilon}, {beta}) bound {required}; verdict flagged")
     act = cover.active_indices()
     if band is not None:
         act = np.asarray([i for i in act if band(cover.centers[int(i)])], dtype=int)
-        if act.size == 0:
-            return ValidationVerdict(result=True, n_samples=0, epsilon=epsilon, beta=beta,
-                                     delta=cover.radius, kind="eps-delta")
-    seed_descs = _child_seeds(rng, n)
-    pick = _make_stream({"entropy": seed_descs[0]["entropy"], "spawn_key": [2**31]}) if seed_descs else None
-    starts = [cover.centers[int(act[int(pick.integers(act.size))])] for _ in range(n)]
-    membership = _CoverMembership(cover)
-    policy = UniformPolicy(actions)
-    return _finish(sys, starts, horizon, policy, seed_descs, membership, workers,
-                   n, epsilon, beta, cover.radius, undersampled, "eps-delta", record=record)
+    pick_start = lambda pick: cover.centers[int(act[int(pick.integers(act.size))])]
+    if band is not None and act.size == 0:
+        pick_start = None
+    return _validate_sampled(sys, horizon, epsilon, beta, actions, rng, n_samples, workers, record,
+                             _CoverMembership(cover), pick_start, "eps-delta")
 
 
 def replay_counterexample(sys: ScenarioSystem, verdict: ValidationVerdict, horizon: int, actions) -> Trajectory:

@@ -91,12 +91,13 @@ def test_trajectory_log_is_opt_in_ndjson(tmp_path):
         assert set(rec) == {"seed", "start", "states", "actions", "exit"}
 
 
-def test_worker_pool_reports_match_the_sequential_reference(tmp_path):
+def test_worker_count_leaves_the_artifacts_byte_identical(tmp_path):
     cfg = ("algorithm = val-eps-delta\nseed = 11\nsystem.name = toy-shrink\n"
            "hyper.epsilon = 0.1\nhyper.beta = 0.2\n")
     _, seq = run_into(cfg, tmp_path / "w1", workers=1)
     _, par = run_into(cfg, tmp_path / "w2", workers=2)
     assert seq["report.json"] == par["report.json"]
+    assert seq["cells.csv"] == par["cells.csv"]
     assert json.loads(seq["report.json"])["result"] is True
 
 
@@ -166,6 +167,23 @@ def test_main_rejects_a_bad_oracle_horizon(tmp_path, capsys, extra):
     cfg.write_text(ORACLE_CFG.replace("options.horizon = 1", extra))
     assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
     assert "E-DOMAIN: options.horizon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm,option", [
+    ("qnt-spe", 'options.weight_power = "abc"'),
+    ("qnt-spe", "options.weight_power = 0.5"),
+    ("qnt-vs", 'options.n_attempts = "x"'),
+    ("qnt-ae", "options.initial_state = [1, 2]"),
+    ("qnt-spe", 'options.action_points = [["a"]]'),
+    ("qnt-spe", "options.action_points = [[0.5, 0.5]]"),
+    ("qnt-spe", 'options.min_feature_scale = "z"'),
+])
+def test_main_rejects_a_malformed_option(tmp_path, capsys, algorithm, option):
+    cfg = tmp_path / "o.cfg"
+    cfg.write_text(f"algorithm = {algorithm}\nseed = 0\nsystem.name = toy-shrink\nhyper.N = 200\n{option}\n")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    key = option.split(" =")[0]
+    assert f"E-DOMAIN: {key}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cells", [None, "", "dim,delta\n1,0.5\n", "dim,delta\n1,abc\n"])

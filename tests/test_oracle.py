@@ -75,9 +75,10 @@ def test_project_to_grid_membership_semantics():
 @settings(max_examples=60, deadline=None)
 def test_indexed_oracle_queries_equal_the_brute_force_scan(case, grid_delta, tol):
     cover, rng = case
-    for p in query_points(cover, rng):
-        # all cells, active or not; the first minimum is the lowest index
-        assert _nearest_all(cover, p) == int(np.argmin(np.abs(cover.centers - p).max(axis=1)))
+    pts = query_points(cover, rng)
+    # all cells, active or not; the first minimum is the lowest index
+    want = np.abs(pts[:, None, :] - cover.centers[None, :, :]).max(axis=2).argmin(axis=1)
+    np.testing.assert_array_equal(_nearest_all(cover, pts), want)
     grid = build_cover(cover.domain, grid_delta)
     act = cover.active_centers()
     d = np.abs(grid.centers[:, None, :] - act[None, :, :]).max(axis=2).min(axis=1, initial=np.inf)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setquant import validation
 from setquant.geometry import BoxRegion, boundary_band, build_cover
 from setquant.scenario import (
     EXIT_UNSAFE,
@@ -128,7 +129,7 @@ def test_validate_eps_samples_a_plain_region():
     assert v.result and v.kind == "eps"
 
 
-def test_worker_pool_reproduces_the_sequential_verdict():
+def test_worker_count_leaves_the_verdict_unchanged():
     lf = make_lead_follow(sv="brake")
     box = BoxRegion([12.0, 0.0, 5.5], [16.0, 2.0, 8.0])
     cover = build_cover(box, 1.0)
@@ -141,9 +142,10 @@ def test_worker_pool_reproduces_the_sequential_verdict():
     assert seq.counterexample_seed == par.counterexample_seed
 
 
-def test_worker_pool_returns_the_lowest_failure_across_chunks():
-    # 16 samples on two workers run as eight chunks of two; the starts below
-    # 1 fall off the threshold, in chunks 2, 5 and 7
+def test_runner_returns_the_lowest_failure_across_blocks(monkeypatch):
+    # 16 samples run as eight blocks of two; the starts below 1 fall off the
+    # threshold, in blocks 2, 5 and 7 (the worker count is ignored)
+    monkeypatch.setattr(validation, "_BLOCK", 2)
     toy = make_toy_threshold()
     starts = [np.array([0.5 if i in (5, 11, 15) else 5.0]) for i in range(16)]
     args = (toy, starts, 4, UniformPolicy(toy.action_box), _child_seeds(0, 16),
