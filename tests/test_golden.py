@@ -7,7 +7,11 @@ of a canonical file fails here, so every refactor or fast path must leave
 them unchanged.  The configs cover passing and failing ``val-eps-delta``
 (the failing ones past several sample blocks), ``val-eps`` on a region box,
 a finite action set with noise, the oracle at ``horizon > 1`` on lead-follow
-and on a noisy toy map, and one trajectory log.
+and on a noisy toy map, one validation trajectory log, and the four
+quantifiers: ``qnt-spe`` on the lead-follow reference config (prioritized
+sampling and replay over the adversarial singleton), on a noisy toy map with
+box actions, and with its fresh rollouts logged, plus small ``qnt-dp``,
+``qnt-ae`` and ``qnt-vs`` runs.
 """
 
 import hashlib
@@ -64,6 +68,34 @@ CASES = {
         "hyper.delta0 = 2.0\nhyper.K = 20\nhyper.epsilon = 0.0025\nhyper.beta = 0.1\n"
         "options.emit_trajectories = true\n"
     ),
+    # the benchmark's lf-spe config: 1970 fresh samples, two decays, replay
+    "qnt-spe-lead-follow-reference": (
+        "algorithm = qnt-spe\nseed = 0\nsystem.name = lead-follow\nsystem.sv_policy = brake\n"
+        "hyper.epsilon = 0.01\nhyper.beta = 0.1\nhyper.delta0 = 4.0\nhyper.gamma = 0.5\n"
+        "hyper.delta_min = 1.0\nhyper.K = 40\nhyper.N = 200000\n"
+        "options.action_points = [[-5.0]]\noptions.prioritized = true\noptions.replay = true\n"
+    ),
+    "qnt-spe-two-basins-noisy": (
+        "algorithm = qnt-spe\nseed = 5\nsystem.name = toy-two-basins\nhyper.omega_bar = 0.1\n"
+        "hyper.epsilon = 0.05\nhyper.N = 4000\n"
+        "options.prioritized = true\noptions.replay = true\n"
+    ),
+    # every fresh qnt-spe rollout is logged, in sample order
+    "qnt-spe-trajectories": (
+        "algorithm = qnt-spe\nseed = 2\nsystem.name = toy-threshold\nhyper.omega_bar = 0.2\n"
+        "hyper.epsilon = 0.05\nhyper.N = 1500\noptions.replay = true\noptions.emit_trajectories = true\n"
+    ),
+    "qnt-dp-threshold": (
+        "algorithm = qnt-dp\nseed = 1\nsystem.name = toy-threshold\nhyper.delta0 = 0.5\nhyper.N = 300\n"
+    ),
+    "qnt-ae-two-basins": (
+        "algorithm = qnt-ae\nseed = 4\nsystem.name = toy-two-basins\nhyper.epsilon = 0.05\n"
+        "hyper.N = 3000\noptions.initial_state = [5.0]\n"
+    ),
+    "qnt-vs-threshold": (
+        "algorithm = qnt-vs\nseed = 6\nsystem.name = toy-threshold\nhyper.epsilon = 0.05\n"
+        "options.n_attempts = 5\n"
+    ),
 }
 
 GOLDEN = {
@@ -103,6 +135,37 @@ GOLDEN = {
     },
     "val-eps-region-box-three-vehicle": {
         "report.json": "5b487f25065935e15e2aa556482c07a412e3c372e3a17259fc9dcb26eee15de3",
+    },
+    "qnt-spe-lead-follow-reference": {
+        "report.json": "ad4979a28ee576729d08b6223f5bf05180f711ab7a955f3aec4247d0cae821fb",
+        "cells.csv": "9feea44561eccbee824b215a8019a0b1e0ff1a61ff1bd179fa47bb7f548a28b0",
+        "slices.csv": "43fde9570fc0918d3cfeb6c95b8fb05a968e65605bdc2c3a89a695d7d67c0d8e",
+    },
+    "qnt-spe-two-basins-noisy": {
+        "report.json": "1ae354491731b6136763cbd9eb818124db9a456504d864c490f51ef1059d6ecc",
+        "cells.csv": "4d635531dc394e97599c15655776d4d519f0527e3f43604e12c664bdc490f121",
+        "slices.csv": "472723e34bfdd17b13c4b6073b0e7614415891cb4f244817a27ca3d19cf6fc4c",
+    },
+    "qnt-spe-trajectories": {
+        "report.json": "4c0129ce90848a0f9abfd89a27fdd428193512ee9cfaab65de206de125b634d6",
+        "cells.csv": "d87c553b0a292c4262aab8e619f1962e03a05d3939c7b7daaf5451f6ad25295f",
+        "slices.csv": "098e2b5471b07dcc3aa4307451182bcd445ae524d7a2822c7681143c1e0abecd",
+        "trajectories.ndjson": "8a06c2cef18fb551216e620ccda6dbca9ae1d3ac4ecdd14c72de09900bc77205",
+    },
+    "qnt-dp-threshold": {
+        "report.json": "6e9c570397ec32ede9887a778813cc42a1ae906148c130bb1e0ccb13e3b57cb6",
+        "cells.csv": "b8eeae4bb0503dd0d65e36790c8415c61b44558ae818470405e30ea110a7657d",
+        "slices.csv": "26d0f6720d57e6227b33dea2e55360f39ad3c003b13d0002f25c066957942463",
+    },
+    "qnt-ae-two-basins": {
+        "report.json": "3334564b70de4fe2b7ee4713bfdb036825087919853855a510d8eabe94f87992",
+        "cells.csv": "831081a2ce174579292ca5d480e5b8e4fade7759fb9f4007c0d7a8612b5c727f",
+        "slices.csv": "ae629bf59123753e2691fcf082ec06d3e20acfa0325e1e76a51178b2712680fd",
+    },
+    "qnt-vs-threshold": {
+        "report.json": "4ac6223cf60ae3b216a7dac9904bcc4b126834a39810eccf92e5bfbad0d37163",
+        "cells.csv": "26f6d58a777d7bac681326a999e58c530b778258c092bd51fe39253e2f1967b8",
+        "slices.csv": "5b86e2d5e23cb5ea406276bc820f614b12e54a7d6a14da18d00946ee4dca3de9",
     },
 }
 
