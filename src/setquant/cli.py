@@ -82,7 +82,7 @@ def dispatch(cfg: RunConfig, workers: int = 1, output: str | None = None) -> int
         fh.write(text)
     artifacts = ["report.json", "config.txt"]
 
-    emit = bool(cfg.options.get("emit_trajectories"))
+    emit = cfg.options.get("emit_trajectories", False)
     records: list = []
 
     def recorder(i, traj):
@@ -159,8 +159,8 @@ def dispatch(cfg: RunConfig, workers: int = 1, output: str | None = None) -> int
                                        initial_state=opts.get("initial_state"), record=rec)
         elif alg == "qnt-spe":
             result = quantify_spe(system, actions, hyper, cfg.seed,
-                                  prioritized=bool(opts.get("prioritized", False)),
-                                  replay=bool(opts.get("replay", False)),
+                                  prioritized=opts.get("prioritized", False),
+                                  replay=opts.get("replay", False),
                                   weight_power=opts.get("weight_power", 1.0),
                                   min_feature_scale=opts.get("min_feature_scale"),
                                   record=rec)

@@ -104,12 +104,22 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and (isinstance(v, int) or math.isfinite(v))
 
 
+# every options.* key the program reads; any other is refused as E-KEY
+_OPTION_KEYS = {"cells_file", "emit_trajectories", "region_box", "fixed_action", "boundary_band",
+                "horizon", "n_attempts", "initial_state", "prioritized", "replay", "weight_power",
+                "min_feature_scale", "adversarial", "action_points"}
+# switches: JSON true or false, nothing else
+_BOOLEAN_OPTIONS = ("adversarial", "boundary_band", "emit_trajectories", "prioritized", "replay")
+
 # numeric options: (integers only, least allowed value)
 _NUMERIC_OPTIONS = {"horizon": (True, 1), "n_attempts": (True, 1),
                     "weight_power": (False, 1.0), "min_feature_scale": (False, 0.0)}
 
 
 def _check_options(opts: dict, state_dim: int, action_dim: int) -> None:
+    for key in _BOOLEAN_OPTIONS:
+        v = opts.get(key, False)
+        _domain(isinstance(v, bool), f"options.{key} must be true or false, got {v!r}")
     for key, (integer, least) in _NUMERIC_OPTIONS.items():
         v = opts.get(key, least)
         _domain(_is_number(v) and (isinstance(v, int) or not integer) and v >= least,
@@ -147,7 +157,8 @@ def _check_box_pairs(v, what: str) -> list:
 def parse_config(text: str) -> RunConfig:
     pairs = _parse_lines(text)
     for key in pairs:
-        if key in _TOP_KEYS or key in _SYSTEM_KEYS or key in _HYPER_KEYS or key.startswith("options."):
+        if key in _TOP_KEYS or key in _SYSTEM_KEYS or key in _HYPER_KEYS \
+                or (key.startswith("options.") and key.split(".", 1)[1] in _OPTION_KEYS):
             continue
         raise ConfigError("E-KEY", f"unknown key {key!r}")
 

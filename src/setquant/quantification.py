@@ -24,6 +24,7 @@ from its ordinal alone.
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import tempfile
@@ -40,7 +41,15 @@ from .geometry import (
     volume_estimate,
 )
 from .reporting import RunReport
-from .scenario import EXIT_UNSAFE, ScenarioSystem, UniformPolicy, run_scenario
+from .scenario import (
+    EXIT_UNSAFE,
+    ScenarioSystem,
+    UniformPolicy,
+    noise_sampler,
+    outside_domain,
+    run_batch,
+    run_scenario,
+)
 from .validation import sample_size_probabilistic, validate_eps_delta
 
 __all__ = [
@@ -392,6 +401,15 @@ def quantify_adaptive(sys: ScenarioSystem, actions, hyper: HyperParams, seed: in
 # ---------------------------------------------------------------------------
 
 
+# Fresh samples go through in speculative blocks of clamp(streak, 8, 64): a
+# long event-free streak predicts that the next samples will not change the
+# cover either, while after an event short blocks waste few discarded
+# rollouts.  Longer blocks add memory and, on event-dense runs, rework.
+_SPEC_MIN, _SPEC_MAX = 8, 64
+# buffered trajectories replayed per cover query
+_REPLAY_CHUNK = 64
+
+
 def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
                  prioritized: bool = False, replay: bool = False, weight_power: float = 1.0,
                  min_feature_scale: float | None = None, domain: BoxRegion | None = None,
@@ -415,6 +433,15 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
     counting re-examined transitions separately from fresh samples.
     ``trace``, if given, is called as ``trace(n, cover, event)`` after every
     fresh sample — handy for convergence studies.
+
+    The result is that of one sample at a time, but the samples run
+    speculatively in blocks: the next starts are drawn from the unchanged
+    cover, rolled in lock-step by ``run_batch`` and checked against the cover
+    with one query, then applied in order.  At the first event the start
+    stream is rewound to just after that sample's draw and the rest of the
+    block is dropped unseen, so ``record``, ``trace``, the replay buffer and
+    the counters see exactly the sequential calls.  The replay pass queries
+    the cover once per chunk of buffered trajectories, again after each event.
     """
     if min_feature_scale is None:
         warnings.warn("no minimum feature scale declared: whether the initial resolution "
@@ -422,6 +449,8 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
     elif (hyper.delta0 / 2.0) ** sys.state_box.dim > min_feature_scale + 1e-12:
         warnings.warn(f"initial cell scale ({hyper.delta0}/2)^{sys.state_box.dim} exceeds "
                       f"the declared minimum feature scale {min_feature_scale}")
+    if hyper.horizon < 1:
+        raise ValueError("horizon must be at least 1")
     dom = domain if domain is not None else sys.state_box
     n_eps = hyper.stability_window()
     cover = build_cover(dom, hyper.delta0)
@@ -429,6 +458,9 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
     pruned_pts: list = []
     dist_to_pruned = np.full(len(cover), np.inf)
     sel = _select_stream(seed)
+    policy = UniformPolicy(actions)
+    steps = hyper.horizon - 1
+    draw_noise = noise_sampler(sys, policy, steps)
     buffer = TrajectoryBuffer(replay_mem_cap) if replay else None
     n = 0
     streak = 0
@@ -455,15 +487,25 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
         pruned_pts.append(p)
         dist_to_pruned = np.minimum(dist_to_pruned, np.abs(cover.centers - p).max(axis=1))
 
-    def apply_trajectory(start_ord: int, states: np.ndarray, exit_kind: str) -> bool:
+    def cover_distances(parts: list) -> list:
+        """``cover.batch_distances(states)`` for each array of ``parts``, with one query."""
+        sizes = [p.shape[0] for p in parts]
+        if not sum(sizes):
+            return [np.empty(0)] * len(parts)
+        return np.split(cover.batch_distances(np.concatenate(parts)), np.cumsum(sizes)[:-1])
+
+    def apply_trajectory(start_ord: int, states: np.ndarray, exit_kind: str, base_d) -> bool:
+        """Apply one trajectory; ``base_d`` holds the distances of ``states[1:]`` to the cover."""
         nonlocal weights_cum
         if not cover.active[start_ord]:
             return False
-        event = False
         length = states.shape[0]
         if length < 2:
             return False
-        base_d = cover.batch_distances(states[1:])
+        limit = cover.radius + 1e-12
+        if exit_kind != EXIT_UNSAFE and (dist_to_pruned[start_ord] <= limit or base_d.max() <= limit):
+            return False  # no prune, and no state can be a discovery
+        event = False
         new_centers: list = []
         for t in range(1, length):
             if exit_kind == EXIT_UNSAFE and t == length - 1:
@@ -486,9 +528,8 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
                 weights_cum = None
         return event
 
-    def draw_start() -> int:
+    def draw_start(act: np.ndarray) -> int:
         nonlocal weights_cum
-        act = cover.active_indices()
         if prioritized and pruned_pts:
             if weights_cum is None or weights_cum.shape[0] != act.size:
                 w = prioritized_weights(dist_to_pruned[act], weight_power)
@@ -498,24 +539,58 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
             return int(act[k])
         return int(act[int(sel.integers(act.size))])
 
+    def replay_buffer() -> None:
+        """Re-apply every buffered trajectory in order, one cover query per chunk and event."""
+        nonlocal replayed
+        records = iter(buffer)
+        while chunk := list(itertools.islice(records, _REPLAY_CHUNK)):
+            j = 0
+            while j < len(chunk):
+                live = [k for k in range(j, len(chunk)) if cover.active[chunk[k][0]]]
+                dists = dict(zip(live, cover_distances([chunk[k][1][1:] for k in live])))
+                for k in range(j, len(chunk)):
+                    start_ord, states, exit_kind = chunk[k]
+                    replayed += max(0, states.shape[0] - 1)
+                    j = k + 1
+                    if apply_trajectory(start_ord, states, exit_kind, dists.get(k)):
+                        break  # the cover changed: query the rest of the chunk afresh
+
     while True:
         if cover.n_active() == 0:
             converged = True
             break
         if n >= hyper.budget:
             break
-        idx = draw_start()
-        traj = run_scenario(sys, cover.centers[idx], hyper.horizon, UniformPolicy(actions),
-                            _child_stream(seed, n))
-        n += 1
-        if record is not None:
-            record(n - 1, traj)
-        if buffer is not None:
-            buffer.append((idx, traj.states, traj.exit_kind))
-        event = apply_trajectory(idx, traj.states, traj.exit_kind)
-        if trace is not None:
-            trace(n, cover, event)
-        streak = 0 if event else streak + 1
+        size = min(max(streak, _SPEC_MIN), _SPEC_MAX, hyper.budget - n, n_eps - streak)
+        act = cover.active_indices()
+        starts, drawn = [], []
+        for _ in range(size):
+            starts.append(draw_start(act))
+            drawn.append(sel.bit_generator.state)
+        refused = np.flatnonzero(outside_domain(sys, cover.centers[starts])) if steps else ()
+        if len(refused):  # end the block before the start that run_scenario refuses
+            if refused[0] == 0:
+                run_scenario(sys, cover.centers[starts[0]], hyper.horizon, policy, _child_stream(seed, n))
+            del starts[refused[0]:], drawn[refused[0]:]
+            sel.bit_generator.state = drawn[-1]
+        x0 = cover.centers[starts]
+        noise = [draw_noise(_child_stream(seed, n + j)) for j in range(len(starts))]
+        rolls = run_batch(sys, x0, noise)
+        dists = cover_distances([rolls.states[j, 1:k] for j, k in enumerate(rolls.length)])
+        for j, idx in enumerate(starts):
+            traj = rolls.trajectory(j)
+            n += 1
+            if record is not None:
+                record(n - 1, traj)
+            if buffer is not None:
+                buffer.append((idx, traj.states, traj.exit_kind))
+            event = apply_trajectory(idx, traj.states, traj.exit_kind, dists[j])
+            if trace is not None:
+                trace(n, cover, event)
+            streak = 0 if event else streak + 1
+            if event:
+                sel.bit_generator.state = drawn[j]  # rewind past the dropped draws
+                break
         if streak >= n_eps:
             if hyper.gamma * cover.radius < hyper.delta_min - 1e-12:
                 converged = True
@@ -528,9 +603,7 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
             streak = 0
             weights_cum = None
             if buffer is not None:
-                for start_ord, states, exit_kind in buffer:
-                    replayed += max(0, states.shape[0] - 1)
-                    apply_trajectory(start_ord, states, exit_kind)
+                replay_buffer()
     if buffer is not None:
         buffer.close()
     vol = volume_estimate(cover)

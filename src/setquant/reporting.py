@@ -36,9 +36,9 @@ __all__ = [
 class RunReport:
     """Summary of one quantification or oracle run.
 
-    ``wall_time`` is measured but deliberately kept out of the canonical JSON
-    payload; it goes to the run_meta.json sidecar so that report.json stays
-    byte-identical across repeated runs of the same configuration.
+    Timing is deliberately kept out of it: the run's wall time goes to the
+    run_meta.json sidecar, so that report.json stays byte-identical across
+    repeated runs of the same configuration.
     """
 
     algorithm: str
@@ -51,7 +51,6 @@ class RunReport:
     cell_count: int
     volume: float
     cost: float
-    wall_time: float = 0.0
     config_digest: str | None = None
     converged: bool = True
 

@@ -40,6 +40,8 @@ __all__ = [
     "step_batch",
     "outside_domain",
     "run_scenario",
+    "Rollouts",
+    "run_batch",
     "noise_sampler",
     "adversarial_actions",
     "default_action_samples",
@@ -482,13 +484,24 @@ def step_batch(sys: ScenarioSystem, states, actions, omegas) -> tuple[np.ndarray
     dimension crossed, exactly as ``step`` picks it.  Raises ``ValueError``
     when a row lies outside the domain.
     """
-    lo = sys.state_box.lower
-    hi = sys.state_box.upper
+    _check_inside(sys, states)
+    return _advance(sys, states, actions, omegas)
+
+
+def _check_inside(sys: ScenarioSystem, states) -> None:
     outside = outside_domain(sys, states)
     if outside.any():
         raise ValueError(f"state {tuple(states[outside][0].tolist())} outside the domain")
+
+
+def _advance(sys: ScenarioSystem, states, actions, omegas) -> tuple[np.ndarray, np.ndarray]:
+    """``step_batch`` without the domain check, for rows known to lie inside."""
+    lo = sys.state_box.lower
+    hi = sys.state_box.upper
     raw = sys.transition.batch(states, actions, omegas)
     below, above = raw < lo, raw > hi
+    if not (below.any() or above.any()):
+        return raw, np.full(raw.shape[0], -1)
     n = lo.shape[0]
     hit = (below & [sys.facets[(d, "lower")] == UNSAFE for d in range(n)]) \
         | (above & [sys.facets[(d, "upper")] == UNSAFE for d in range(n)])
@@ -530,6 +543,62 @@ def run_scenario(sys: ScenarioSystem, start, horizon: int, policy, rng: np.rando
     )
 
 
+@dataclass
+class Rollouts:
+    """Rollouts stepped in lock-step, one row each.
+
+    ``states`` is (B, steps + 1, n) and ``actions`` (B, steps, m); row ``j``
+    holds ``length[j]`` states, and ``code[j]`` is the ``step_batch`` code of
+    the unsafe facet that stopped it, or -1 when it ran to the horizon.
+    """
+
+    states: np.ndarray
+    actions: np.ndarray
+    code: np.ndarray
+    length: np.ndarray
+
+    def trajectory(self, j: int) -> Trajectory:
+        """Row ``j`` as the ``Trajectory`` that ``run_scenario`` records."""
+        k, e = int(self.length[j]), int(self.code[j])
+        return Trajectory(states=self.states[j, :k].copy(), actions=self.actions[j, :k - 1].copy(),
+                          exit_kind=EXIT_UNSAFE if e >= 0 else EXIT_NONE,
+                          exit_facet=(e // 2, ("lower", "upper")[e % 2]) if e >= 0 else None)
+
+
+def run_batch(sys: ScenarioSystem, x0, noise, observe=None) -> Rollouts:
+    """Roll the rows of (B, n) ``x0`` in lock-step, row ``j`` under ``noise[j]``.
+
+    ``noise[j]`` is the ``(actions, disturbances)`` pair that ``noise_sampler``
+    pre-draws for one rollout.  Every step moves the live rows through
+    ``step_batch``; a row that crosses an unsafe facet keeps the raw offending
+    state as its last and is frozen, so row ``j`` equals the ``run_scenario``
+    rollout that makes the same draws.  ``observe(rows, states, unsafe)``, if
+    given, sees after every step the live rows, their new states and which
+    of them just went unsafe.
+    """
+    acts = np.stack([u for u, _ in noise])
+    omegas = np.stack([w for _, w in noise])
+    b, n = x0.shape
+    steps = acts.shape[1]
+    if steps:
+        _check_inside(sys, x0)  # a live row stays inside: truncation clamps it
+    states = np.empty((b, steps + 1, n))
+    states[:, 0] = x0
+    code = np.full(b, -1)
+    length = np.full(b, steps + 1)
+    for t in range(steps):
+        rows = np.flatnonzero(code < 0)
+        if rows.size == 0:
+            break
+        nxt, ex = _advance(sys, states[rows, t], acts[rows, t], omegas[rows, t])
+        states[rows, t + 1] = nxt
+        unsafe = ex >= 0
+        code[rows[unsafe]], length[rows[unsafe]] = ex[unsafe], t + 2
+        if observe is not None:
+            observe(rows, nxt, unsafe)
+    return Rollouts(states, acts, code, length)
+
+
 def noise_sampler(sys: ScenarioSystem, policy, steps: int):
     """A function ``rng -> (actions (steps, m), disturbances (steps, k))``.
 
@@ -537,17 +606,26 @@ def noise_sampler(sys: ScenarioSystem, policy, steps: int):
     state-independent ``policy``, in the rollout's order (action, then
     disturbance, per step), so that stepping them gives the same trajectory.
     A uniform policy over a box draws them all with one ``uniform`` call over
-    the per-step bounds, which yields the same values as the per-step calls.
+    the per-step bounds, and one over a finite set without disturbances with
+    one ``integers`` call; each yields the same values, and leaves the
+    generator in the same state, as the per-step calls.
     """
     m, k, w = sys.action_box.dim, sys.disturbance_dim, sys.omega_bar
-    if isinstance(policy, UniformPolicy) and isinstance(policy.actions, BoxActionSet):
-        box, noisy = policy.actions.box, (k if w > 0.0 else 0)
+    acts = policy.actions if isinstance(policy, UniformPolicy) else None
+    if isinstance(acts, BoxActionSet):
+        box, noisy = acts.box, (k if w > 0.0 else 0)
         lower = np.tile(np.concatenate([box.lower, np.full(noisy, -w)]), steps)
         upper = np.tile(np.concatenate([box.upper, np.full(noisy, w)]), steps)
 
         def draw(rng):
             u = rng.uniform(lower, upper).reshape(steps, m + noisy)
             return u[:, :m], (u[:, m:] if noisy else np.zeros((steps, k)))
+        return draw
+    if isinstance(acts, FiniteActionSet) and w == 0.0:
+        points = np.asarray(acts.points, dtype=float).reshape(len(acts.points), m)
+
+        def draw(rng):
+            return points[rng.integers(len(points), size=steps)], np.zeros((steps, k))
         return draw
 
     def draw(rng):

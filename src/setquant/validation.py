@@ -27,15 +27,14 @@ import numpy as np
 
 from .geometry import BoxRegion, DeltaCover, signed_distance
 from .scenario import (
-    EXIT_NONE,
     EXIT_UNSAFE,
     ScenarioSystem,
     Trajectory,
     UniformPolicy,
     noise_sampler,
     outside_domain,
+    run_batch,
     run_scenario,
-    step_batch,
 )
 
 __all__ = [
@@ -162,40 +161,27 @@ def _make_stream(desc: dict) -> np.random.Generator:
 _BLOCK = 256
 
 
-def _run_block(sys, x0, first, steps, draw, seed_descs, membership, record) -> int:
+def _run_block(sys, x0, first, draw, seed_descs, membership, record) -> int:
     """Roll samples ``first .. first + len(x0) - 1`` in lock-step; returns the lowest failing index or -1.
 
     A row stops when it goes unsafe; the others run to the horizon.  Each
     step queries membership once, for the rows that have neither gone unsafe
     nor already left the region.
     """
-    b, n = x0.shape
-    noise = [draw(_make_stream(seed_descs[first + j])) for j in range(b)]
-    acts = np.stack([u for u, _ in noise])
-    omegas = np.stack([w for _, w in noise])
-    states = np.empty((b, steps + 1, n))
-    states[:, 0] = x0
-    code = np.full(b, -1)
-    length = np.full(b, steps + 1)
-    failed = np.zeros(b, dtype=bool)
-    for t in range(steps):
-        rows = np.flatnonzero(code < 0)
-        if rows.size == 0:
-            break
-        states[rows, t + 1], ex = step_batch(sys, states[rows, t], acts[rows, t], omegas[rows, t])
-        gone = ex >= 0
-        code[rows[gone]], length[rows[gone]], failed[rows[gone]] = ex[gone], t + 2, True
-        check = rows[~failed[rows]]
-        if check.size:
-            failed[check] = membership.outside(states[check, t + 1])
+    failed = np.zeros(len(x0), dtype=bool)
+
+    def observe(rows, states, unsafe):
+        failed[rows[unsafe]] = True
+        check = ~failed[rows]
+        if check.any():
+            failed[rows[check]] = membership.outside(states[check])
+
+    noise = [draw(_make_stream(seed_descs[first + j])) for j in range(len(x0))]
+    rolls = run_batch(sys, x0, noise, observe)
     bad = np.flatnonzero(failed)
     if record is not None:
-        for j in range(bad[0] + 1 if bad.size else b):
-            k, e = length[j], int(code[j])
-            record(first + j, Trajectory(
-                states=states[j, :k].copy(), actions=acts[j, :k - 1].copy(),
-                exit_kind=EXIT_UNSAFE if e >= 0 else EXIT_NONE,
-                exit_facet=(e // 2, ("lower", "upper")[e % 2]) if e >= 0 else None))
+        for j in range(bad[0] + 1 if bad.size else len(x0)):
+            record(first + j, rolls.trajectory(j))
     return first + int(bad[0]) if bad.size else -1
 
 
@@ -223,7 +209,7 @@ def _run_samples(sys, starts, horizon, policy, seed_descs, membership, workers: 
         outside = np.flatnonzero(outside_domain(sys, x0))
         stop = int(outside[0]) if outside.size else n
     for lo in range(0, stop, _BLOCK):
-        bad = _run_block(sys, x0[lo:min(lo + _BLOCK, stop)], lo, steps, draw, seed_descs, membership, record)
+        bad = _run_block(sys, x0[lo:min(lo + _BLOCK, stop)], lo, draw, seed_descs, membership, record)
         if bad >= 0:
             return bad
     if stop < n:
@@ -271,7 +257,8 @@ def _validate_sampled(sys, horizon, epsilon, beta, actions, rng, n_samples, work
     a stream of their own, runs them and wraps the verdict; a failure
     carries its start, its seed descriptor and the trajectory they replay
     to.  ``pick_start=None`` means no start is eligible: the verdict is then
-    vacuously true on zero samples.
+    vacuously true on zero samples, and still flagged when ``n_samples`` is
+    below the bound.
     """
     required = sample_size_probabilistic(epsilon, beta)
     n = required if n_samples is None else int(n_samples)
@@ -280,7 +267,8 @@ def _validate_sampled(sys, horizon, epsilon, beta, actions, rng, n_samples, work
         warnings.warn(f"n_samples={n} below the ({epsilon}, {beta}) bound {required}; verdict flagged")
     delta = membership.delta
     if pick_start is None:
-        return ValidationVerdict(result=True, n_samples=0, epsilon=epsilon, beta=beta, delta=delta, kind=kind)
+        return ValidationVerdict(result=True, n_samples=0, epsilon=epsilon, beta=beta, delta=delta,
+                                 undersampled=undersampled, kind=kind)
     seed_descs = _child_seeds(rng, n)
     pick = _make_stream({"entropy": seed_descs[0]["entropy"], "spawn_key": [2**31]}) if seed_descs else None
     starts = [pick_start(pick) for _ in range(n)]

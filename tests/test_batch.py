@@ -158,7 +158,20 @@ def test_predrawn_noise_equals_the_rollout_draws(factory, kind, omega_bar):
             want_u.append(policy(None, theirs))
             want_w.append(sys_.draw_disturbance(theirs))
         assert same_bits(u, want_u) and same_bits(w, want_w)
-        assert mine.random() == theirs.random()  # the same draws were consumed
+        # the same draws were consumed: the whole state, PCG64's buffered 32-bit half included
+        assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 1000, 2**31 + 5])
+@pytest.mark.parametrize("steps", [1, 17, 39, 40])
+def test_one_integers_call_equals_the_per_step_calls(k, steps):
+    # the draw a finite action set without disturbances makes for a whole rollout at once
+    for seed in range(20):
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        if seed % 2:  # start with a buffered 32-bit half on both
+            mine.integers(7), theirs.integers(7)
+        assert mine.integers(k, size=steps).tolist() == [int(theirs.integers(k)) for _ in range(steps)]
+        assert mine.bit_generator.state == theirs.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

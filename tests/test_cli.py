@@ -186,6 +186,36 @@ def test_main_rejects_a_malformed_option(tmp_path, capsys, algorithm, option):
     assert f"E-DOMAIN: {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", [
+    "options.prioritised = true",  # a misspelt switch
+    "options.workers = 2",
+    "options.horizon_steps = 4",
+])
+def test_main_rejects_an_unknown_option(tmp_path, capsys, option):
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text(SPE_CFG + option + "\n")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    key = option.split(" =")[0]
+    assert f"E-KEY: unknown key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("algorithm,option", [
+    ("qnt-spe", "options.replay = no"),  # a bare word, which bool() would read as true
+    ("qnt-spe", "options.prioritized = 1"),
+    ("qnt-spe", 'options.prioritized = "false"'),
+    ("qnt-spe", "options.emit_trajectories = 0"),
+    ("val-eps-delta", "options.boundary_band = yes"),
+    ("qnt-spe", "options.adversarial = null"),
+])
+def test_main_rejects_a_switch_that_is_not_true_or_false(tmp_path, capsys, algorithm, option):
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(f"algorithm = {algorithm}\nseed = 0\nsystem.name = lead-follow\nhyper.N = 200\n{option}\n")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    key = option.split(" =")[0]
+    assert f"E-DOMAIN: {key} must be true or false" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cells", [None, "", "dim,delta\n1,0.5\n", "dim,delta\n1,abc\n"])
 def test_main_rejects_a_missing_or_unreadable_cells_file(tmp_path, capsys, cells):
     path = tmp_path / "cells.csv"

@@ -161,3 +161,14 @@ def test_zero_samples_give_a_vacuous_flagged_verdict():
         v = validate_eps_delta(toy, cover, 8, 0.05, 0.1, toy.action_box, rng=0, n_samples=0)
     assert v.result and v.n_samples == 0 and v.undersampled
     assert v.counterexample_start is None
+
+
+def test_a_band_that_excludes_every_center_keeps_the_undersampled_flag():
+    lf = make_lead_follow()
+    cover = build_cover(BoxRegion([4.0, 4.0, 20.0], [12.0, 12.0, 40.0]), 1.0)
+    band = boundary_band(lf.state_box, lf.sigma_bar)  # the domain's band: no interior center is in it
+    with pytest.warns(UserWarning, match="verdict flagged"):
+        v = validate_eps_delta(lf, cover, 40, 0.01, 0.1, lf.action_box, rng=0, band=band, n_samples=5)
+    assert (v.result, v.n_samples, v.undersampled) == (True, 0, True)
+    v = validate_eps_delta(lf, cover, 40, 0.01, 0.1, lf.action_box, rng=0, band=band)
+    assert (v.result, v.n_samples, v.undersampled) == (True, 0, False)
