@@ -519,7 +519,7 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
             d = float(base_d[t - 1])
             for c in new_centers:
                 d = min(d, float(np.abs(c - states[t]).max()))
-            if d > cover.radius + 1e-12 and dist_to_pruned[start_ord] > cover.radius + 1e-12:
+            if d > limit and dist_to_pruned[start_ord] > limit:
                 o = cover.append(states[t])
                 extend_dists()
                 graph.add_edge(start_ord, int(o))
@@ -573,9 +573,8 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
                 run_scenario(sys, cover.centers[starts[0]], hyper.horizon, policy, _child_stream(seed, n))
             del starts[refused[0]:], drawn[refused[0]:]
             sel.bit_generator.state = drawn[-1]
-        x0 = cover.centers[starts]
         noise = [draw_noise(_child_stream(seed, n + j)) for j in range(len(starts))]
-        rolls = run_batch(sys, x0, noise)
+        rolls = run_batch(sys, cover.centers[starts], noise)
         dists = cover_distances([rolls.states[j, 1:k] for j, k in enumerate(rolls.length)])
         for j, idx in enumerate(starts):
             traj = rolls.trajectory(j)
