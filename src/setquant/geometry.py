@@ -124,10 +124,13 @@ def _axis_centers(lo: float, hi: float, delta: float) -> list[float]:
 # point within radius + tolerance of a live center is always answered from
 # its neighbouring buckets alone.
 _INDEX_TOL = 1e-9
+# Relative widening of a query's reach, past the rounding of a computed
+# distance that is <= reach.  Bucket widths exceed twice the widened reach.
+_WIDEN = 1e-9
 # Point-center differences per chunk of the brute-force fallback scan.
 _SCAN_CHUNK = 1 << 20
-# Query points per chunk of ``DeltaCover.nearest_all``.
-_QUERY_ROWS = 1 << 12
+# Query points per chunk of ``DeltaCover.distances_within`` and ``nearest_all``.
+_QUERY_ROWS = 1 << 11
 
 
 class _BucketIndex:
@@ -137,13 +140,14 @@ class _BucketIndex:
     the ordinals sorted by bucket (ascending within a bucket), ``keys`` the
     row-major numbers of the non-empty buckets and ``starts`` where each one
     begins in ``order``.  A query visits every bucket that the sup-norm ball
-    of radius ``reach`` around a point touches: 2^d of them when
-    ``reach <= h / 2``, more when the cover radius grew after the build.
-    Candidates that lie beyond the reach, and those of distinct buckets whose
-    numbers coincide because the row-major product wrapped in int64 on a very
-    sparse cover, only lengthen the candidate list; the exact minimum over
-    the candidates is therefore the global minimum whenever it is within
-    reach.
+    of the widened reach around a point touches.  The cover keeps
+    ``h > 2 * reach * (1 + _WIDEN)``, so that is one bucket or two per axis:
+    the point's base bucket and, on the axes whose bit is set in the point's
+    mask, the next one.  Candidates that lie beyond the reach, and those of
+    distinct buckets whose numbers coincide because the row-major product
+    wrapped in int64 on a very sparse cover, only lengthen the candidate
+    list; the exact minimum over the candidates is therefore the global
+    minimum whenever it is within reach.
     """
 
     def __init__(self, centers: np.ndarray, lower: np.ndarray, h: float):
@@ -158,24 +162,9 @@ class _BucketIndex:
         first = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
         self.keys = flat[first]
         self.starts = np.append(first, self.n)
-        self._steps: dict = {}
-
-    def _reach_box(self, pts: np.ndarray, reach: float):
-        """Per point and axis, the first bucket and the number of buckets within reach."""
-        # widened past the rounding of a computed distance that is <= reach;
-        # a non-finite coordinate gets a non-positive or NaN span: no bucket
-        r = reach * (1.0 + 1e-9)
-        lo = np.maximum(np.floor((pts - r - self.lower) / self.h), self.kmin)
-        hi = np.minimum(np.floor((pts + r - self.lower) / self.h), self.kmax)
-        return lo - self.kmin, hi - lo + 1.0
-
-    def _offsets(self, span) -> np.ndarray:
-        """Every bucket offset of a block of ``span`` buckets per axis, row-major, shape (prod(span), d)."""
-        shape = tuple(int(x) for x in span)
-        steps = self._steps.get(shape)
-        if steps is None:
-            steps = self._steps[shape] = np.indices(shape).reshape(len(shape), -1).T
-        return steps
+        # bit a of subset k: axis a takes its second bucket; shifts[k] is the bucket-number offset
+        self.subsets = np.arange(1 << centers.shape[1])
+        self.shifts = ((self.subsets[:, None] >> np.arange(centers.shape[1])) & 1) @ self.strides
 
     def _lookup(self, flat: np.ndarray):
         """Slot in ``keys`` of each bucket number, and whether the bucket is non-empty."""
@@ -190,26 +179,30 @@ class _BucketIndex:
 
     def candidates(self, pts: np.ndarray, reach: float):
         """(row, ordinal) of every center in a bucket within reach of a row of ``pts``, grouped by row."""
-        base, span = self._reach_box(pts, reach)
-        rows = np.flatnonzero((span > 0).all(axis=1))
-        if rows.size == 0:
-            return rows, rows
-        base, span = base[rows].astype(np.int64), span[rows]
-        steps = self._offsets(span.max(axis=0))
-        inside = (steps[None, :, :] < span[:, None, :]).all(axis=2)
-        j, hit = self._lookup((base[:, None, :] + steps[None, :, :]) @ self.strides)
-        r, s = np.nonzero(hit & inside)
-        ords, count = self._members(j[r, s])
-        return np.repeat(rows[r], count), ords
+        half = reach * (1.0 + _WIDEN) / self.h
+        base = np.zeros(pts.shape[0], dtype=np.int64)
+        mask = np.zeros(pts.shape[0], dtype=np.int64)
+        ok = np.ones(pts.shape[0], dtype=bool)
+        for a in range(pts.shape[1]):
+            q = (pts[:, a] - self.lower[a]) / self.h
+            lo = np.maximum(np.floor(q - half), self.kmin[a])
+            hi = np.minimum(np.floor(q + half), self.kmax[a])
+            ok &= hi >= lo  # false for a non-finite coordinate too
+            base += np.where(ok, lo - self.kmin[a], 0.0).astype(np.int64) * self.strides[a]
+            mask |= (hi > lo) << a
+        rows = np.flatnonzero(ok)
+        row, k = np.nonzero((self.subsets & ~mask[rows, None]) == 0)
+        j, hit = self._lookup(base[rows[row]] + self.shifts[k])
+        ords, count = self._members(j[hit])
+        return np.repeat(rows[row[hit]], count), ords
 
-    def near(self, point: np.ndarray, reach: float) -> np.ndarray:
-        """Ordinals, ascending, of every center in a bucket within reach of one point."""
-        base, span = self._reach_box(point, reach)
-        if not (span > 0).all():
-            return np.empty(0, dtype=np.int64)
-        steps = self._offsets(span)
-        j, hit = self._lookup((base.astype(np.int64) + steps) @ self.strides)
-        return np.sort(self._members(j[hit])[0])
+
+def _sup_gaps(centers: np.ndarray, cand: np.ndarray, pts: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Sup-norm distance between ``centers[cand[i]]`` and ``pts[row[i]]`` per pair, one axis at a time."""
+    d = np.abs(np.take(centers[:, 0], cand) - np.take(pts[:, 0], row))
+    for a in range(1, centers.shape[1]):
+        np.maximum(d, np.abs(np.take(centers[:, a], cand) - np.take(pts[:, a], row)), out=d)
+    return d
 
 
 class DeltaCover:
@@ -223,11 +216,12 @@ class DeltaCover:
     amortised O(1)) with the activity mask beside it, plus the dedup map of
     10-digit-rounded coordinates that makes a repeated append return, and
     reactivate, the existing ordinal.  Nearest-center queries go through a
-    sup-norm bucket index (``_BucketIndex``) with bucket width
+    sup-norm bucket index (``_BucketIndex``) with bucket width a hair over
     ``2 * (radius + 1e-9)``, rebuilt lazily once centers were appended: a
-    point is compared only with the centers of the 2^d buckets its reach
-    touches, and a point with no live center within reach falls back to a
-    full scan, so every answer equals the brute-force one bit for bit.
+    point is compared only with the centers of the buckets its reach
+    touches, one or two per axis, and a point with no live center within
+    reach falls back to a full scan, so every answer equals the brute-force
+    one bit for bit.
     """
 
     def __init__(self, centers, radius: float, domain: BoxRegion, active=None):
@@ -315,8 +309,8 @@ class DeltaCover:
     def _bucket_index(self, reach: float) -> _BucketIndex:
         """The bucket index over every center, rebuilt when one was appended or ``reach`` outgrew it."""
         idx = self._index
-        if idx is None or idx.n != self._n or idx.h < 2.0 * reach:
-            h = 2.0 * max(reach, self.radius + _INDEX_TOL)
+        if idx is None or idx.n != self._n or idx.h <= 2.0 * reach * (1.0 + _WIDEN):
+            h = 2.0 * max(reach, self.radius + _INDEX_TOL) * (1.0 + 2.0 * _WIDEN)
             idx = self._index = _BucketIndex(self.centers, self.domain.lower, h)
         return idx
 
@@ -329,20 +323,23 @@ class DeltaCover:
         """Min sup-norm distance from each row of ``points`` to the active centers, up to ``reach``.
 
         Rows whose nearest active center lies farther than ``reach`` get
-        ``inf``; every other row gets the exact minimum.
+        ``inf``; every other row gets the exact minimum.  Rows go through in
+        chunks, so transient memory stays bounded whatever their number.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         best = np.full(pts.shape[0], np.inf)
         if self._n == 0:
             return best
-        row, cand = self._bucket_index(reach).candidates(pts, reach)
-        live = self.active[cand]
-        row, cand = row[live], cand[live]
-        if row.size:
-            d = np.abs(self.centers[cand] - pts[row]).max(axis=1)
-            first = np.flatnonzero(np.diff(row, prepend=-1))
-            best[row[first]] = np.minimum.reduceat(d, first)
-            best[best > reach] = np.inf
+        index = self._bucket_index(reach)
+        for lo in range(0, pts.shape[0], _QUERY_ROWS):
+            chunk = pts[lo:lo + _QUERY_ROWS]
+            row, cand = index.candidates(chunk, reach)
+            live = self.active[cand]
+            row, cand = row[live], cand[live]
+            if row.size:
+                first = np.flatnonzero(np.diff(row, prepend=-1))
+                best[lo + row[first]] = np.minimum.reduceat(_sup_gaps(self.centers, cand, chunk, row), first)
+        best[best > reach] = np.inf
         return best
 
     def batch_distances(self, points) -> np.ndarray:
@@ -371,7 +368,7 @@ class DeltaCover:
             raise ValueError("cover has no centers")
         p = np.asarray(point, dtype=float)
         reach = self.radius + _INDEX_TOL
-        cand = self._bucket_index(reach).near(p, reach)
+        cand = np.sort(self._bucket_index(reach).candidates(np.atleast_2d(p), reach)[1])
         if active_only:
             cand = cand[self.active[cand]]
         if cand.size:
@@ -405,7 +402,7 @@ class DeltaCover:
             chunk = pts[lo:lo + _QUERY_ROWS]
             row, cand = index.candidates(chunk, reach)
             if row.size:
-                d = np.abs(self.centers[cand] - chunk[row]).max(axis=1)
+                d = _sup_gaps(self.centers, cand, chunk, row)
                 first = np.flatnonzero(np.diff(row, prepend=-1))
                 dmin = np.minimum.reduceat(d, first)
                 tied = d == np.repeat(dmin, np.diff(np.append(first, row.size)))

@@ -114,7 +114,9 @@ class BoxActionSet:
         return self.box.dim
 
     def sample(self, rng: np.random.Generator) -> tuple:
-        return tuple(float(x) for x in rng.uniform(self.box.lower, self.box.upper))
+        # numpy's uniform(lower, upper) computes exactly this, from the same doubles
+        box = self.box
+        return tuple((box.lower + box.widths * rng.random(box.dim)).tolist())
 
     def measure(self) -> float:
         """Volume of the box (the size term used by the cost functional)."""
@@ -565,16 +567,14 @@ class Rollouts:
                           exit_facet=(e // 2, ("lower", "upper")[e % 2]) if e >= 0 else None)
 
 
-def run_batch(sys: ScenarioSystem, x0, noise, observe=None) -> Rollouts:
+def run_batch(sys: ScenarioSystem, x0, noise) -> Rollouts:
     """Roll the rows of (B, n) ``x0`` in lock-step, row ``j`` under ``noise[j]``.
 
     ``noise[j]`` is the ``(actions, disturbances)`` pair that ``noise_sampler``
     pre-draws for one rollout.  Every step moves the live rows through
     ``step_batch``; a row that crosses an unsafe facet keeps the raw offending
     state as its last and is frozen, so row ``j`` equals the ``run_scenario``
-    rollout that makes the same draws.  ``observe(rows, states, unsafe)``, if
-    given, sees after every step the live rows, their new states and which
-    of them just went unsafe.
+    rollout that makes the same draws.
     """
     acts = np.stack([u for u, _ in noise])
     omegas = np.stack([w for _, w in noise])
@@ -594,8 +594,6 @@ def run_batch(sys: ScenarioSystem, x0, noise, observe=None) -> Rollouts:
         states[rows, t + 1] = nxt
         unsafe = ex >= 0
         code[rows[unsafe]], length[rows[unsafe]] = ex[unsafe], t + 2
-        if observe is not None:
-            observe(rows, nxt, unsafe)
     return Rollouts(states, acts, code, length)
 
 
@@ -605,20 +603,21 @@ def noise_sampler(sys: ScenarioSystem, policy, steps: int):
     It pre-draws the random inputs of one ``run_scenario`` rollout under a
     state-independent ``policy``, in the rollout's order (action, then
     disturbance, per step), so that stepping them gives the same trajectory.
-    A uniform policy over a box draws them all with one ``uniform`` call over
-    the per-step bounds, and one over a finite set without disturbances with
-    one ``integers`` call; each yields the same values, and leaves the
-    generator in the same state, as the per-step calls.
+    A uniform policy over a box draws them all with one ``random`` call scaled
+    to the per-step bounds, which is how ``uniform`` computes its values, and
+    one over a finite set without disturbances with one ``integers`` call;
+    each yields the same values, and leaves the generator in the same state,
+    as the per-step calls.
     """
     m, k, w = sys.action_box.dim, sys.disturbance_dim, sys.omega_bar
     acts = policy.actions if isinstance(policy, UniformPolicy) else None
     if isinstance(acts, BoxActionSet):
         box, noisy = acts.box, (k if w > 0.0 else 0)
         lower = np.tile(np.concatenate([box.lower, np.full(noisy, -w)]), steps)
-        upper = np.tile(np.concatenate([box.upper, np.full(noisy, w)]), steps)
+        span = np.tile(np.concatenate([box.upper, np.full(noisy, w)]), steps) - lower
 
         def draw(rng):
-            u = rng.uniform(lower, upper).reshape(steps, m + noisy)
+            u = (lower + span * rng.random(lower.size)).reshape(steps, m + noisy)
             return u[:, :m], (u[:, m:] if noisy else np.zeros((steps, k)))
         return draw
     if isinstance(acts, FiniteActionSet) and w == 0.0:

@@ -117,7 +117,9 @@ class _CoverMembership:
 
     def outside(self, states: np.ndarray) -> np.ndarray:
         """Per row of ``states``, whether it lies farther than delta from every active center."""
-        return self.cover.batch_distances(states) > self.cover.radius + 1e-12
+        # a stray state needs no exact distance, so no full scan: distances_within gives it inf
+        reach = self.cover.radius + 1e-12
+        return self.cover.distances_within(states, reach) > reach
 
 
 def _check_trajectory(traj: Trajectory, membership) -> bool:
@@ -155,29 +157,27 @@ def _make_stream(desc: dict) -> np.random.Generator:
 # the batched sample runner
 # ---------------------------------------------------------------------------
 
-# Samples stepped together: enough rows to amortise the per-step numpy and
-# cover-query overhead, few enough that a failing run stops soon after its
-# first failure and a block's states stay small.
+# Samples stepped together: enough rows to amortise the per-step numpy
+# overhead and the block's one cover query, few enough that a failing run
+# stops soon after its first failure and a block's states stay small.
 _BLOCK = 256
 
 
 def _run_block(sys, x0, first, draw, seed_descs, membership, record) -> int:
     """Roll samples ``first .. first + len(x0) - 1`` in lock-step; returns the lowest failing index or -1.
 
-    A row stops when it goes unsafe; the others run to the horizon.  Each
-    step queries membership once, for the rows that have neither gone unsafe
-    nor already left the region.
+    A row stops when it goes unsafe; the others run to the horizon, and a
+    row fails when it went unsafe or one of its states after the start lies
+    outside the region.  Membership is queried once per block, over every
+    state of the rows that did not go unsafe.
     """
-    failed = np.zeros(len(x0), dtype=bool)
-
-    def observe(rows, states, unsafe):
-        failed[rows[unsafe]] = True
-        check = ~failed[rows]
-        if check.any():
-            failed[rows[check]] = membership.outside(states[check])
-
     noise = [draw(_make_stream(seed_descs[first + j])) for j in range(len(x0))]
-    rolls = run_batch(sys, x0, noise, observe)
+    rolls = run_batch(sys, x0, noise)
+    failed = rolls.code >= 0
+    safe = np.flatnonzero(~failed)
+    steps = rolls.states.shape[1] - 1
+    states = rolls.states[safe, 1:].reshape(-1, x0.shape[1])
+    failed[safe] = membership.outside(states).reshape(safe.size, steps).any(axis=1)
     bad = np.flatnonzero(failed)
     if record is not None:
         for j in range(bad[0] + 1 if bad.size else len(x0)):

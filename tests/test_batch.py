@@ -20,6 +20,7 @@ from setquant.oracle import brute_force_invariant
 from setquant.scenario import (
     BUILTIN_SYSTEMS,
     EXIT_UNSAFE,
+    BoxActionSet,
     FiniteActionSet,
     IdmParams,
     UniformPolicy,
@@ -28,6 +29,7 @@ from setquant.scenario import (
     idm_accel_array,
     make_lead_follow,
     make_three_vehicle,
+    make_toy_flip,
     make_toy_shift,
     make_toy_threshold,
     noise_sampler,
@@ -162,6 +164,25 @@ def test_predrawn_noise_equals_the_rollout_draws(factory, kind, omega_bar):
         assert mine.bit_generator.state == theirs.bit_generator.state
 
 
+def test_scaled_random_draws_equal_uniform():
+    # box draws compute lower + (upper - lower) * random(), the formula of numpy's uniform;
+    # a build that fused the multiply-add would round differently and fail here
+    bounds = np.random.default_rng(2024)
+    for seed in range(10_000):
+        n = (1, 2, 3, 39, 195)[seed % 5]
+        scale = 10.0 ** bounds.integers(-3, 4, size=n)
+        lower = bounds.uniform(-1.0, 1.0, size=n) * scale
+        upper = lower + bounds.uniform(1e-3, 2.0, size=n) * scale
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        if seed % 2:  # start with a buffered 32-bit half on both
+            mine.integers(7), theirs.integers(7)
+        assert same_bits(lower + (upper - lower) * mine.random(n), theirs.uniform(lower, upper))
+        assert mine.bit_generator.state == theirs.bit_generator.state
+        if n <= 3:
+            assert BoxActionSet(lower, upper).sample(mine) == tuple(theirs.uniform(lower, upper).tolist())
+            assert mine.bit_generator.state == theirs.bit_generator.state
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 1000, 2**31 + 5])
 @pytest.mark.parametrize("steps", [1, 17, 39, 40])
 def test_one_integers_call_equals_the_per_step_calls(k, steps):
@@ -219,21 +240,9 @@ RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_block_runner_equals_the_sequential_loop(name):
-    make, region_of, points, horizon, n, seed = RUNS[name]
-    sys_ = make()
-    region = region_of(sys_)
-    acts = sys_.action_box if points is None else FiniteActionSet(points)
-    policy = UniformPolicy(acts)
-    descs = _child_seeds(seed, n)
-    pick = np.random.default_rng(123)
-    if isinstance(region, DeltaCover):
-        membership = _CoverMembership(region)
-        starts = [region.centers[int(pick.integers(len(region)))] for _ in range(n)]
-    else:
-        membership = _BoxMembership(region)
-        starts = [region.sample(pick) for _ in range(n)]
+def runs_agree(sys_, starts, horizon, policy, descs, region) -> int:
+    """The block runner's verdict, once checked against the sequential loop, record by record."""
+    membership = _CoverMembership(region) if isinstance(region, DeltaCover) else _BoxMembership(region)
     mine, theirs = [], []
     got = _run_samples(sys_, starts, horizon, policy, descs, membership, 1,
                        record=lambda i, t: mine.append((i, t)))
@@ -244,6 +253,55 @@ def test_block_runner_equals_the_sequential_loop(name):
     for (_, a), (_, b) in zip(mine, theirs):
         assert same_bits(a.states, b.states) and same_bits(a.actions, b.actions)
         assert (a.exit_kind, a.exit_facet) == (b.exit_kind, b.exit_facet)
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_block_runner_equals_the_sequential_loop(name):
+    make, region_of, points, horizon, n, seed = RUNS[name]
+    sys_ = make()
+    region = region_of(sys_)
+    acts = sys_.action_box if points is None else FiniteActionSet(points)
+    pick = np.random.default_rng(123)
+    if isinstance(region, DeltaCover):
+        starts = [region.centers[int(pick.integers(len(region)))] for _ in range(n)]
+    else:
+        starts = [region.sample(pick) for _ in range(n)]
+    runs_agree(sys_, starts, horizon, UniformPolicy(acts), _child_seeds(seed, n), region)
+
+
+def flip_cover(sys_):
+    """Cells at -0.75, -0.25, 0.25 and 0.75, the last one dead: 0.75 lies outside."""
+    cover = build_cover(sys_.state_box, 0.25)
+    cover.deactivate([3])
+    return cover
+
+
+# system, region, horizon, the starts that differ from the usual one, the usual start, first failure
+ROWS = {
+    # toy-flip from -0.75: out to 0.75 and back, so only the middle state strays
+    "leaves-the-cover-and-returns": (make_toy_flip, flip_cover, 3, {700: -0.75, 720: 0.75}, 0.25, 700),
+    "leaves-the-box-and-returns": (make_toy_flip, lambda s: BoxRegion([-0.5], [1.0]), 3,
+                                   {700: 0.75, 720: -0.75}, 0.25, 700),
+    # toy-threshold from 0.5 jumps to -4.5: unsafe, yet inside the region
+    "unsafe-inside-the-cover": (make_toy_threshold, lambda s: build_cover(BoxRegion([-10.0], [10.0]), 1.0),
+                                3, {650: 0.5}, 5.0, 650),
+    "unsafe-inside-the-box": (make_toy_threshold, lambda s: BoxRegion([-10.0], [10.0]), 3, {650: 0.5}, 5.0, 650),
+    # no transition, so no state to query
+    "horizon-one-box": (make_toy_flip, lambda s: BoxRegion([-0.5], [1.0]), 1, {700: -0.75}, 0.25, -1),
+}
+
+
+@pytest.mark.parametrize("query_rows", [None, 3])
+@pytest.mark.parametrize("name", sorted(ROWS))
+def test_block_runner_checks_every_state_of_every_row(name, query_rows, monkeypatch):
+    if query_rows is not None:
+        monkeypatch.setattr(geometry, "_QUERY_ROWS", query_rows)
+    make, region_of, horizon, special, usual, first_bad = ROWS[name]
+    sys_ = make()
+    starts = [np.array([special.get(i, usual)]) for i in range(800)]
+    got = runs_agree(sys_, starts, horizon, UniformPolicy(sys_.action_box), _child_seeds(0, 800), region_of(sys_))
+    assert got == first_bad
 
 
 def test_block_runner_raises_at_a_start_outside_the_domain_like_the_loop():

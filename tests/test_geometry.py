@@ -150,6 +150,43 @@ def test_indexed_queries_equal_the_brute_force_scan(case):
         assert nearest_center(cover, p) == (int(idx[k]), float(row[k]))
 
 
+@given(scrambled_covers(), st.sampled_from([0.0, 0.3]), st.data())
+@settings(max_examples=120, deadline=None)
+def test_bucket_kernel_on_bucket_boundaries_equals_the_scan(case, extra, data):
+    """Centers on bucket boundaries, queried from points at distance reach and radius.
+
+    A point at ``c - reach`` on an axis where ``c`` sits on a bucket boundary
+    has a reach box that ends a hair past the boundary: it needs exactly the
+    base bucket and the next one, and with a bucket width of ``2 * reach``
+    or less its box would touch a third.
+    """
+    cover, rng = case
+    reach = cover.radius + 1e-9 + extra
+    h = cover._bucket_index(reach).h
+    lower, dim = cover.domain.lower, cover.dim
+    for _ in range(data.draw(st.integers(1, 6))):
+        c = rng.uniform(cover.domain.lower, cover.domain.upper)
+        axes = rng.random(dim) < 0.5
+        c[axes] = lower[axes] + h * rng.integers(-2, 8, size=int(axes.sum()))
+        cover.append(c)
+    assert cover._bucket_index(reach).h == h
+    base = cover.centers[rng.integers(0, len(cover), size=60)]
+    axis = rng.integers(0, dim, size=60)
+    gap = rng.choice([reach, cover.radius, np.nextafter(reach, 0.0), np.nextafter(reach, 1.0)], size=60)
+    pts = base.copy()
+    pts[np.arange(60), axis] -= gap * rng.choice([-1.0, 1.0], size=60)
+    jitter = rng.random((60, dim)) < 0.3  # off-axis moves of at most the radius
+    jitter[np.arange(60), axis] = False
+    pts = np.where(jitter, pts + rng.uniform(-1.0, 1.0, size=(60, dim)) * cover.radius, pts)
+    act = cover.active_centers()
+    d = np.abs(pts[:, None, :] - act[None, :, :]).max(axis=2).min(axis=1, initial=np.inf)
+    np.testing.assert_array_equal(cover.distances_within(pts, reach), np.where(d <= reach, d, np.inf))
+    if act.size:
+        np.testing.assert_array_equal(cover.batch_distances(pts), d)
+    want = np.abs(pts[:, None, :] - cover.centers[None, :, :]).max(axis=2).argmin(axis=1)
+    np.testing.assert_array_equal(cover.nearest_all(pts), want)
+
+
 def test_nearest_center_tie_goes_to_the_lowest_ordinal():
     cv = DeltaCover(np.array([[3.0], [1.0], [5.0]]), 1.0, BoxRegion([0.0], [6.0]))
     assert nearest_center(cv, [2.0]) == (0, 1.0)
