@@ -11,7 +11,9 @@ and on a noisy toy map, one validation trajectory log, and the four
 quantifiers: ``qnt-spe`` on the lead-follow reference config (prioritized
 sampling and replay over the adversarial singleton), on a noisy toy map with
 box actions, and with its fresh rollouts logged, plus small ``qnt-dp``,
-``qnt-ae`` and ``qnt-vs`` runs.
+``qnt-ae`` and ``qnt-vs`` runs, and ``val-delta`` with a constant action
+given as JSON integers (a failing three-vehicle run, a passing lead-follow
+run and a truncating toy map, each with its rollouts logged).
 """
 
 import hashlib
@@ -96,6 +98,22 @@ CASES = {
         "algorithm = qnt-vs\nseed = 6\nsystem.name = toy-threshold\nhyper.epsilon = 0.05\n"
         "options.n_attempts = 5\n"
     ),
+    # fails at center 65 of 128
+    "val-delta-three-vehicle": (
+        "algorithm = val-delta\nseed = 0\nsystem.name = three-vehicle\nsystem.sv_policy = idm\n"
+        "hyper.delta0 = 2.5\nhyper.K = 15\n"
+        "options.fixed_action = [-3, -3]\noptions.emit_trajectories = true\n"
+    ),
+    "val-delta-lead-follow": (
+        "algorithm = val-delta\nseed = 0\nsystem.name = lead-follow\nsystem.sv_policy = idm\n"
+        "system.state_box = [[0, 4], [0, 16], [20, 60]]\nhyper.delta0 = 2.0\nhyper.K = 25\n"
+        "options.fixed_action = [0]\noptions.emit_trajectories = true\n"
+    ),
+    # the action pushes every rollout through the upper facet, which truncates
+    "val-delta-toy-shrink": (
+        "algorithm = val-delta\nseed = 0\nsystem.name = toy-shrink\nhyper.delta0 = 0.125\nhyper.K = 6\n"
+        "options.fixed_action = [1]\noptions.emit_trajectories = true\n"
+    ),
 }
 
 GOLDEN = {
@@ -166,6 +184,21 @@ GOLDEN = {
         "report.json": "4ac6223cf60ae3b216a7dac9904bcc4b126834a39810eccf92e5bfbad0d37163",
         "cells.csv": "26f6d58a777d7bac681326a999e58c530b778258c092bd51fe39253e2f1967b8",
         "slices.csv": "5b86e2d5e23cb5ea406276bc820f614b12e54a7d6a14da18d00946ee4dca3de9",
+    },
+    "val-delta-three-vehicle": {
+        "report.json": "0e74918f9b665f029f87a99dc5d51569a033c47fd8f17cf7c3f20fe5d8f05d49",
+        "cells.csv": "201fb952ec1327c1ef7aa1097d386bde0856e4dd563539e09c8eb52821a4fa23",
+        "trajectories.ndjson": "971cb1fa34185330e39c6cb52a794de93216669e02547d47965d33325d1328e8",
+    },
+    "val-delta-lead-follow": {
+        "report.json": "c99ee697e299a37b9797c919721c61153749afbadb50cfd0b5a7b216dc98eda3",
+        "cells.csv": "b1ed4a2fb9cccc67750c97ef3d1a36be117497b7035ad85626d273f91b8b8a39",
+        "trajectories.ndjson": "1a7568b3bc834e8764f3765ce3e8b00f8cdd2920fece2fa161f0bbb51267361f",
+    },
+    "val-delta-toy-shrink": {
+        "report.json": "27d5167bdfd2cfe543fd138587a61b5551275bb1c816c0b885d1871018f092d4",
+        "cells.csv": "5cc5feb1e9d8e2d2f1917717ed8134b2d04dfe76760889b145035d3575a4d1f2",
+        "trajectories.ndjson": "42b1f7ebf1a8df089ac32f59564cf6d4a2e267fcc8c593a5e972af6855575110",
     },
 }
 
