@@ -128,6 +128,15 @@ def _check_options(opts: dict, state_dim: int, action_dim: int) -> None:
     _domain(state is None or (isinstance(state, list) and len(state) == state_dim
                               and all(_is_number(x) for x in state)),
             f"options.initial_state must be a list of {state_dim} numbers, got {state!r}")
+    if "region_box" in opts:
+        pairs = opts["region_box"]
+        _domain(isinstance(pairs, list) and len(pairs) == state_dim,
+                f"options.region_box must be {state_dim} [lower, upper] pairs, got {pairs!r}")
+        _check_box_pairs(pairs, "options.region_box")
+    action = opts.get("fixed_action")
+    _domain(action is None or (isinstance(action, list) and len(action) == action_dim
+                               and all(_is_number(x) for x in action)),
+            f"options.fixed_action must be a list of {action_dim} numbers, got {action!r}")
     pts = opts.get("action_points", [[0.0] * action_dim])
     _domain(isinstance(pts, list) and pts and all(
         isinstance(p, list) and len(p) == action_dim and all(_is_number(x) for x in p) for p in pts),
@@ -148,7 +157,7 @@ def _check_hyper(h: dict) -> None:
 
 def _check_box_pairs(v, what: str) -> list:
     ok = isinstance(v, list) and v and all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(x, (int, float)) for x in p) and p[0] < p[1]
+        isinstance(p, list) and len(p) == 2 and all(_is_number(x) for x in p) and p[0] < p[1]
         for p in v)
     _domain(ok, f"{what} must be a list of [lower, upper] pairs with lower < upper")
     return [[float(p[0]), float(p[1])] for p in v]

@@ -45,10 +45,12 @@ from .scenario import (
     EXIT_UNSAFE,
     ScenarioSystem,
     UniformPolicy,
+    child_noise,
     noise_sampler,
     outside_domain,
     run_batch,
     run_scenario,
+    sample_stream,
 )
 from .validation import sample_size_probabilistic, validate_eps_delta
 
@@ -227,14 +229,12 @@ class TrajectoryBuffer:
             pass
 
 
-def _child_stream(seed: int, ordinal: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(ordinal),))
-    return np.random.Generator(np.random.PCG64(ss))
+def _sample_desc(seed: int, ordinal: int) -> dict:
+    """The seed descriptor of fresh sample ``ordinal``; ordinal ``2**31`` names the selection stream."""
+    return {"entropy": int(seed), "spawn_key": [int(ordinal)]}
 
 
-def _select_stream(seed: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(2**31,))
-    return np.random.Generator(np.random.PCG64(ss))
+_SELECT = 2**31
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,7 @@ def quantify_vanilla(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int
     first validated box wins; ``n_attempts`` misses end the run empty-handed.
     """
     dom = domain if domain is not None else sys.state_box
-    stream = _select_stream(seed)
+    stream = sample_stream(_sample_desc(seed, _SELECT))
     fresh = 0
     for attempt in range(int(n_attempts)):
         while True:
@@ -299,7 +299,7 @@ def quantify_delta_pruning(sys: ScenarioSystem, actions, delta: float, n_samples
     """
     dom = domain if domain is not None else sys.state_box
     cover = build_cover(dom, delta)
-    sel = _select_stream(seed)
+    sel = sample_stream(_sample_desc(seed, _SELECT))
     n = 0
     for i in range(int(n_samples)):
         act = cover.active_indices()
@@ -307,7 +307,7 @@ def quantify_delta_pruning(sys: ScenarioSystem, actions, delta: float, n_samples
             break
         idx = int(act[int(sel.integers(act.size))])
         traj = run_scenario(sys, cover.centers[idx], horizon, UniformPolicy(actions),
-                            _child_stream(seed, i))
+                            sample_stream(_sample_desc(seed, i)))
         n += 1
         if record is not None:
             record(i, traj)
@@ -346,7 +346,7 @@ def quantify_adaptive(sys: ScenarioSystem, actions, hyper: HyperParams, seed: in
     """
     dom = domain if domain is not None else sys.state_box
     n_eps = hyper.stability_window()
-    sel = _select_stream(seed)
+    sel = sample_stream(_sample_desc(seed, _SELECT))
     seed_pt = np.asarray(initial_state, dtype=float) if initial_state is not None else dom.sample(sel)
     cover = DeltaCover(np.asarray([seed_pt]), hyper.delta0, dom)
     n = 0
@@ -359,7 +359,7 @@ def quantify_adaptive(sys: ScenarioSystem, actions, hyper: HyperParams, seed: in
         act = cover.active_indices()
         idx = int(act[int(sel.integers(act.size))])
         traj = run_scenario(sys, cover.centers[idx], hyper.horizon, UniformPolicy(actions),
-                            _child_stream(seed, n))
+                            sample_stream(_sample_desc(seed, n)))
         n += 1
         if record is not None:
             record(n - 1, traj)
@@ -457,7 +457,7 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
     graph = ReachGraph()
     pruned_pts: list = []
     dist_to_pruned = np.full(len(cover), np.inf)
-    sel = _select_stream(seed)
+    sel = sample_stream(_sample_desc(seed, _SELECT))
     policy = UniformPolicy(actions)
     steps = hyper.horizon - 1
     draw_noise = noise_sampler(sys, policy, steps)
@@ -570,10 +570,11 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
         refused = np.flatnonzero(outside_domain(sys, cover.centers[starts])) if steps else ()
         if len(refused):  # end the block before the start that run_scenario refuses
             if refused[0] == 0:
-                run_scenario(sys, cover.centers[starts[0]], hyper.horizon, policy, _child_stream(seed, n))
+                run_scenario(sys, cover.centers[starts[0]], hyper.horizon, policy,
+                             sample_stream(_sample_desc(seed, n)))
             del starts[refused[0]:], drawn[refused[0]:]
             sel.bit_generator.state = drawn[-1]
-        noise = [draw_noise(_child_stream(seed, n + j)) for j in range(len(starts))]
+        noise = child_noise(draw_noise, [_sample_desc(seed, n + j) for j in range(len(starts))])
         rolls = run_batch(sys, cover.centers[starts], noise)
         dists = cover_distances([rolls.states[j, 1:k] for j, k in enumerate(rolls.length)])
         for j, idx in enumerate(starts):

@@ -14,6 +14,7 @@ invariant sets used to exercise the validation and quantification machinery.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -43,6 +44,8 @@ __all__ = [
     "Rollouts",
     "run_batch",
     "noise_sampler",
+    "sample_stream",
+    "child_noise",
     "adversarial_actions",
     "default_action_samples",
     "make_lead_follow",
@@ -108,6 +111,7 @@ class BoxActionSet:
 
     def __init__(self, lower, upper):
         self.box = BoxRegion(np.atleast_1d(lower), np.atleast_1d(upper))
+        self._widths = self.box.widths
 
     @property
     def dim(self) -> int:
@@ -115,8 +119,8 @@ class BoxActionSet:
 
     def sample(self, rng: np.random.Generator) -> tuple:
         # numpy's uniform(lower, upper) computes exactly this, from the same doubles
-        box = self.box
-        return tuple((box.lower + box.widths * rng.random(box.dim)).tolist())
+        widths = self._widths
+        return tuple((self.box.lower + widths * rng.random(widths.size)).tolist())
 
     def measure(self) -> float:
         """Volume of the box (the size term used by the cost functional)."""
@@ -433,10 +437,13 @@ class ScenarioSystem:
     def draw_disturbance(self, rng: np.random.Generator) -> tuple:
         if self.omega_bar == 0.0:
             return (0.0,) * self.disturbance_dim
-        return tuple(float(x) for x in rng.uniform(-self.omega_bar, self.omega_bar, self.disturbance_dim))
+        return tuple(rng.uniform(-self.omega_bar, self.omega_bar, self.disturbance_dim).tolist())
 
     def zero_disturbance(self) -> tuple:
         return (0.0,) * self.disturbance_dim
+
+
+_INSIDE = StepOutcome(EXIT_NONE)
 
 
 def step(sys: ScenarioSystem, state, action, omega) -> tuple:
@@ -448,12 +455,25 @@ def step(sys: ScenarioSystem, state, action, omega) -> tuple:
     lowest dimension (lower side first) decides the label, and an unsafe facet
     always wins over truncation.
     """
-    lo = sys.state_box.lower
-    hi = sys.state_box.upper
+    lo, hi = sys.state_box.lower.tolist(), sys.state_box.upper.tolist()
     st = tuple(float(x) for x in state)
+    _check_state(st, lo, hi)
+    return _transit(sys, st, _as_action(action), omega, lo, hi)
+
+
+def _check_state(st: tuple, lo: list, hi: list) -> None:
     if any(st[d] < lo[d] - 1e-9 or st[d] > hi[d] + 1e-9 for d in range(len(st))):
         raise ValueError(f"state {st} outside the domain")
-    raw = sys.transition(st, tuple(float(x) for x in np.atleast_1d(action)), omega)
+
+
+def _as_action(u) -> tuple:
+    """An action as a tuple of floats (a deterministic policy may hand over ints)."""
+    return tuple(map(float, u)) if isinstance(u, tuple) else tuple(float(x) for x in np.atleast_1d(u))
+
+
+def _transit(sys: ScenarioSystem, st: tuple, u: tuple, omega, lo: list, hi: list) -> tuple:
+    """``step`` without the domain check, for a state of floats known to lie inside."""
+    raw = sys.transition(st, u, omega)
     crossed = []
     for d in range(len(raw)):
         if raw[d] < lo[d]:
@@ -461,13 +481,13 @@ def step(sys: ScenarioSystem, state, action, omega) -> tuple:
         elif raw[d] > hi[d]:
             crossed.append((d, "upper"))
     if not crossed:
-        return raw, StepOutcome(EXIT_NONE)
+        return raw, _INSIDE
     for f in crossed:
         if sys.facets[f] == UNSAFE:
             return raw, StepOutcome(EXIT_UNSAFE, f)
     clamped = list(raw)
     for d, side in crossed:
-        clamped[d] = float(lo[d]) if side == "lower" else float(hi[d])
+        clamped[d] = lo[d] if side == "lower" else hi[d]
     return tuple(clamped), StepOutcome(EXIT_TRUNCATED, crossed[0])
 
 
@@ -487,7 +507,8 @@ def step_batch(sys: ScenarioSystem, states, actions, omegas) -> tuple[np.ndarray
     when a row lies outside the domain.
     """
     _check_inside(sys, states)
-    return _advance(sys, states, actions, omegas)
+    nxt, code = _advance(sys, states, actions, omegas, _unsafe_masks(sys))
+    return nxt, np.full(nxt.shape[0], -1) if code is None else code
 
 
 def _check_inside(sys: ScenarioSystem, states) -> None:
@@ -496,21 +517,32 @@ def _check_inside(sys: ScenarioSystem, states) -> None:
         raise ValueError(f"state {tuple(states[outside][0].tolist())} outside the domain")
 
 
-def _advance(sys: ScenarioSystem, states, actions, omegas) -> tuple[np.ndarray, np.ndarray]:
-    """``step_batch`` without the domain check, for rows known to lie inside."""
+def _unsafe_masks(sys: ScenarioSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Per dimension, whether its lower and whether its upper facet is unsafe."""
+    dims = range(sys.state_box.dim)
+    return (np.array([sys.facets[(d, "lower")] == UNSAFE for d in dims]),
+            np.array([sys.facets[(d, "upper")] == UNSAFE for d in dims]))
+
+
+def _advance(sys: ScenarioSystem, states, actions, omegas, masks) -> tuple[np.ndarray, np.ndarray | None]:
+    """``step_batch`` without the domain check, for rows known to lie inside.
+
+    ``masks`` is ``_unsafe_masks(sys)``.  The code array is ``None`` when no
+    row went unsafe.
+    """
     lo = sys.state_box.lower
     hi = sys.state_box.upper
     raw = sys.transition.batch(states, actions, omegas)
     below, above = raw < lo, raw > hi
     if not (below.any() or above.any()):
-        return raw, np.full(raw.shape[0], -1)
-    n = lo.shape[0]
-    hit = (below & [sys.facets[(d, "lower")] == UNSAFE for d in range(n)]) \
-        | (above & [sys.facets[(d, "upper")] == UNSAFE for d in range(n)])
+        return raw, None
+    clamped = np.where(below, lo, np.where(above, hi, raw))
+    hit = (below & masks[0]) | (above & masks[1])
     unsafe = hit.any(axis=1)
+    if not unsafe.any():
+        return clamped, None
     d = hit.argmax(axis=1)
     code = np.where(unsafe, 2 * d + above[np.arange(d.size), d], -1)
-    clamped = np.where(below, lo, np.where(above, hi, raw))
     return np.where(unsafe[:, None], raw, clamped), code
 
 
@@ -522,14 +554,16 @@ def run_scenario(sys: ScenarioSystem, start, horizon: int, policy, rng: np.rando
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    lo, hi = sys.state_box.lower.tolist(), sys.state_box.upper.tolist()
     state = tuple(float(x) for x in start)
+    if horizon > 1:
+        _check_state(state, lo, hi)  # a live state stays inside: truncation clamps it
     states = [state]
     actions = []
     exit_kind, exit_facet = EXIT_NONE, None
     for _ in range(horizon - 1):
-        u = policy(state, rng)
-        w = sys.draw_disturbance(rng)
-        nxt, out = step(sys, state, u, w)
+        u = _as_action(policy(state, rng))
+        nxt, out = _transit(sys, state, u, sys.draw_disturbance(rng), lo, hi)
         actions.append(u)
         states.append(nxt)
         if out.kind == EXIT_UNSAFE:
@@ -574,7 +608,8 @@ def run_batch(sys: ScenarioSystem, x0, noise) -> Rollouts:
     pre-draws for one rollout.  Every step moves the live rows through
     ``step_batch``; a row that crosses an unsafe facet keeps the raw offending
     state as its last and is frozen, so row ``j`` equals the ``run_scenario``
-    rollout that makes the same draws.
+    rollout that makes the same draws.  Until the first row stops, the steps
+    go through slice views of every row, with no row gather or scatter.
     """
     acts = np.stack([u for u, _ in noise])
     omegas = np.stack([w for _, w in noise])
@@ -582,18 +617,23 @@ def run_batch(sys: ScenarioSystem, x0, noise) -> Rollouts:
     steps = acts.shape[1]
     if steps:
         _check_inside(sys, x0)  # a live row stays inside: truncation clamps it
+    masks = _unsafe_masks(sys)
     states = np.empty((b, steps + 1, n))
     states[:, 0] = x0
     code = np.full(b, -1)
     length = np.full(b, steps + 1)
+    live = slice(None)  # every row, then the indices of the rows still live
     for t in range(steps):
-        rows = np.flatnonzero(code < 0)
-        if rows.size == 0:
-            break
-        nxt, ex = _advance(sys, states[rows, t], acts[rows, t], omegas[rows, t])
-        states[rows, t + 1] = nxt
+        nxt, ex = _advance(sys, states[live, t], acts[live, t], omegas[live, t], masks)
+        states[live, t + 1] = nxt
+        if ex is None:
+            continue
+        rows = np.arange(b) if isinstance(live, slice) else live
         unsafe = ex >= 0
         code[rows[unsafe]], length[rows[unsafe]] = ex[unsafe], t + 2
+        live = rows[~unsafe]
+        if live.size == 0:
+            break
     return Rollouts(states, acts, code, length)
 
 
@@ -634,6 +674,148 @@ def noise_sampler(sys: ScenarioSystem, policy, steps: int):
             om.append(sys.draw_disturbance(rng))
         return np.asarray(u, dtype=float).reshape(steps, m), np.asarray(om, dtype=float).reshape(steps, k)
     return draw
+
+
+# ---------------------------------------------------------------------------
+# per-sample random streams: a seed descriptor {"entropy": e} or
+# {"entropy": e, "spawn_key": [i]} names numpy's SeedSequence stream
+# ---------------------------------------------------------------------------
+
+
+def sample_stream(desc: dict) -> np.random.Generator:
+    """The stream of one seed descriptor, through numpy's own ``SeedSequence``."""
+    ss = np.random.SeedSequence(entropy=desc["entropy"], spawn_key=tuple(desc.get("spawn_key", ())))
+    return np.random.Generator(np.random.PCG64(ss))
+
+
+# SeedSequence's constants (numpy/random/bit_generator.pyx).  Its hashing
+# does not depend on the data, so the entropy arrays of one length all go
+# through the same uint32 operations, which run over every row at once.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_M32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (pcg64.h, PCG_DEFAULT_MULTIPLIER_128)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
+
+
+def _uint32_words(n: int) -> list:
+    """A non-negative integer as little-endian uint32 words, zero as one word."""
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _assembled_entropy(desc: dict) -> list:
+    """``SeedSequence``'s assembled entropy words of a descriptor."""
+    words = _uint32_words(int(desc["entropy"]))
+    key = desc.get("spawn_key", ())
+    if len(key):
+        words += [0] * (_POOL - len(words))  # a spawned sequence pads its entropy to the pool
+        for k in key:
+            words += _uint32_words(int(k))
+    return words
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and the multiply constant of each of ``count`` successive hash steps."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _M32)
+    return _frozen(np.array(consts[:-1], dtype=np.uint32)), _frozen(np.array(consts[1:], dtype=np.uint32))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only: a cached array is handed to every caller."""
+    a.setflags(write=False)
+    return a
+
+
+def _hashmix(value, xor_const, mul_const):
+    value = (value ^ xor_const) * mul_const
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _pool_of(head: np.ndarray) -> np.ndarray:
+    """The first two steps of ``SeedSequence.mix_entropy`` per row of (n, <= 4) leading words.
+
+    Each word hashes into its pool word (a missing word hashes as 0), then
+    every pool word mixes into every other.  The hash steps that read one
+    source word are independent, so each group runs as one operation over
+    pool columns.
+    """
+    xor_a, mul_a = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL)
+    pool = np.zeros((head.shape[0], _POOL), dtype=np.uint32)
+    pool[:, :head.shape[1]] = head
+    pool = _hashmix(pool, xor_a[:_POOL], mul_a[:_POOL])
+    for src in range(_POOL):
+        c = _POOL + src * (_POOL - 1)
+        dst = [d for d in range(_POOL) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src:src + 1], xor_a[c:c + 3], mul_a[c:c + 3]))
+    return pool
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_pool(head: tuple) -> np.ndarray:
+    return _frozen(_pool_of(np.array([head], dtype=np.uint32)))
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(...).generate_state(4, uint64)`` per row of (n, L) assembled entropy words."""
+    n, length = entropy.shape
+    head = entropy[:, :_POOL]
+    if length > _POOL and (head == head[0]).all():  # spawned streams of one entropy share the pool
+        pool = np.repeat(_shared_pool(tuple(head[0].tolist())), n, axis=0)
+    else:
+        pool = _pool_of(head)
+    # the words past the pool mix into every pool word, each step with the next constant
+    xor_a, mul_a = _hash_consts(_INIT_A, _MULT_A, _POOL * max(length, _POOL))
+    for src in range(_POOL, length):
+        c = _POOL * src
+        pool = _mix(pool, _hashmix(entropy[:, src:src + 1], xor_a[c:c + _POOL], mul_a[c:c + _POOL]))
+    # generate_state cycles through the pool for 8 words, read as 4 little-endian uint64
+    xor_b, mul_b = _hash_consts(_INIT_B, _MULT_B, 8)
+    words = _hashmix(np.tile(pool, 2), xor_b, mul_b)
+    return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def child_noise(draw, descs) -> list:
+    """``[draw(sample_stream(d)) for d in descs]``, with the streams seeded in bulk.
+
+    The seed words of every descriptor come from one vectorised
+    ``SeedSequence`` computation per entropy length; each sample then sets
+    one reused ``PCG64`` to the state that seeding reaches (PCG's set-seq
+    seeding: ``inc = (seq << 1) | 1``, ``state = ((inc + seed) * MULT + inc)``
+    mod 2**128) and calls ``draw`` with it.
+    """
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    groups: dict = {}
+    for j, desc in enumerate(descs):
+        words = _assembled_entropy(desc)
+        rows, entropy = groups.setdefault(len(words), ([], []))
+        rows.append(j)
+        entropy.append(words)
+    out = [None] * len(descs)
+    for rows, entropy in groups.values():
+        seeds = _seed_words(np.array(entropy, dtype=np.uint32)).tolist()
+        for j, (seed_hi, seed_lo, seq_hi, seq_lo) in zip(rows, seeds):
+            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _M128
+            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _M128
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            out[j] = draw(rng)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,12 @@ from .scenario import (
     ScenarioSystem,
     Trajectory,
     UniformPolicy,
+    child_noise,
     noise_sampler,
     outside_domain,
     run_batch,
     run_scenario,
+    sample_stream,
 )
 
 __all__ = [
@@ -148,11 +150,6 @@ def _child_seeds(rng, n: int) -> list[dict]:
     raise TypeError("rng must be an integer seed or a numpy Generator")
 
 
-def _make_stream(desc: dict) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=desc["entropy"], spawn_key=tuple(desc.get("spawn_key", ())))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
 # ---------------------------------------------------------------------------
 # the batched sample runner
 # ---------------------------------------------------------------------------
@@ -171,8 +168,7 @@ def _run_block(sys, x0, first, draw, seed_descs, membership, record) -> int:
     outside the region.  Membership is queried once per block, over every
     state of the rows that did not go unsafe.
     """
-    noise = [draw(_make_stream(seed_descs[first + j])) for j in range(len(x0))]
-    rolls = run_batch(sys, x0, noise)
+    rolls = run_batch(sys, x0, child_noise(draw, seed_descs[first:first + len(x0)]))
     failed = rolls.code >= 0
     safe = np.flatnonzero(~failed)
     steps = rolls.states.shape[1] - 1
@@ -190,10 +186,10 @@ def _run_samples(sys, starts, horizon, policy, seed_descs, membership, workers: 
 
     The samples go through in blocks of ``_BLOCK``, each rolled in lock-step
     by ``step_batch`` from actions and disturbances pre-drawn from the
-    sample's own stream (``noise_sampler``), so every trajectory equals the
-    one ``run_scenario`` draws.  The run stops at the first block with a
-    failure and returns its lowest failing index: the verdict of a
-    sequential loop.  ``record(i, traj)`` sees the trajectories of samples
+    sample's own stream (``noise_sampler``, the streams seeded in bulk by
+    ``child_noise``), so every trajectory equals the one ``run_scenario``
+    draws.  The run stops at the first block with a failure and returns its
+    lowest failing index: the verdict of a sequential loop.  ``record(i, traj)`` sees the trajectories of samples
     0 up to that index, in order.  A start outside the domain raises
     ``run_scenario``'s ``ValueError`` once every sample before it passed.
     ``workers`` is accepted for compatibility and changes nothing.
@@ -213,7 +209,7 @@ def _run_samples(sys, starts, horizon, policy, seed_descs, membership, workers: 
         if bad >= 0:
             return bad
     if stop < n:
-        run_scenario(sys, starts[stop], horizon, policy, _make_stream(seed_descs[stop]))
+        run_scenario(sys, starts[stop], horizon, policy, sample_stream(seed_descs[stop]))
     return -1
 
 
@@ -249,16 +245,16 @@ def validate_delta(sys: ScenarioSystem, cover: DeltaCover, horizon: int, policy,
 
 
 def _validate_sampled(sys, horizon, epsilon, beta, actions, rng, n_samples, workers, record,
-                      membership, pick_start, kind) -> ValidationVerdict:
+                      membership, pick_starts, kind) -> ValidationVerdict:
     """The shared body of ``validate_eps`` and ``validate_eps_delta``.
 
     Sizes the sample (warning when ``n_samples`` is below the bound), spawns
-    one seed descriptor per sample, draws the starts with ``pick_start`` from
-    a stream of their own, runs them and wraps the verdict; a failure
-    carries its start, its seed descriptor and the trajectory they replay
-    to.  ``pick_start=None`` means no start is eligible: the verdict is then
-    vacuously true on zero samples, and still flagged when ``n_samples`` is
-    below the bound.
+    one seed descriptor per sample, draws the ``n`` starts with one
+    ``pick_starts(stream, n)`` call on a stream of their own, runs them and
+    wraps the verdict; a failure carries its start, its seed descriptor and
+    the trajectory they replay to.  ``pick_starts=None`` means no start is
+    eligible: the verdict is then vacuously true on zero samples, and still
+    flagged when ``n_samples`` is below the bound.
     """
     required = sample_size_probabilistic(epsilon, beta)
     n = required if n_samples is None else int(n_samples)
@@ -266,18 +262,19 @@ def _validate_sampled(sys, horizon, epsilon, beta, actions, rng, n_samples, work
     if undersampled:
         warnings.warn(f"n_samples={n} below the ({epsilon}, {beta}) bound {required}; verdict flagged")
     delta = membership.delta
-    if pick_start is None:
+    if pick_starts is None:
         return ValidationVerdict(result=True, n_samples=0, epsilon=epsilon, beta=beta, delta=delta,
                                  undersampled=undersampled, kind=kind)
     seed_descs = _child_seeds(rng, n)
-    pick = _make_stream({"entropy": seed_descs[0]["entropy"], "spawn_key": [2**31]}) if seed_descs else None
-    starts = [pick_start(pick) for _ in range(n)]
+    starts = np.empty((0, sys.state_box.dim))
+    if n:
+        starts = pick_starts(sample_stream({"entropy": seed_descs[0]["entropy"], "spawn_key": [2**31]}), n)
     policy = UniformPolicy(actions)
     bad = _run_samples(sys, starts, horizon, policy, seed_descs, membership, workers, record=record)
     found = {} if bad < 0 else {
         "counterexample_start": [float(x) for x in starts[bad]],
         "counterexample_seed": seed_descs[bad],
-        "counterexample": run_scenario(sys, starts[bad], horizon, policy, _make_stream(seed_descs[bad]))}
+        "counterexample": run_scenario(sys, starts[bad], horizon, policy, sample_stream(seed_descs[bad]))}
     return ValidationVerdict(result=bad < 0, n_samples=n, epsilon=epsilon, beta=beta, delta=delta,
                              undersampled=undersampled, kind=kind, **found)
 
@@ -295,12 +292,13 @@ def validate_eps(sys: ScenarioSystem, region, horizon: int, epsilon: float, beta
     if isinstance(region, DeltaCover):
         act = region.active_indices()
         membership = _CoverMembership(region)
-        pick_start = lambda pick: region.centers[int(act[int(pick.integers(act.size))])]
+        pick_starts = lambda pick, n: region.centers[act[pick.integers(act.size, size=n)]]
     else:
         membership = _BoxMembership(region)
-        pick_start = region.sample
+        # n calls of region.sample (numpy's uniform) in one draw: the same values and stream state
+        pick_starts = lambda pick, n: region.lower + region.widths * pick.random((n, region.dim))
     return _validate_sampled(sys, horizon, epsilon, beta, actions, rng, n_samples, workers, record,
-                             membership, pick_start, "eps")
+                             membership, pick_starts, "eps")
 
 
 def validate_eps_delta(sys: ScenarioSystem, cover: DeltaCover, horizon: int, epsilon: float,
@@ -316,11 +314,11 @@ def validate_eps_delta(sys: ScenarioSystem, cover: DeltaCover, horizon: int, eps
     act = cover.active_indices()
     if band is not None:
         act = np.asarray([i for i in act if band(cover.centers[int(i)])], dtype=int)
-    pick_start = lambda pick: cover.centers[int(act[int(pick.integers(act.size))])]
+    pick_starts = lambda pick, n: cover.centers[act[pick.integers(act.size, size=n)]]
     if band is not None and act.size == 0:
-        pick_start = None
+        pick_starts = None
     return _validate_sampled(sys, horizon, epsilon, beta, actions, rng, n_samples, workers, record,
-                             _CoverMembership(cover), pick_start, "eps-delta")
+                             _CoverMembership(cover), pick_starts, "eps-delta")
 
 
 def replay_counterexample(sys: ScenarioSystem, verdict: ValidationVerdict, horizon: int, actions) -> Trajectory:
@@ -329,5 +327,5 @@ def replay_counterexample(sys: ScenarioSystem, verdict: ValidationVerdict, horiz
         raise ValueError("verdict holds no counterexample")
     if verdict.counterexample_seed is None:
         raise ValueError("deterministic verdicts replay via validate_delta itself")
-    stream = _make_stream(verdict.counterexample_seed)
+    stream = sample_stream(verdict.counterexample_seed)
     return run_scenario(sys, verdict.counterexample_start, horizon, UniformPolicy(actions), stream)

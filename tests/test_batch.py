@@ -2,9 +2,11 @@
 
 Each test compares a batch path with brute-force code written out here: the
 array transition and ``step_batch`` with ``step``, the pre-drawn noise with
-the per-step draws of ``run_scenario``, the block runner with the sequential
-sample loop, the oracle's mask update with the per-cell sweep loop, and the
-all-cells nearest query with ``DeltaCover.nearest``.  Equality is bit for bit
+the per-step draws of ``run_scenario``, the streams seeded in bulk with
+numpy's own ``SeedSequence``, the lock-step roller with ``run_scenario``, the
+one-call start draws with the per-sample picks, the block runner with the
+sequential sample loop, the oracle's mask update with the per-cell sweep
+loop, and the all-cells nearest query with ``DeltaCover.nearest``.  Equality is bit for bit
 throughout (``tobytes``), so a signed zero or a one-ulp drift fails.
 """
 
@@ -31,13 +33,24 @@ from setquant.scenario import (
     make_three_vehicle,
     make_toy_flip,
     make_toy_shift,
+    make_toy_shrink,
     make_toy_threshold,
     noise_sampler,
+    run_batch,
     run_scenario,
+    sample_stream,
     step,
     step_batch,
 )
-from setquant.validation import _BoxMembership, _CoverMembership, _child_seeds, _make_stream, _run_samples
+from setquant.scenario import _assembled_entropy, _seed_words, child_noise
+from setquant.validation import (
+    _BoxMembership,
+    _CoverMembership,
+    _child_seeds,
+    _run_samples,
+    validate_eps,
+    validate_eps_delta,
+)
 
 VEHICLES = ("lead-follow", "three-vehicle")
 SYSTEMS = [(name, sv) for name in sorted(BUILTIN_SYSTEMS)
@@ -196,6 +209,148 @@ def test_one_integers_call_equals_the_per_step_calls(k, steps):
 
 
 # ---------------------------------------------------------------------------
+# per-sample streams seeded in bulk
+# ---------------------------------------------------------------------------
+
+
+def reference_stream(desc):
+    """numpy's own stream of a seed descriptor, built here without setquant."""
+    ss = np.random.SeedSequence(entropy=desc["entropy"], spawn_key=tuple(desc.get("spawn_key", ())))
+    return np.random.Generator(np.random.PCG64(ss))
+
+
+ENTROPIES = [0, 1, 2**32 - 1, 2**32 + 5, 2**62 + 12345, 2**63 - 2]
+KEYS = [0, 1, 2**31, 2**32 - 1, 2**32 + 7]
+# every descriptor shape the code makes, entropy arrays of 1 to 6 words, in one mixed list
+DESCRIPTORS = ([{"entropy": e} for e in ENTROPIES]
+               + [{"entropy": e, "spawn_key": [k]} for e in ENTROPIES for k in KEYS]
+               + _child_seeds(np.random.default_rng(5), 40)
+               + _child_seeds(2**62 + 9, 30)
+               + [{"entropy": e, "spawn_key": [2**31]} for e in (0, 7, 2**40)])
+
+
+def test_bulk_seed_words_equal_seed_sequence():
+    lengths = set()
+    for desc in DESCRIPTORS:
+        words = _assembled_entropy(desc)
+        lengths.add(len(words))
+        ss = np.random.SeedSequence(entropy=desc["entropy"], spawn_key=tuple(desc.get("spawn_key", ())))
+        np.testing.assert_array_equal(_seed_words(np.array([words], dtype=np.uint32))[0],
+                                      ss.generate_state(4, np.uint64))
+    assert lengths == {1, 2, 5, 6}
+    # many rows at once, as a block computes them
+    block = _child_seeds(101, 600)
+    want = [np.random.SeedSequence(101, spawn_key=(i,)).generate_state(4, np.uint64) for i in range(600)]
+    np.testing.assert_array_equal(_seed_words(np.array([_assembled_entropy(d) for d in block], dtype=np.uint32)),
+                                  want)
+
+
+def test_bulk_seeded_streams_equal_seed_sequence_streams():
+    def draw(rng):
+        return rng.bit_generator.state, rng.random(5), rng.integers(7, size=3), rng.bit_generator.state
+
+    for descs in (DESCRIPTORS, DESCRIPTORS[::-1], _child_seeds(3, 300), []):
+        got = child_noise(draw, descs)
+        assert len(got) == len(descs)
+        for desc, (start, values, picks, end) in zip(descs, got):
+            theirs = reference_stream(desc)
+            assert start == theirs.bit_generator.state
+            assert same_bits(values, theirs.random(5))
+            assert picks.tolist() == theirs.integers(7, size=3).tolist()
+            assert end == theirs.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# the lock-step roller
+# ---------------------------------------------------------------------------
+
+
+# system, starts, horizon: blocks whose rows truncate, stop at different steps, or all stop
+BLOCKS = {
+    # x' = 0.5 x + u with u up to 0.5 pushes rows through both truncating facets; none stops
+    "truncate-only": (lambda: make_toy_shrink(omega_bar=0.6), np.linspace(-1.0, 1.0, 9), 12),
+    # x' = x + 1 on [0, 3], the top unsafe: rows stop at steps 1 to 4, so every row stops
+    "all-stop": (make_toy_shift, np.linspace(0.0, 3.0, 13), 9),
+    # one row stops, the others run on
+    "one-stops": (make_toy_shift, np.array([2.5] + [0.0] * 7), 3),
+    # braking toward the lead at several gaps: rows stop at different steps, some never
+    "lead-follow": (lambda: make_lead_follow(sv="idm", omega_bar=0.3),
+                    np.column_stack([np.full(16, 12.0), np.linspace(0.0, 6.0, 16), np.linspace(6.0, 30.0, 16)]),
+                    40),
+    "three-vehicle": (lambda: make_three_vehicle(sv="brake"),
+                      np.column_stack([np.linspace(0.0, 6.0, 24), np.full(24, 2.0), np.linspace(0.0, 6.0, 24),
+                                       np.linspace(5.5, 12.0, 24), np.linspace(-12.0, -5.5, 24)]),
+                      25),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKS))
+def test_lock_step_roller_equals_run_scenario(name):
+    make, x0, horizon = BLOCKS[name]
+    sys_ = make()
+    x0 = x0.reshape(len(x0), sys_.state_box.dim)
+    policy = UniformPolicy(sys_.action_box)
+    descs = _child_seeds(11, len(x0))
+    rolls = run_batch(sys_, x0, child_noise(noise_sampler(sys_, policy, horizon - 1), descs))
+    for j, desc in enumerate(descs):
+        want = run_scenario(sys_, x0[j], horizon, policy, reference_stream(desc))
+        got = rolls.trajectory(j)
+        assert same_bits(got.states, want.states) and same_bits(got.actions, want.actions)
+        assert (got.exit_kind, got.exit_facet) == (want.exit_kind, want.exit_facet)
+    # the block has the shape its name promises
+    stop_steps = set(rolls.length[rolls.code >= 0].tolist())
+    n_stopped = int((rolls.code >= 0).sum())
+    if name == "truncate-only":
+        assert n_stopped == 0 and ((rolls.states == -1.0) | (rolls.states == 1.0)).any()
+    elif name == "all-stop":
+        assert n_stopped == len(x0) and len(stop_steps) == 4
+    elif name == "one-stops":
+        assert n_stopped == 1
+    else:
+        assert 0 < n_stopped < len(x0) and len(stop_steps) >= 2
+
+
+# ---------------------------------------------------------------------------
+# one start draw per run
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["box", "cover", "band", "failing-box"])
+@pytest.mark.parametrize("seed", [0, 2**40 + 3, "generator"])
+def test_one_start_draw_equals_the_per_sample_picks(kind, seed):
+    # the starts a run records are those of one pick per sample from the reserved stream
+    sys_ = make_toy_shrink()
+    region = BoxRegion([-1.0], [1.0]) if kind.endswith("box") else build_cover(sys_.state_box, 0.125)
+    if kind == "failing-box":
+        region = BoxRegion([-1.0], [0.9])  # a rollout pushed past 0.9 fails
+    rng = np.random.default_rng(4) if seed == "generator" else seed
+    seen = []
+    record = lambda i, traj: seen.append(traj.states[0])
+    if kind == "band":
+        band = lambda c: c[0] > 0.3
+        verdict = validate_eps_delta(sys_, region, 3, 0.01, 0.1, sys_.action_box, rng, band=band,
+                                     n_samples=600, record=record)
+        act = np.asarray([i for i in region.active_indices() if band(region.centers[i])])
+    elif kind == "cover":
+        verdict = validate_eps(sys_, region, 3, 0.01, 0.1, sys_.action_box, rng, n_samples=600, record=record)
+        act = region.active_indices()
+    else:
+        verdict = validate_eps(sys_, region, 3, 0.01, 0.1, sys_.action_box, rng, n_samples=600, record=record)
+    entropy = _child_seeds(np.random.default_rng(4) if seed == "generator" else seed, 1)[0]["entropy"]
+    pick = reference_stream({"entropy": entropy, "spawn_key": [2**31]})
+    if kind.endswith("box"):
+        want = [region.sample(pick) for _ in range(len(seen))]
+    else:
+        want = [region.centers[int(act[int(pick.integers(act.size))])] for _ in range(len(seen))]
+    assert same_bits(seen, want)
+    assert verdict.result == (kind != "failing-box")
+    if verdict.result:
+        assert len(seen) == 600
+    else:  # the record ends with the failing sample
+        assert verdict.counterexample_start == [float(x) for x in want[-1]]
+
+
+# ---------------------------------------------------------------------------
 # the sample runner
 # ---------------------------------------------------------------------------
 
@@ -212,7 +367,7 @@ def strays(region, states) -> bool:
 def sequential(sys_, starts, horizon, policy, seed_descs, region, record) -> int:
     """The loop the block runner replaced: one ``run_scenario`` per sample, in index order."""
     for i in range(len(starts)):
-        traj = run_scenario(sys_, starts[i], horizon, policy, _make_stream(seed_descs[i]))
+        traj = run_scenario(sys_, starts[i], horizon, policy, sample_stream(seed_descs[i]))
         record(i, traj)
         if traj.exit_kind == EXIT_UNSAFE or strays(region, traj.states[1:]):
             return i

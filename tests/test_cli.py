@@ -186,6 +186,22 @@ def test_main_rejects_a_malformed_option(tmp_path, capsys, algorithm, option):
     assert f"E-DOMAIN: {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algorithm,option", [
+    ("val-eps", 'options.region_box = "abc"'),
+    ("val-eps", "options.region_box = [[1, 0]]"),  # a reversed pair
+    ("val-eps", "options.region_box = [[0, 1], [0, 1]]"),  # one pair short of the state
+    ("val-delta", 'options.fixed_action = "abc"'),
+    ("val-delta", "options.fixed_action = [0.5, 0.5]"),  # one number too many
+])
+def test_main_rejects_a_malformed_candidate_or_action(tmp_path, capsys, algorithm, option):
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(f"algorithm = {algorithm}\nseed = 0\nsystem.name = lead-follow\nhyper.K = 4\n{option}\n")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    key = option.split(" =")[0]
+    assert f"E-DOMAIN: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("option", [
     "options.prioritised = true",  # a misspelt switch
     "options.workers = 2",

@@ -22,8 +22,6 @@ from setquant.quantification import (
     HyperParams,
     ReachGraph,
     TrajectoryBuffer,
-    _child_stream,
-    _select_stream,
     cost,
     hyper_dict,
     prioritized_weights,
@@ -46,6 +44,11 @@ from setquant.scenario import (
 )
 
 
+def stream(seed, ordinal):
+    """numpy's own stream of spawn key ``(ordinal,)``; ordinal ``2**31`` is the selection stream."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(ordinal,))))
+
+
 def sequential_spe(sys, actions, hyper, seed, prioritized=False, replay=False, weight_power=1.0,
                    domain=None, trace=None, record=None):
     """The sample loop as it ran before the speculative blocks, one rollout at a time."""
@@ -55,7 +58,7 @@ def sequential_spe(sys, actions, hyper, seed, prioritized=False, replay=False, w
     graph = ReachGraph()
     pruned_pts: list = []
     dist_to_pruned = np.full(len(cover), np.inf)
-    sel = _select_stream(seed)
+    sel = stream(seed, 2**31)
     buffer = TrajectoryBuffer() if replay else None
     n = streak = decays = replayed = 0
     converged = False
@@ -128,7 +131,7 @@ def sequential_spe(sys, actions, hyper, seed, prioritized=False, replay=False, w
             break
         idx = draw_start()
         traj = run_scenario(sys, cover.centers[idx], hyper.horizon, UniformPolicy(actions),
-                            _child_stream(seed, n))
+                            stream(seed, n))
         n += 1
         if record is not None:
             record(n - 1, traj)

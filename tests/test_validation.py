@@ -161,6 +161,9 @@ def test_zero_samples_give_a_vacuous_flagged_verdict():
         v = validate_eps_delta(toy, cover, 8, 0.05, 0.1, toy.action_box, rng=0, n_samples=0)
     assert v.result and v.n_samples == 0 and v.undersampled
     assert v.counterexample_start is None
+    with pytest.warns(UserWarning, match="n_samples=0"):  # a box draws no start either
+        v = validate_eps(toy, BoxRegion([1.0], [10.0]), 8, 0.05, 0.1, toy.action_box, rng=0, n_samples=0)
+    assert v.result and v.n_samples == 0 and v.undersampled
 
 
 def test_a_band_that_excludes_every_center_keeps_the_undersampled_flag():
