@@ -14,7 +14,6 @@ invariant sets used to exercise the validation and quantification machinery.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -467,7 +466,12 @@ def _check_state(st: tuple, lo: list, hi: list) -> None:
 
 
 def _as_action(u) -> tuple:
-    """An action as a tuple of floats (a deterministic policy may hand over ints)."""
+    """An action as a tuple of floats (a deterministic policy may hand over ints).
+
+    A tuple, what the built-in policies return, skips the array round trip
+    that a scalar or an array needs: that round trip costs about a fifth of a
+    scalar rollout.
+    """
     return tuple(map(float, u)) if isinstance(u, tuple) else tuple(float(x) for x in np.atleast_1d(u))
 
 
@@ -721,19 +725,18 @@ def _assembled_entropy(desc: dict) -> list:
     return words
 
 
-@functools.lru_cache(maxsize=None)
 def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The xor and the multiply constant of each of ``count`` successive hash steps."""
     consts = [init]
     for _ in range(count):
         consts.append(consts[-1] * mult & _M32)
-    return _frozen(np.array(consts[:-1], dtype=np.uint32)), _frozen(np.array(consts[1:], dtype=np.uint32))
+    return np.array(consts[:-1], dtype=np.uint32), np.array(consts[1:], dtype=np.uint32)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` made read-only: a cached array is handed to every caller."""
-    a.setflags(write=False)
-    return a
+# a seed below 2**64 with one spawn key below 2**64 assembles to at most 6 words
+_MAX_WORDS = 8
+_XOR_A, _MUL_A = _hash_consts(_INIT_A, _MULT_A, _POOL * _MAX_WORDS)
+_XOR_B, _MUL_B = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
 
 
 def _hashmix(value, xor_const, mul_const):
@@ -754,38 +757,28 @@ def _pool_of(head: np.ndarray) -> np.ndarray:
     source word are independent, so each group runs as one operation over
     pool columns.
     """
-    xor_a, mul_a = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL)
     pool = np.zeros((head.shape[0], _POOL), dtype=np.uint32)
     pool[:, :head.shape[1]] = head
-    pool = _hashmix(pool, xor_a[:_POOL], mul_a[:_POOL])
+    pool = _hashmix(pool, _XOR_A[:_POOL], _MUL_A[:_POOL])
     for src in range(_POOL):
         c = _POOL + src * (_POOL - 1)
         dst = [d for d in range(_POOL) if d != src]
-        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src:src + 1], xor_a[c:c + 3], mul_a[c:c + 3]))
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src:src + 1], _XOR_A[c:c + 3], _MUL_A[c:c + 3]))
     return pool
-
-
-@functools.lru_cache(maxsize=64)
-def _shared_pool(head: tuple) -> np.ndarray:
-    return _frozen(_pool_of(np.array([head], dtype=np.uint32)))
 
 
 def _seed_words(entropy: np.ndarray) -> np.ndarray:
     """``SeedSequence(...).generate_state(4, uint64)`` per row of (n, L) assembled entropy words."""
-    n, length = entropy.shape
-    head = entropy[:, :_POOL]
-    if length > _POOL and (head == head[0]).all():  # spawned streams of one entropy share the pool
-        pool = np.repeat(_shared_pool(tuple(head[0].tolist())), n, axis=0)
-    else:
-        pool = _pool_of(head)
+    length = entropy.shape[1]
+    if length > _MAX_WORDS:
+        raise ValueError(f"an assembled entropy of {length} words is longer than {_MAX_WORDS}")
+    pool = _pool_of(entropy[:, :_POOL])
     # the words past the pool mix into every pool word, each step with the next constant
-    xor_a, mul_a = _hash_consts(_INIT_A, _MULT_A, _POOL * max(length, _POOL))
     for src in range(_POOL, length):
         c = _POOL * src
-        pool = _mix(pool, _hashmix(entropy[:, src:src + 1], xor_a[c:c + _POOL], mul_a[c:c + _POOL]))
+        pool = _mix(pool, _hashmix(entropy[:, src:src + 1], _XOR_A[c:c + _POOL], _MUL_A[c:c + _POOL]))
     # generate_state cycles through the pool for 8 words, read as 4 little-endian uint64
-    xor_b, mul_b = _hash_consts(_INIT_B, _MULT_B, 8)
-    words = _hashmix(np.tile(pool, 2), xor_b, mul_b)
+    words = _hashmix(np.tile(pool, 2), _XOR_B, _MUL_B)
     return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
 
 

@@ -238,6 +238,14 @@ def test_bulk_seed_words_equal_seed_sequence():
         np.testing.assert_array_equal(_seed_words(np.array([words], dtype=np.uint32))[0],
                                       ss.generate_state(4, np.uint64))
     assert lengths == {1, 2, 5, 6}
+    # the longest entropies the hash constants cover: 7 and 8 words
+    for desc in ({"entropy": 2**100 + 3, "spawn_key": [2**64 + 1]}, {"entropy": 2**127, "spawn_key": [2**96 + 5]}):
+        words = _assembled_entropy(desc)
+        ss = np.random.SeedSequence(entropy=desc["entropy"], spawn_key=tuple(desc["spawn_key"]))
+        np.testing.assert_array_equal(_seed_words(np.array([words], dtype=np.uint32))[0],
+                                      ss.generate_state(4, np.uint64))
+    with pytest.raises(ValueError):
+        _seed_words(np.zeros((2, 9), dtype=np.uint32))
     # many rows at once, as a block computes them
     block = _child_seeds(101, 600)
     want = [np.random.SeedSequence(101, spawn_key=(i,)).generate_state(4, np.uint64) for i in range(600)]

@@ -53,6 +53,8 @@ def test_comments_blanks_and_bare_words():
         ("algorithm = qnt-spe\nseed = 1.5\nsystem.name = toy-flip\n", "E-SEED"),
         ("algorithm = qnt-spe\nseed = 1\nsystem.name = toy-flip\nhyper.K = 2.5\n", "E-DOMAIN"),
         ("algorithm = qnt-spe\nseed = 1\nsystem.name = toy-flip\nsystem.state_box = [[1, 0]]\n", "E-DOMAIN"),
+        ("algorithm = qnt-spe\nseed = 1\nsystem.name = toy-flip\nsystem.state_box = [[0, Infinity]]\n", "E-DOMAIN"),
+        ("algorithm = qnt-spe\nseed = 1\nsystem.name = toy-flip\nsystem.action_box = [[false, true]]\n", "E-DOMAIN"),
         ("algorithm = qnt-spe\nseed = 1\nsystem.name = toy-flip\nsystem.sv_policy = \"brake\"\n", "E-DOMAIN"),
     ],
 )

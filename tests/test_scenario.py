@@ -194,6 +194,16 @@ def test_run_scenario_shapes_and_determinism():
     np.testing.assert_array_equal(a.actions, b.actions)
 
 
+@pytest.mark.parametrize("action", [(-2,), [-2], np.array([-2]), np.array([-2.0]), -2, np.float64(-2.0)])
+def test_run_scenario_takes_any_action_form_a_policy_returns(action):
+    lf = make_lead_follow()
+    want = run_scenario(lf, (8.0, 8.0, 30.0), 12, FixedActionPolicy([-2.0]), np.random.default_rng(0))
+    got = run_scenario(lf, (8.0, 8.0, 30.0), 12, lambda state, rng: action, np.random.default_rng(0))
+    assert got.states.tobytes() == want.states.tobytes()
+    assert got.actions.tobytes() == want.actions.tobytes()
+    assert got.actions.dtype == np.float64
+
+
 def test_run_scenario_stops_at_the_collision():
     lf = make_lead_follow(sv="brake")
     traj = run_scenario(lf, (16.0, 0.0, 5.6), 40, FixedActionPolicy([-5.0]),
