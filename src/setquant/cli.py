@@ -13,6 +13,7 @@ set carries) and run_meta.json (timing sidecar, never byte-compared).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys as _stdsys
@@ -21,7 +22,7 @@ import time
 import numpy as np
 
 from .config import ConfigError, RunConfig, materialize, parse_config, serialize_config
-from .geometry import BoxRegion, DeltaCover, boundary_band, build_cover, load_cover_csv
+from .geometry import LATTICE_TOL, BoxRegion, DeltaCover, boundary_band, build_cover, load_cover_csv
 from .oracle import OracleSet, brute_force_invariant, compare_sets, project_to_grid
 from .quantification import (
     cost,
@@ -41,19 +42,10 @@ from .reporting import (
     write_slices_csv,
     write_trajectories_ndjson,
 )
-from .scenario import FiniteActionSet, default_action_samples
+from .scenario import FiniteActionSet, default_action_samples, outside_domain
 from .validation import validate_delta, validate_eps, validate_eps_delta
 
 __all__ = ["main", "dispatch"]
-
-
-def _resolve_output(cfg: RunConfig, flag_value: str | None) -> str:
-    if flag_value:
-        return flag_value
-    env = os.environ.get("SETQUANT_OUTPUT")
-    if env:
-        return env
-    return cfg.output_dir
 
 
 def _candidate_cover(cfg: RunConfig, system, hyper):
@@ -67,20 +59,97 @@ def _candidate_cover(cfg: RunConfig, system, hyper):
         if cover.centers.shape[1] != system.state_box.dim or cover.n_active() == 0:
             raise ConfigError("E-DOMAIN", f"options.cells_file {path!r} holds no active "
                                           f"{system.state_box.dim}-dimensional cell")
+        if outside_domain(system, cover.active_centers()).any():
+            raise ConfigError("E-DOMAIN", f"options.cells_file {path!r} holds an active center "
+                                          "outside the state box")
         return cover
     return build_cover(system.state_box, hyper.delta0)
+
+
+# Every runner takes (cfg, system, actions, hyper, workers, record) and returns
+# (report payload, success, {artifact name: cover}).  The library functions are
+# looked up as this module's globals at call time, so rebinding one here (as a
+# benchmark or a tracer does) takes effect.
+
+
+def _validate(cfg, system, actions, hyper, workers, record):
+    """val-*: the verdict, and the candidate cover unless the candidate is a box."""
+    opts, alg = cfg.options, cfg.algorithm
+    if "region_box" in opts:
+        region = BoxRegion(*np.transpose(opts["region_box"]))  # the lower and the upper bounds
+    else:
+        region = _candidate_cover(cfg, system, hyper)
+    if alg == "val-delta":
+        u0 = opts.get("fixed_action")
+        if u0 is None:
+            if isinstance(actions, FiniteActionSet):
+                u0 = list(actions.points[0])
+            else:
+                u0 = (0.5 * (actions.box.lower + actions.box.upper)).tolist()
+        verdict = validate_delta(system, region, hyper.horizon, lambda s: tuple(u0), record=record)
+    elif alg == "val-eps":
+        verdict = validate_eps(system, region, hyper.horizon, hyper.epsilon, hyper.beta,
+                               actions, rng=cfg.seed, workers=workers, record=record)
+    else:
+        band = boundary_band(system.state_box, system.sigma_bar) if opts.get("boundary_band") else None
+        verdict = validate_eps_delta(system, region, hyper.horizon, hyper.epsilon, hyper.beta,
+                                     actions, rng=cfg.seed, band=band, workers=workers, record=record)
+    covers = {"cells.csv": region} if isinstance(region, DeltaCover) else {}
+    return verdict.to_json_dict(), verdict.result, covers
+
+
+def _oracle(cfg, system, actions, hyper, workers, record):
+    """oracle: the lattice fixed point; its report keeps the config's hyper values as given."""
+    oracle = brute_force_invariant(system, hyper.delta0, action_samples=default_action_samples(actions),
+                                   horizon=cfg.options.get("horizon", 1))
+    vol = oracle.volume()
+    rep = RunReport(algorithm="oracle", seed=cfg.seed, hyper={**cfg.hyper}, final_delta=hyper.delta0,
+                    cell_count=oracle.count(), volume=vol, cost=cost(vol, actions),
+                    converged=oracle.converged)
+    view = DeltaCover(oracle.grid.centers, oracle.grid.radius, oracle.grid.domain, active=oracle.mask)
+    return dataclasses.asdict(rep), oracle.converged, {"oracle.csv": view, "slices.csv": view}
+
+
+def _quantify(cfg, system, actions, hyper, workers, record):
+    """qnt-*: the quantifier's report and its final cover."""
+    opts, alg, seed = cfg.options, cfg.algorithm, cfg.seed
+    if alg == "qnt-vs":
+        result = quantify_vanilla(system, actions, hyper, seed,
+                                  n_attempts=opts.get("n_attempts", 10), record=record)
+    elif alg == "qnt-dp":
+        result = quantify_delta_pruning(system, actions, hyper.delta0, hyper.budget,
+                                        hyper.horizon, seed, hyper=hyper, record=record)
+    elif alg == "qnt-ae":
+        result = quantify_adaptive(system, actions, hyper, seed,
+                                   initial_state=opts.get("initial_state"), record=record)
+    else:
+        result = quantify_spe(system, actions, hyper, seed, prioritized=opts.get("prioritized", False),
+                              replay=opts.get("replay", False), weight_power=opts.get("weight_power", 1.0),
+                              min_feature_scale=opts.get("min_feature_scale"), record=record)
+    cover = result.cover
+    return dataclasses.asdict(result.report), result.converged, {"cells.csv": cover, "slices.csv": cover}
+
+
+_RUNNERS = {"val-delta": _validate, "val-eps": _validate, "val-eps-delta": _validate, "oracle": _oracle,
+            "qnt-vs": _quantify, "qnt-dp": _quantify, "qnt-ae": _quantify, "qnt-spe": _quantify}
+
+# how each cover artifact is written: a cover's centers with its activity flags, or its slices
+_COVER_WRITERS = {
+    "cells.csv": lambda path, cover: write_cells_csv(path, cover, flags=cover.active.astype(int)),
+    "oracle.csv": lambda path, cover: write_oracle_csv(path, cover, cover.active),
+    "slices.csv": lambda path, cover: write_slices_csv(path, cover),
+}
 
 
 def dispatch(cfg: RunConfig, workers: int = 1, output: str | None = None) -> int:
     """Run the configured algorithm and write its artifact set."""
     system, actions, hyper = materialize(cfg)
-    out_dir = _resolve_output(cfg, output)
+    out_dir = output or os.environ.get("SETQUANT_OUTPUT") or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     text = serialize_config(cfg)
     digest = config_digest(text)
     with open(os.path.join(out_dir, "config.txt"), "w") as fh:
         fh.write(text)
-    artifacts = ["report.json", "config.txt"]
 
     emit = cfg.options.get("emit_trajectories", False)
     records: list = []
@@ -94,92 +163,21 @@ def dispatch(cfg: RunConfig, workers: int = 1, output: str | None = None) -> int
             "exit": traj.exit_kind,
         })
 
-    rec = recorder if emit else None
-    opts = cfg.options
     t0 = time.perf_counter()
-    alg = cfg.algorithm
-    exit_code = 0
-
-    if alg in ("val-delta", "val-eps", "val-eps-delta"):
-        if alg == "val-eps" and "cells_file" not in opts and "region_box" in opts:
-            pairs = opts["region_box"]
-            region = BoxRegion([p[0] for p in pairs], [p[1] for p in pairs])
-            cover = None
-        else:
-            cover = _candidate_cover(cfg, system, hyper)
-            region = cover
-        if alg == "val-delta":
-            u0 = opts.get("fixed_action")
-            if u0 is None:
-                if isinstance(actions, FiniteActionSet):
-                    u0 = list(actions.points[0])
-                else:
-                    u0 = (0.5 * (actions.box.lower + actions.box.upper)).tolist()
-            verdict = validate_delta(system, cover, hyper.horizon, lambda s: tuple(u0), record=rec)
-        elif alg == "val-eps":
-            verdict = validate_eps(system, region, hyper.horizon, hyper.epsilon, hyper.beta,
-                                   actions, rng=cfg.seed, workers=workers, record=rec)
-        else:
-            band = boundary_band(system.state_box, system.sigma_bar) if opts.get("boundary_band") else None
-            verdict = validate_eps_delta(system, cover, hyper.horizon, hyper.epsilon, hyper.beta,
-                                         actions, rng=cfg.seed, band=band, workers=workers, record=rec)
-        payload = verdict.to_json_dict()
-        payload["config_digest"] = digest
-        write_report_json(os.path.join(out_dir, "report.json"), payload)
-        if cover is not None:
-            write_cells_csv(os.path.join(out_dir, "cells.csv"), cover, flags=cover.active.astype(int))
-            artifacts.append("cells.csv")
-        exit_code = 0 if verdict.result else 1
-
-    elif alg == "oracle":
-        samples = default_action_samples(actions)
-        oracle = brute_force_invariant(system, hyper.delta0, action_samples=samples,
-                                       horizon=opts.get("horizon", 1))
-        vol = oracle.volume()
-        rep = RunReport(algorithm="oracle", seed=cfg.seed, hyper={**cfg.hyper},
-                        n_fresh_samples=0, n_replayed=0, n_decays=0,
-                        final_delta=hyper.delta0, cell_count=oracle.count(), volume=vol,
-                        cost=cost(vol, actions), converged=oracle.converged, config_digest=digest)
-        write_report_json(os.path.join(out_dir, "report.json"), rep.to_json_dict())
-        write_oracle_csv(os.path.join(out_dir, "oracle.csv"), oracle.grid, oracle.mask)
-        view = DeltaCover(oracle.grid.centers, oracle.grid.radius, oracle.grid.domain, active=oracle.mask)
-        write_slices_csv(os.path.join(out_dir, "slices.csv"), view)
-        artifacts += ["oracle.csv", "slices.csv"]
-        exit_code = 0 if oracle.converged else 1
-
-    else:
-        if alg == "qnt-vs":
-            result = quantify_vanilla(system, actions, hyper, cfg.seed,
-                                      n_attempts=opts.get("n_attempts", 10), record=rec)
-        elif alg == "qnt-dp":
-            result = quantify_delta_pruning(system, actions, hyper.delta0, hyper.budget,
-                                            hyper.horizon, cfg.seed, hyper=hyper, record=rec)
-        elif alg == "qnt-ae":
-            result = quantify_adaptive(system, actions, hyper, cfg.seed,
-                                       initial_state=opts.get("initial_state"), record=rec)
-        elif alg == "qnt-spe":
-            result = quantify_spe(system, actions, hyper, cfg.seed,
-                                  prioritized=opts.get("prioritized", False),
-                                  replay=opts.get("replay", False),
-                                  weight_power=opts.get("weight_power", 1.0),
-                                  min_feature_scale=opts.get("min_feature_scale"),
-                                  record=rec)
-        else:  # pragma: no cover - parse_config guards the algorithm name
-            raise ConfigError("E-DOMAIN", f"unknown algorithm {alg!r}")
-        result.report.config_digest = digest
-        write_report_json(os.path.join(out_dir, "report.json"), result.report.to_json_dict())
-        write_cells_csv(os.path.join(out_dir, "cells.csv"), result.cover,
-                        flags=result.cover.active.astype(int))
-        write_slices_csv(os.path.join(out_dir, "slices.csv"), result.cover)
-        artifacts += ["cells.csv", "slices.csv"]
-        exit_code = 0 if result.converged else 1
-
+    payload, success, covers = _RUNNERS[cfg.algorithm](cfg, system, actions, hyper, workers,
+                                                       recorder if emit else None)
+    payload["config_digest"] = digest
+    write_report_json(os.path.join(out_dir, "report.json"), payload)
+    for name, cover in covers.items():
+        _COVER_WRITERS[name](os.path.join(out_dir, name), cover)
+    artifacts = ["report.json", "config.txt", *covers]
     if emit:
         write_trajectories_ndjson(os.path.join(out_dir, "trajectories.ndjson"), records)
         artifacts.append("trajectories.ndjson")
     wall = time.perf_counter() - t0
     write_run_meta(os.path.join(out_dir, "run_meta.json"), digest, wall, artifacts + ["run_meta.json"])
-    print(f"{alg}: exit {exit_code}, artifacts in {out_dir}")
+    exit_code = 0 if success else 1
+    print(f"{cfg.algorithm}: exit {exit_code}, artifacts in {out_dir}")
     return exit_code
 
 
@@ -228,7 +226,7 @@ def compare_runs(path_a: str, path_b: str, force: bool = False) -> dict:
         raise ValueError("config digests differ; pass --force to compare anyway")
     cover_a, mask_a = geom_a
     cover_b, mask_b = geom_b
-    if abs(cover_a.radius - cover_b.radius) > 1e-9:
+    if abs(cover_a.radius - cover_b.radius) > LATTICE_TOL:
         raise ValueError(f"resolution mismatch: {cover_a.radius} vs {cover_b.radius}")
     view_a = DeltaCover(cover_a.centers, cover_a.radius, cover_a.domain, active=mask_a)
     grid_b = DeltaCover(cover_b.centers, cover_b.radius, cover_b.domain)

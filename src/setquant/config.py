@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .geometry import BoxRegion
+from .geometry import DOMAIN_TOL, BoxRegion
 from .quantification import HyperParams
 from .scenario import (
     BUILTIN_SYSTEMS,
@@ -104,10 +104,24 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and (isinstance(v, int) or math.isfinite(v))
 
 
-# every options.* key the program reads; any other is refused as E-KEY
-_OPTION_KEYS = {"cells_file", "emit_trajectories", "region_box", "fixed_action", "boundary_band",
-                "horizon", "n_attempts", "initial_state", "prioritized", "replay", "weight_power",
-                "min_feature_scale", "adversarial", "action_points"}
+# every options.* key and the algorithms that read it: any other key is refused
+# as E-KEY, and a key that the run's algorithm does not read as E-DOMAIN
+OPTIONS = {
+    "cells_file": ALGORITHMS[:3],
+    "region_box": ("val-eps",),
+    "fixed_action": ("val-delta",),
+    "boundary_band": ("val-eps-delta",),
+    "horizon": ("oracle",),
+    "n_attempts": ("qnt-vs",),
+    "initial_state": ("qnt-ae",),
+    "prioritized": ("qnt-spe",),
+    "replay": ("qnt-spe",),
+    "weight_power": ("qnt-spe",),
+    "min_feature_scale": ("qnt-spe",),
+    "adversarial": ALGORITHMS,
+    "action_points": ALGORITHMS,
+    "emit_trajectories": ALGORITHMS,
+}
 # switches: JSON true or false, nothing else
 _BOOLEAN_OPTIONS = ("adversarial", "boundary_band", "emit_trajectories", "prioritized", "replay")
 
@@ -116,7 +130,9 @@ _NUMERIC_OPTIONS = {"horizon": (True, 1), "n_attempts": (True, 1),
                     "weight_power": (False, 1.0), "min_feature_scale": (False, 0.0)}
 
 
-def _check_options(opts: dict, state_dim: int, action_dim: int) -> None:
+def _check_options(opts: dict, box: BoxRegion, action_dim: int) -> None:
+    """Check the option values; a state or a region must lie in ``box`` as far as ``step`` checks."""
+    state_dim = box.dim
     for key in _BOOLEAN_OPTIONS:
         v = opts.get(key, False)
         _domain(isinstance(v, bool), f"options.{key} must be true or false, got {v!r}")
@@ -128,11 +144,15 @@ def _check_options(opts: dict, state_dim: int, action_dim: int) -> None:
     _domain(state is None or (isinstance(state, list) and len(state) == state_dim
                               and all(_is_number(x) for x in state)),
             f"options.initial_state must be a list of {state_dim} numbers, got {state!r}")
+    _domain(state is None or box.contains(state, DOMAIN_TOL),
+            f"options.initial_state {state!r} lies outside the state box")
     if "region_box" in opts:
         pairs = opts["region_box"]
         _domain(isinstance(pairs, list) and len(pairs) == state_dim,
                 f"options.region_box must be {state_dim} [lower, upper] pairs, got {pairs!r}")
         _check_box_pairs(pairs, "options.region_box")
+        _domain(all(box.contains([p[k] for p in pairs], DOMAIN_TOL) for k in (0, 1)),
+                f"options.region_box {pairs!r} reaches outside the state box")
     action = opts.get("fixed_action")
     _domain(action is None or (isinstance(action, list) and len(action) == action_dim
                                and all(_is_number(x) for x in action)),
@@ -167,7 +187,7 @@ def parse_config(text: str) -> RunConfig:
     pairs = _parse_lines(text)
     for key in pairs:
         if key in _TOP_KEYS or key in _SYSTEM_KEYS or key in _HYPER_KEYS \
-                or (key.startswith("options.") and key.split(".", 1)[1] in _OPTION_KEYS):
+                or (key.startswith("options.") and key.split(".", 1)[1] in OPTIONS):
             continue
         raise ConfigError("E-KEY", f"unknown key {key!r}")
 
@@ -224,6 +244,10 @@ def parse_config(text: str) -> RunConfig:
     _check_hyper(defaults)
 
     options = {k.split(".", 1)[1]: v for k, v in pairs.items() if k.startswith("options.")}
+    for key in options:
+        _domain(algorithm in OPTIONS[key], f"options.{key} is not read by {algorithm}")
+    _domain(not {"region_box", "cells_file"} <= options.keys(),
+            "options.region_box and options.cells_file both name the candidate; set one")
 
     output_dir = pairs.get("output_dir", "setquant-out")
     _domain(isinstance(output_dir, str) and output_dir, "output_dir must be a non-empty path")
@@ -279,7 +303,7 @@ def materialize(cfg: RunConfig) -> tuple[ScenarioSystem, object, HyperParams]:
                 raise ConfigError("E-DOMAIN", f"facet dimension {d} outside 0..{n - 1}")
             sys.facets[(d, side)] = label
 
-    _check_options(cfg.options, sys.state_box.dim, sys.action_box.dim)
+    _check_options(cfg.options, sys.state_box, sys.action_box.dim)
     if cfg.options.get("adversarial"):
         if sys.adversarial is None:
             raise ConfigError("E-DOMAIN", f"system {sys.name!r} defines no adversarial action set")

@@ -31,6 +31,16 @@ __all__ = [
     "load_cover_csv",
 ]
 
+# Slack of a membership test: a point within ``radius + MEMBER_TOL`` of a live
+# center lies in a cover, and one within MEMBER_TOL of a box in the box.
+MEMBER_TOL = 1e-12
+# Slack of the domain check: ``step`` refuses a state farther than this outside the state box.
+DOMAIN_TOL = 1e-9
+# Radii and centers closer than this describe the same lattice.
+LATTICE_TOL = 1e-9
+# Decimals of the rounded coordinates that identify a center (dedup keys, slice groups).
+KEY_DIGITS = 10
+
 
 @dataclass(frozen=True)
 class BoxRegion:
@@ -71,6 +81,10 @@ class BoxRegion:
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lower, self.upper)
 
+    def outside(self, points: np.ndarray) -> np.ndarray:
+        """Per row of (B, n) ``points``, whether it lies farther than ``MEMBER_TOL`` outside the box."""
+        return ~(np.all(points >= self.lower - MEMBER_TOL, axis=1) & np.all(points <= self.upper + MEMBER_TOL, axis=1))
+
 
 @dataclass(frozen=True)
 class Cell:
@@ -109,12 +123,12 @@ def _axis_centers(lo: float, hi: float, delta: float) -> list[float]:
         return [0.5 * (lo + hi)]
     out = []
     c = lo + delta
-    while c <= hi - delta + 1e-12:
+    while c <= hi - delta + MEMBER_TOL:
         out.append(c)
         c += 2.0 * delta
     # the trailing partial cell gets a center clamped inward so its ball
     # still reaches the upper bound without the lattice overshooting it
-    if out[-1] < hi - delta - 1e-12:
+    if out[-1] < hi - delta - MEMBER_TOL:
         out.append(hi - delta)
     return out
 
@@ -123,7 +137,7 @@ def _axis_centers(lo: float, hi: float, delta: float) -> list[float]:
 # tolerance any membership test adds (``project_to_grid``'s default), so a
 # point within radius + tolerance of a live center is always answered from
 # its neighbouring buckets alone.
-_INDEX_TOL = 1e-9
+_INDEX_TOL = LATTICE_TOL
 # Relative widening of a query's reach, past the rounding of a computed
 # distance that is <= reach.  Bucket widths exceed twice the widened reach.
 _WIDEN = 1e-9
@@ -214,14 +228,15 @@ class DeltaCover:
 
     Storage is one growable center buffer (capacity doubles, so appends are
     amortised O(1)) with the activity mask beside it, plus the dedup map of
-    10-digit-rounded coordinates that makes a repeated append return, and
+    ``KEY_DIGITS``-rounded coordinates that makes a repeated append return, and
     reactivate, the existing ordinal.  Nearest-center queries go through a
     sup-norm bucket index (``_BucketIndex``) with bucket width a hair over
-    ``2 * (radius + 1e-9)``, rebuilt lazily once centers were appended: a
-    point is compared only with the centers of the buckets its reach
-    touches, one or two per axis, and a point with no live center within
-    reach falls back to a full scan, so every answer equals the brute-force
-    one bit for bit.
+    ``2 * (radius + _INDEX_TOL)``, rebuilt lazily once centers were appended:
+    a point is compared only with the centers of the buckets its reach
+    touches, one or two per axis.  Membership (``outside``) needs nothing
+    more; the nearest-center queries fall back to a full scan for a point
+    with no center within reach, so every answer equals the brute-force one
+    bit for bit.
     """
 
     def __init__(self, centers, radius: float, domain: BoxRegion, active=None):
@@ -243,7 +258,7 @@ class DeltaCover:
 
     @staticmethod
     def _key(pt) -> tuple:
-        return tuple(round(float(x), 10) for x in pt)
+        return tuple(round(float(x), KEY_DIGITS) for x in pt)
 
     # -- basic accessors -------------------------------------------------
 
@@ -314,11 +329,6 @@ class DeltaCover:
             idx = self._index = _BucketIndex(self.centers, self.domain.lower, h)
         return idx
 
-    def distances(self, point) -> np.ndarray:
-        """Sup-norm distances from ``point`` to every center (active or not)."""
-        p = np.asarray(point, dtype=float)
-        return np.abs(self.centers - p).max(axis=1)
-
     def distances_within(self, points, reach: float) -> np.ndarray:
         """Min sup-norm distance from each row of ``points`` to the active centers, up to ``reach``.
 
@@ -341,6 +351,11 @@ class DeltaCover:
                 best[lo + row[first]] = np.minimum.reduceat(_sup_gaps(self.centers, cand, chunk, row), first)
         best[best > reach] = np.inf
         return best
+
+    def outside(self, points) -> np.ndarray:
+        """Per row of ``points``, whether no live center lies within ``radius + MEMBER_TOL`` of it."""
+        reach = self.radius + MEMBER_TOL
+        return self.distances_within(points, reach) > reach
 
     def batch_distances(self, points) -> np.ndarray:
         """Min sup-norm distance from each row of ``points`` to the active centers."""
@@ -608,7 +623,7 @@ def load_cover_csv(path, domain: BoxRegion | None = None):
     return cover, mask
 
 
-def compare_grids(a: DeltaCover, b: DeltaCover, tol: float = 1e-9) -> bool:
+def compare_grids(a: DeltaCover, b: DeltaCover, tol: float = LATTICE_TOL) -> bool:
     """True when two covers share the same lattice (same centers, same radius)."""
     if abs(a.radius - b.radius) > tol or len(a) != len(b):
         return False

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoxRegion, DeltaCover, build_cover, compare_grids
+from .geometry import LATTICE_TOL, BoxRegion, DeltaCover, build_cover, compare_grids
 from .scenario import ScenarioSystem, default_action_samples, step_batch
 
 __all__ = [
@@ -136,7 +136,7 @@ def brute_force_invariant(sys: ScenarioSystem, delta: float, action_samples=None
     return OracleSet(grid=grid, mask=alive, converged=converged, sweeps=sweeps)
 
 
-def project_to_grid(cover: DeltaCover, grid: DeltaCover, tol: float = 1e-9) -> OracleSet:
+def project_to_grid(cover: DeltaCover, grid: DeltaCover, tol: float = LATTICE_TOL) -> OracleSet:
     """Rasterize an arbitrary cover onto a lattice grid.
 
     A lattice cell is in iff its center lies within the cover (distance to the
@@ -147,7 +147,7 @@ def project_to_grid(cover: DeltaCover, grid: DeltaCover, tol: float = 1e-9) -> O
     return OracleSet(grid=grid, mask=cover.distances_within(grid.centers, reach) <= reach)
 
 
-def compare_sets(a: OracleSet, b: OracleSet, tol: float = 1e-9) -> dict:
+def compare_sets(a: OracleSet, b: OracleSet, tol: float = LATTICE_TOL) -> dict:
     """Volume accounting of two membership masks on the same lattice.
 
     Refuses mismatched lattices: a comparison across resolutions is a silent

@@ -25,15 +25,13 @@ from its ordinal alone.
 from __future__ import annotations
 
 import itertools
-import os
-import pickle
-import tempfile
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import (
+    MEMBER_TOL,
     BoxRegion,
     DeltaCover,
     build_cover,
@@ -84,6 +82,10 @@ class HyperParams:
     def stability_window(self) -> int:
         return sample_size_probabilistic(self.epsilon, self.beta)
 
+    def decay_undershoots(self, radius: float) -> bool:
+        """Whether one more decay of ``radius`` would undershoot ``delta_min``: the run has converged."""
+        return self.gamma * radius < self.delta_min - MEMBER_TOL
+
 
 def hyper_dict(hyper: HyperParams, sys: ScenarioSystem) -> dict:
     return {
@@ -110,15 +112,28 @@ def cost(volume: float, actions) -> float:
 
 @dataclass
 class QuantifyResult:
-    cover: DeltaCover | None
-    actions: object
+    cover: DeltaCover
     report: RunReport
-    converged: bool
     region: BoxRegion | None = None
     verdict: object = None
     graph: "ReachGraph | None" = None
     pruned: list = field(default_factory=list)
     restarts: int = 0
+
+    @property
+    def converged(self) -> bool:
+        return self.report.converged
+
+
+def _result(algorithm: str, sys: ScenarioSystem, actions, hyper: HyperParams, seed: int,
+            cover: DeltaCover, converged: bool, n_fresh: int, n_replayed: int = 0, n_decays: int = 0,
+            **found) -> QuantifyResult:
+    """A quantifier's result: the final ``cover``, its report (volume, cost and final radius read off the cover) and the ``found`` extras."""
+    vol = volume_estimate(cover)
+    rep = RunReport(algorithm=algorithm, seed=seed, hyper=hyper_dict(hyper, sys), final_delta=cover.radius,
+                    cell_count=cover.n_active(), volume=vol, cost=cost(vol, actions), converged=converged,
+                    n_fresh_samples=n_fresh, n_replayed=n_replayed, n_decays=n_decays)
+    return QuantifyResult(cover=cover, report=rep, **found)
 
 
 class ReachGraph:
@@ -176,57 +191,11 @@ def prioritized_weights(dists: np.ndarray, power: float = 1.0) -> np.ndarray:
     return w / s
 
 
-class TrajectoryBuffer:
-    """Append-only store of (start ordinal, states, exit kind) records.
+class TrajectoryBuffer(list):
+    """Append-only list of (start ordinal, states, exit kind) records, replayed in order.
 
-    Keeps up to ``mem_cap`` records in memory and spills the rest to a
-    pickle-framed temporary file, so replay over very long runs cannot
-    exhaust memory.  Iteration yields memory records first, then the spill.
+    It holds at most one record per fresh sample, so at most the sample budget.
     """
-
-    def __init__(self, mem_cap: int = 200_000):
-        self.mem: list = []
-        self.mem_cap = int(mem_cap)
-        self._spill_path: str | None = None
-        self._spill_fh = None
-        self.count = 0
-
-    def append(self, record) -> None:
-        if len(self.mem) < self.mem_cap:
-            self.mem.append(record)
-        else:
-            if self._spill_fh is None:
-                fd, self._spill_path = tempfile.mkstemp(prefix="setquant-replay-", suffix=".pkl")
-                self._spill_fh = os.fdopen(fd, "wb")
-            pickle.dump(record, self._spill_fh, protocol=pickle.HIGHEST_PROTOCOL)
-        self.count += 1
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self):
-        yield from self.mem
-        if self._spill_path is not None:
-            self._spill_fh.flush()
-            with open(self._spill_path, "rb") as fh:
-                while True:
-                    try:
-                        yield pickle.load(fh)
-                    except EOFError:
-                        break
-
-    def close(self) -> None:
-        if self._spill_fh is not None:
-            self._spill_fh.close()
-            os.unlink(self._spill_path)
-            self._spill_fh = None
-            self._spill_path = None
-
-    def __del__(self):
-        try:
-            self.close()
-        except Exception:
-            pass
 
 
 def _sample_desc(seed: int, ordinal: int) -> dict:
@@ -267,19 +236,12 @@ def quantify_vanilla(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int
                                      record=record)
         fresh += verdict.n_samples
         if verdict.result:
-            vol = volume_estimate(cover_v)
-            rep = RunReport(algorithm="qnt-vs", seed=seed, hyper=hyper_dict(hyper, sys),
-                            n_fresh_samples=fresh, n_replayed=0, n_decays=0,
-                            final_delta=hyper.delta0, cell_count=cover_v.n_active(),
-                            volume=vol, cost=cost(vol, actions), converged=True)
-            return QuantifyResult(cover=cover_v, actions=actions, report=rep,
-                                  converged=True, region=box, verdict=verdict)
+            return _result("qnt-vs", sys, actions, hyper, seed, cover_v, True, fresh,
+                           region=box, verdict=verdict)
     empty = DeltaCover(np.empty((0, dom.dim)), hyper.delta0, dom)
-    rep = RunReport(algorithm="qnt-vs", seed=seed, hyper=hyper_dict(hyper, sys),
-                    n_fresh_samples=fresh, n_replayed=0, n_decays=0,
-                    final_delta=hyper.delta0, cell_count=0, volume=0.0,
-                    cost=0.0, converged=False)
-    return QuantifyResult(cover=empty, actions=actions, report=rep, converged=False)
+    res = _result("qnt-vs", sys, actions, hyper, seed, empty, False, fresh)
+    res.report.cost = 0.0  # not cost(0.0, ...), which is -0.0
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -311,21 +273,11 @@ def quantify_delta_pruning(sys: ScenarioSystem, actions, delta: float, n_samples
         n += 1
         if record is not None:
             record(i, traj)
-        bad = traj.exit_kind == EXIT_UNSAFE
-        if not bad and len(traj) > 1:
-            d = cover.batch_distances(traj.states[1:])
-            bad = bool(np.any(d > delta + 1e-12))
-        if bad:
+        if traj.exit_kind == EXIT_UNSAFE or cover.outside(traj.states[1:]).any():
             cover.deactivate([idx])
-    vol = volume_estimate(cover)
     hy = hyper if hyper is not None else HyperParams(delta0=delta, delta_min=delta,
                                                     horizon=horizon, budget=int(n_samples))
-    nonempty = cover.n_active() > 0
-    rep = RunReport(algorithm="qnt-dp", seed=seed, hyper=hyper_dict(hy, sys),
-                    n_fresh_samples=n, n_replayed=0, n_decays=0, final_delta=delta,
-                    cell_count=cover.n_active(), volume=vol, cost=cost(vol, actions),
-                    converged=nonempty)
-    return QuantifyResult(cover=cover, actions=actions, report=rep, converged=nonempty)
+    return _result("qnt-dp", sys, actions, hy, seed, cover, cover.n_active() > 0, n)
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +324,12 @@ def quantify_adaptive(sys: ScenarioSystem, actions, hyper: HyperParams, seed: in
                 last_restart_n = n
                 event = True
                 break
-            d = cover.batch_distances(states[t])
-            if float(d[0]) > cover.radius + 1e-12:
+            if cover.outside(states[t])[0]:
                 cover.append(states[t])
                 event = True
         streak = 0 if event else streak + 1
         if streak >= n_eps:
-            if hyper.gamma * cover.radius < hyper.delta_min - 1e-12:
+            if hyper.decay_undershoots(cover.radius):
                 converged = True
                 break
             cover.radius = hyper.gamma * cover.radius
@@ -387,13 +338,8 @@ def quantify_adaptive(sys: ScenarioSystem, actions, hyper: HyperParams, seed: in
     if not converged and restarts > 0 and (n - last_restart_n) <= n_eps:
         # still being knocked back to square one when the budget ran out
         cover = DeltaCover(np.empty((0, dom.dim)), cover.radius, dom)
-    vol = volume_estimate(cover)
-    rep = RunReport(algorithm="qnt-ae", seed=seed, hyper=hyper_dict(hyper, sys),
-                    n_fresh_samples=n, n_replayed=0, n_decays=decays,
-                    final_delta=cover.radius, cell_count=cover.n_active(),
-                    volume=vol, cost=cost(vol, actions), converged=converged)
-    return QuantifyResult(cover=cover, actions=actions, report=rep, converged=converged,
-                          restarts=restarts)
+    return _result("qnt-ae", sys, actions, hyper, seed, cover, converged, n, n_decays=decays,
+                   restarts=restarts)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +359,7 @@ _REPLAY_CHUNK = 64
 def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
                  prioritized: bool = False, replay: bool = False, weight_power: float = 1.0,
                  min_feature_scale: float | None = None, domain: BoxRegion | None = None,
-                 replay_mem_cap: int = 200_000, trace=None, record=None) -> QuantifyResult:
+                 trace=None, record=None) -> QuantifyResult:
     """Shrinking-cover quantification with ancestor pruning and discovery.
 
     Starts from a full-domain cover at ``delta0``.  Every sample rolls out
@@ -446,7 +392,7 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
     if min_feature_scale is None:
         warnings.warn("no minimum feature scale declared: whether the initial resolution "
                       "can see every part of the target set is unverifiable")
-    elif (hyper.delta0 / 2.0) ** sys.state_box.dim > min_feature_scale + 1e-12:
+    elif (hyper.delta0 / 2.0) ** sys.state_box.dim > min_feature_scale + MEMBER_TOL:
         warnings.warn(f"initial cell scale ({hyper.delta0}/2)^{sys.state_box.dim} exceeds "
                       f"the declared minimum feature scale {min_feature_scale}")
     if hyper.horizon < 1:
@@ -461,7 +407,7 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
     policy = UniformPolicy(actions)
     steps = hyper.horizon - 1
     draw_noise = noise_sampler(sys, policy, steps)
-    buffer = TrajectoryBuffer(replay_mem_cap) if replay else None
+    buffer = TrajectoryBuffer() if replay else None
     n = 0
     streak = 0
     decays = 0
@@ -488,21 +434,27 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
         dist_to_pruned = np.minimum(dist_to_pruned, np.abs(cover.centers - p).max(axis=1))
 
     def cover_distances(parts: list) -> list:
-        """``cover.batch_distances(states)`` for each array of ``parts``, with one query."""
+        """Each array of ``parts``' distances to the cover, ``inf`` beyond the member limit, with one query."""
         sizes = [p.shape[0] for p in parts]
         if not sum(sizes):
             return [np.empty(0)] * len(parts)
-        return np.split(cover.batch_distances(np.concatenate(parts)), np.cumsum(sizes)[:-1])
+        reach = cover.radius + MEMBER_TOL
+        return np.split(cover.distances_within(np.concatenate(parts), reach), np.cumsum(sizes)[:-1])
 
     def apply_trajectory(start_ord: int, states: np.ndarray, exit_kind: str, base_d) -> bool:
-        """Apply one trajectory; ``base_d`` holds the distances of ``states[1:]`` to the cover."""
+        """Apply one trajectory; ``base_d`` holds the distances of ``states[1:]`` to the cover.
+
+        Only whether a distance exceeds ``limit`` matters, also after taking its
+        minimum with the distances to this trajectory's new centers, so a stray
+        state's distance may be ``inf``.
+        """
         nonlocal weights_cum
         if not cover.active[start_ord]:
             return False
         length = states.shape[0]
         if length < 2:
             return False
-        limit = cover.radius + 1e-12
+        limit = cover.radius + MEMBER_TOL
         if exit_kind != EXIT_UNSAFE and (dist_to_pruned[start_ord] <= limit or base_d.max() <= limit):
             return False  # no prune, and no state can be a discovery
         event = False
@@ -592,7 +544,7 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
                 sel.bit_generator.state = drawn[j]  # rewind past the dropped draws
                 break
         if streak >= n_eps:
-            if hyper.gamma * cover.radius < hyper.delta_min - 1e-12:
+            if hyper.decay_undershoots(cover.radius):
                 converged = True
                 break
             margin = hyper.gamma * cover.radius
@@ -604,12 +556,5 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
             weights_cum = None
             if buffer is not None:
                 replay_buffer()
-    if buffer is not None:
-        buffer.close()
-    vol = volume_estimate(cover)
-    rep = RunReport(algorithm="qnt-spe", seed=seed, hyper=hyper_dict(hyper, sys),
-                    n_fresh_samples=n, n_replayed=replayed, n_decays=decays,
-                    final_delta=cover.radius, cell_count=cover.n_active(),
-                    volume=vol, cost=cost(vol, actions), converged=converged)
-    return QuantifyResult(cover=cover, actions=actions, report=rep, converged=converged,
-                          graph=graph, pruned=pruned_pts)
+    return _result("qnt-spe", sys, actions, hyper, seed, cover, converged, n, replayed, decays,
+                   graph=graph, pruned=pruned_pts)

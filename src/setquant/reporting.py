@@ -13,11 +13,11 @@ import csv
 import hashlib
 import json
 import platform
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DeltaCover, save_cover_csv, _fmt
+from .geometry import KEY_DIGITS, DeltaCover, save_cover_csv, _fmt
 
 __all__ = [
     "RunReport",
@@ -36,6 +36,7 @@ __all__ = [
 class RunReport:
     """Summary of one quantification or oracle run.
 
+    report.json holds its ``dataclasses.asdict`` plus the config digest.
     Timing is deliberately kept out of it: the run's wall time goes to the
     run_meta.json sidecar, so that report.json stays byte-identical across
     repeated runs of the same configuration.
@@ -44,31 +45,14 @@ class RunReport:
     algorithm: str
     seed: int
     hyper: dict
-    n_fresh_samples: int
-    n_replayed: int
-    n_decays: int
     final_delta: float
     cell_count: int
     volume: float
     cost: float
-    config_digest: str | None = None
-    converged: bool = True
-
-    def to_json_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "hyper": self.hyper,
-            "n_fresh_samples": self.n_fresh_samples,
-            "n_replayed": self.n_replayed,
-            "n_decays": self.n_decays,
-            "final_delta": self.final_delta,
-            "cell_count": self.cell_count,
-            "volume": self.volume,
-            "cost": self.cost,
-            "converged": self.converged,
-            "config_digest": self.config_digest,
-        }
+    converged: bool
+    n_fresh_samples: int = 0
+    n_replayed: int = 0
+    n_decays: int = 0
 
 
 def canonical_json(payload: dict) -> str:
@@ -110,7 +94,7 @@ def write_slices_csv(path, cover: DeltaCover) -> None:
     for axis in range(n):
         groups: dict = {}
         for c in act:
-            key = tuple(round(float(c[d]), 10) for d in range(n) if d != axis)
+            key = tuple(round(float(c[d]), KEY_DIGITS) for d in range(n) if d != axis)
             v = float(c[axis])
             lohi = groups.get(key)
             if lohi is None:

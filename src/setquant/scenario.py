@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import BoxRegion
+from .geometry import DOMAIN_TOL, BoxRegion
 
 __all__ = [
     "Facet",
@@ -125,7 +125,7 @@ class BoxActionSet:
         """Volume of the box (the size term used by the cost functional)."""
         return self.box.volume
 
-    def contains(self, u, tol: float = 1e-9) -> bool:
+    def contains(self, u, tol: float = DOMAIN_TOL) -> bool:
         return self.box.contains(np.atleast_1d(u), tol=tol)
 
     def describe(self) -> dict:
@@ -155,7 +155,7 @@ class FiniteActionSet:
     def measure(self) -> float:
         return float(len(self.points))
 
-    def contains(self, u, tol: float = 1e-9) -> bool:
+    def contains(self, u, tol: float = DOMAIN_TOL) -> bool:
         arr = np.atleast_1d(u)
         return any(np.abs(np.asarray(p) - arr).max() <= tol for p in self.points)
 
@@ -461,7 +461,7 @@ def step(sys: ScenarioSystem, state, action, omega) -> tuple:
 
 
 def _check_state(st: tuple, lo: list, hi: list) -> None:
-    if any(st[d] < lo[d] - 1e-9 or st[d] > hi[d] + 1e-9 for d in range(len(st))):
+    if any(st[d] < lo[d] - DOMAIN_TOL or st[d] > hi[d] + DOMAIN_TOL for d in range(len(st))):
         raise ValueError(f"state {st} outside the domain")
 
 
@@ -497,7 +497,7 @@ def _transit(sys: ScenarioSystem, st: tuple, u: tuple, omega, lo: list, hi: list
 
 def outside_domain(sys: ScenarioSystem, states) -> np.ndarray:
     """Per row of (B, n) ``states``, whether ``step`` would refuse it as outside the domain."""
-    return ((states < sys.state_box.lower - 1e-9) | (states > sys.state_box.upper + 1e-9)).any(axis=1)
+    return ((states < sys.state_box.lower - DOMAIN_TOL) | (states > sys.state_box.upper + DOMAIN_TOL)).any(axis=1)
 
 
 def step_batch(sys: ScenarioSystem, states, actions, omegas) -> tuple[np.ndarray, np.ndarray]:
@@ -830,7 +830,7 @@ def default_action_samples(actions) -> list:
     return [tuple(p) for p in itertools.product(*axes)]
 
 
-def adversarial_actions(sys: ScenarioSystem, state, facet: Facet, actions=None, candidates=None, tol: float = 1e-9) -> list:
+def adversarial_actions(sys: ScenarioSystem, state, facet: Facet, actions=None, candidates=None, tol: float = DOMAIN_TOL) -> list:
     """Candidate actions that most closely approach ``facet`` in one step.
 
     Evaluates the one-step map from ``state`` (zero disturbance) under a

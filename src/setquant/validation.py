@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoxRegion, DeltaCover, signed_distance
+from .geometry import DeltaCover
 from .scenario import (
     EXIT_UNSAFE,
     ScenarioSystem,
@@ -98,38 +98,6 @@ class ValidationVerdict:
 
 
 # ---------------------------------------------------------------------------
-# membership predicates over the candidate region
-# ---------------------------------------------------------------------------
-
-
-class _BoxMembership:
-    def __init__(self, box: BoxRegion):
-        self.box = box
-        self.delta = None
-
-    def outside(self, states: np.ndarray) -> np.ndarray:
-        """Per row of ``states``, whether it lies outside the box."""
-        return ~(np.all(states >= self.box.lower - 1e-12, axis=1) & np.all(states <= self.box.upper + 1e-12, axis=1))
-
-
-class _CoverMembership:
-    def __init__(self, cover: DeltaCover):
-        self.cover = cover
-        self.delta = cover.radius
-
-    def outside(self, states: np.ndarray) -> np.ndarray:
-        """Per row of ``states``, whether it lies farther than delta from every active center."""
-        # a stray state needs no exact distance, so no full scan: distances_within gives it inf
-        reach = self.cover.radius + 1e-12
-        return self.cover.distances_within(states, reach) > reach
-
-
-def _check_trajectory(traj: Trajectory, membership) -> bool:
-    """True when the rollout stayed safe and inside the candidate region."""
-    return traj.exit_kind != EXIT_UNSAFE and not membership.outside(traj.states[1:]).any()
-
-
-# ---------------------------------------------------------------------------
 # per-sample random streams (replayable, order-independent)
 # ---------------------------------------------------------------------------
 
@@ -160,7 +128,7 @@ def _child_seeds(rng, n: int) -> list[dict]:
 _BLOCK = 256
 
 
-def _run_block(sys, x0, first, draw, seed_descs, membership, record) -> int:
+def _run_block(sys, x0, first, draw, seed_descs, region, record) -> int:
     """Roll samples ``first .. first + len(x0) - 1`` in lock-step; returns the lowest failing index or -1.
 
     A row stops when it goes unsafe; the others run to the horizon, and a
@@ -173,7 +141,7 @@ def _run_block(sys, x0, first, draw, seed_descs, membership, record) -> int:
     safe = np.flatnonzero(~failed)
     steps = rolls.states.shape[1] - 1
     states = rolls.states[safe, 1:].reshape(-1, x0.shape[1])
-    failed[safe] = membership.outside(states).reshape(safe.size, steps).any(axis=1)
+    failed[safe] = region.outside(states).reshape(safe.size, steps).any(axis=1)
     bad = np.flatnonzero(failed)
     if record is not None:
         for j in range(bad[0] + 1 if bad.size else len(x0)):
@@ -181,7 +149,7 @@ def _run_block(sys, x0, first, draw, seed_descs, membership, record) -> int:
     return first + int(bad[0]) if bad.size else -1
 
 
-def _run_samples(sys, starts, horizon, policy, seed_descs, membership, workers: int, record=None):
+def _run_samples(sys, starts, horizon, policy, seed_descs, region, workers: int, record=None):
     """Run the samples in index order; returns the earliest failing index or -1.
 
     The samples go through in blocks of ``_BLOCK``, each rolled in lock-step
@@ -205,7 +173,7 @@ def _run_samples(sys, starts, horizon, policy, seed_descs, membership, workers: 
         outside = np.flatnonzero(outside_domain(sys, x0))
         stop = int(outside[0]) if outside.size else n
     for lo in range(0, stop, _BLOCK):
-        bad = _run_block(sys, x0[lo:min(lo + _BLOCK, stop)], lo, draw, seed_descs, membership, record)
+        bad = _run_block(sys, x0[lo:min(lo + _BLOCK, stop)], lo, draw, seed_descs, region, record)
         if bad >= 0:
             return bad
     if stop < n:
@@ -227,7 +195,6 @@ def validate_delta(sys: ScenarioSystem, cover: DeltaCover, horizon: int, policy,
     cover.
     """
     quiet = dataclasses.replace(sys, omega_bar=0.0, facets=dict(sys.facets))
-    membership = _CoverMembership(cover)
     det = lambda state, rng=None: policy(state)
     rng = np.random.Generator(np.random.PCG64(0))  # never consulted
     idx = cover.active_indices()
@@ -236,7 +203,7 @@ def validate_delta(sys: ScenarioSystem, cover: DeltaCover, horizon: int, policy,
         traj = run_scenario(quiet, start, horizon, det, rng)
         if record is not None:
             record(int(k), traj)
-        if not _check_trajectory(traj, membership):
+        if traj.exit_kind == EXIT_UNSAFE or cover.outside(traj.states[1:]).any():
             return ValidationVerdict(
                 result=False, n_samples=int(k + 1), delta=cover.radius, kind="delta",
                 counterexample_start=[float(x) for x in start],
@@ -245,7 +212,7 @@ def validate_delta(sys: ScenarioSystem, cover: DeltaCover, horizon: int, policy,
 
 
 def _validate_sampled(sys, horizon, epsilon, beta, actions, rng, n_samples, workers, record,
-                      membership, pick_starts, kind) -> ValidationVerdict:
+                      region, pick_starts, kind) -> ValidationVerdict:
     """The shared body of ``validate_eps`` and ``validate_eps_delta``.
 
     Sizes the sample (warning when ``n_samples`` is below the bound), spawns
@@ -261,7 +228,7 @@ def _validate_sampled(sys, horizon, epsilon, beta, actions, rng, n_samples, work
     undersampled = n < required
     if undersampled:
         warnings.warn(f"n_samples={n} below the ({epsilon}, {beta}) bound {required}; verdict flagged")
-    delta = membership.delta
+    delta = region.radius if isinstance(region, DeltaCover) else None
     if pick_starts is None:
         return ValidationVerdict(result=True, n_samples=0, epsilon=epsilon, beta=beta, delta=delta,
                                  undersampled=undersampled, kind=kind)
@@ -270,7 +237,7 @@ def _validate_sampled(sys, horizon, epsilon, beta, actions, rng, n_samples, work
     if n:
         starts = pick_starts(sample_stream({"entropy": seed_descs[0]["entropy"], "spawn_key": [2**31]}), n)
     policy = UniformPolicy(actions)
-    bad = _run_samples(sys, starts, horizon, policy, seed_descs, membership, workers, record=record)
+    bad = _run_samples(sys, starts, horizon, policy, seed_descs, region, workers, record=record)
     found = {} if bad < 0 else {
         "counterexample_start": [float(x) for x in starts[bad]],
         "counterexample_seed": seed_descs[bad],
@@ -291,14 +258,12 @@ def validate_eps(sys: ScenarioSystem, region, horizon: int, epsilon: float, beta
     """
     if isinstance(region, DeltaCover):
         act = region.active_indices()
-        membership = _CoverMembership(region)
         pick_starts = lambda pick, n: region.centers[act[pick.integers(act.size, size=n)]]
     else:
-        membership = _BoxMembership(region)
         # n calls of region.sample (numpy's uniform) in one draw: the same values and stream state
         pick_starts = lambda pick, n: region.lower + region.widths * pick.random((n, region.dim))
     return _validate_sampled(sys, horizon, epsilon, beta, actions, rng, n_samples, workers, record,
-                             membership, pick_starts, "eps")
+                             region, pick_starts, "eps")
 
 
 def validate_eps_delta(sys: ScenarioSystem, cover: DeltaCover, horizon: int, epsilon: float,
@@ -318,7 +283,7 @@ def validate_eps_delta(sys: ScenarioSystem, cover: DeltaCover, horizon: int, eps
     if band is not None and act.size == 0:
         pick_starts = None
     return _validate_sampled(sys, horizon, epsilon, beta, actions, rng, n_samples, workers, record,
-                             _CoverMembership(cover), pick_starts, "eps-delta")
+                             cover, pick_starts, "eps-delta")
 
 
 def replay_counterexample(sys: ScenarioSystem, verdict: ValidationVerdict, horizon: int, actions) -> Trajectory:

@@ -44,8 +44,6 @@ from setquant.scenario import (
 )
 from setquant.scenario import _assembled_entropy, _seed_words, child_noise
 from setquant.validation import (
-    _BoxMembership,
-    _CoverMembership,
     _child_seeds,
     _run_samples,
     validate_eps,
@@ -405,13 +403,12 @@ RUNS = {
 
 def runs_agree(sys_, starts, horizon, policy, descs, region) -> int:
     """The block runner's verdict, once checked against the sequential loop, record by record."""
-    membership = _CoverMembership(region) if isinstance(region, DeltaCover) else _BoxMembership(region)
     mine, theirs = [], []
-    got = _run_samples(sys_, starts, horizon, policy, descs, membership, 1,
+    got = _run_samples(sys_, starts, horizon, policy, descs, region, 1,
                        record=lambda i, t: mine.append((i, t)))
     want = sequential(sys_, starts, horizon, policy, descs, region, lambda i, t: theirs.append((i, t)))
     assert got == want
-    assert _run_samples(sys_, starts, horizon, policy, descs, membership, 2) == want
+    assert _run_samples(sys_, starts, horizon, policy, descs, region, 2) == want
     assert [i for i, _ in mine] == [i for i, _ in theirs]
     for (_, a), (_, b) in zip(mine, theirs):
         assert same_bits(a.states, b.states) and same_bits(a.actions, b.actions)
@@ -471,18 +468,17 @@ def test_block_runner_raises_at_a_start_outside_the_domain_like_the_loop():
     toy = make_toy_threshold()
     policy = UniformPolicy(toy.action_box)
     descs = _child_seeds(0, 600)
-    membership = _BoxMembership(toy.state_box)
     starts = [np.array([5.0])] * 600
     starts[530] = np.array([12.0])
     mine, theirs = [], []
     with pytest.raises(ValueError, match="outside the domain"):
-        _run_samples(toy, starts, 4, policy, descs, membership, 1, record=lambda i, t: mine.append(i))
+        _run_samples(toy, starts, 4, policy, descs, toy.state_box, 1, record=lambda i, t: mine.append(i))
     with pytest.raises(ValueError, match="outside the domain"):
         sequential(toy, starts, 4, policy, descs, toy.state_box, lambda i, t: theirs.append(i))
     assert mine == theirs == list(range(530))
     # a failure before the stray start ends the run first
     starts[300] = np.array([0.5])
-    assert _run_samples(toy, starts, 4, policy, descs, membership, 1) == 300
+    assert _run_samples(toy, starts, 4, policy, descs, toy.state_box, 1) == 300
 
 
 # ---------------------------------------------------------------------------

@@ -257,3 +257,61 @@ def test_main_compare_prints_and_saves_canonical_json(tmp_path, capsys):
     payload = json.loads(printed)
     assert payload["volume_ordering"] == "a=b"
     assert np.isclose(payload["metrics"]["jaccard"], 1.0)
+
+
+@pytest.mark.parametrize("algorithm,option", [
+    ("val-eps-delta", "options.replay = true"),
+    ("val-delta", "options.region_box = [[-1, 1]]"),
+    ("oracle", "options.initial_state = [0.5]"),
+    ("qnt-spe", "options.region_box = [[-1, 1]]"),
+    ("qnt-spe", "options.fixed_action = [0.5]"),
+    ("qnt-dp", "options.horizon = 3"),
+])
+def test_main_rejects_an_option_the_algorithm_does_not_read(tmp_path, capsys, algorithm, option):
+    cfg = tmp_path / "u.cfg"
+    cfg.write_text(f"algorithm = {algorithm}\nseed = 0\nsystem.name = toy-shrink\nhyper.N = 200\n{option}\n")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    key = option.split(" =")[0]
+    assert f"E-DOMAIN: {key} is not read by {algorithm}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_rejects_a_region_box_beside_a_cells_file(tmp_path, capsys):
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("algorithm = val-eps\nseed = 0\nsystem.name = toy-shrink\n"
+                   'options.region_box = [[-1, 1]]\noptions.cells_file = "cells.csv"\n')
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    assert "E-DOMAIN: options.region_box and options.cells_file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm,system,option,cells", [
+    ("qnt-ae", "toy-two-basins", "options.initial_state = [50]", None),
+    # lead-follow's gap floor is 5.5
+    ("val-eps", "lead-follow", "options.region_box = [[0, 4], [0, 16], [0, 60]]", None),
+    ("val-eps-delta", "toy-two-basins", "options.cells_file = CELLS", "dim,delta\n1,0.5\n0.5,1\n50,1\n"),
+])
+def test_main_rejects_a_start_region_outside_the_state_box(tmp_path, capsys, algorithm, system, option, cells):
+    if cells is not None:
+        (tmp_path / "cells.csv").write_text(cells)
+        option = option.replace("CELLS", json.dumps(str(tmp_path / "cells.csv")))
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"algorithm = {algorithm}\nseed = 0\nsystem.name = {system}\nhyper.N = 200\nhyper.K = 4\n"
+                   f"{option}\n")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"E-DOMAIN: {option.split(' =')[0]}" in err and "outside the state box" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cfg,cost", [
+    # every cell of toy-shift is pruned: the emptied cover scores cost(0.0, ...), which is -0.0
+    ("algorithm = qnt-spe\nseed = 1\nsystem.name = toy-shift\nhyper.epsilon = 0.05\nhyper.N = 2000\n", "-0.0"),
+    # no guessed box validates: the failed run reports 0.0
+    ("algorithm = qnt-vs\nseed = 0\nsystem.name = toy-shift\nhyper.epsilon = 0.05\noptions.n_attempts = 2\n",
+     "0.0"),
+])
+def test_an_empty_answer_keeps_the_sign_of_its_cost(tmp_path, cfg, cost):
+    _, files = run_into(cfg, tmp_path)
+    report = files["report.json"].decode()
+    assert f'  "cost": {cost},' in report.splitlines()
+    assert json.loads(report)["cell_count"] == 0

@@ -1,8 +1,11 @@
 """Run-config document: parsing, validation codes, round-trip, materialize."""
 
+import pathlib
+import re
+
 import pytest
 
-from setquant.config import ConfigError, materialize, parse_config, serialize_config
+from setquant.config import ALGORITHMS, OPTIONS, ConfigError, materialize, parse_config, serialize_config
 from setquant.quantification import HyperParams
 from setquant.scenario import BoxActionSet, FiniteActionSet
 
@@ -129,3 +132,12 @@ def test_materialize_rejects_adversarial_on_systems_without_one():
     with pytest.raises(ConfigError) as err:
         materialize(cfg)
     assert err.value.code == "E-DOMAIN"
+
+
+def test_readme_options_table_is_the_schema():
+    """README's options table names every option with exactly the algorithms that read it."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` +\| ([^|]+)\|", text, re.M)
+    readers = {key: set(ALGORITHMS) if cell.strip() == "all" else set(re.findall(r"`([\w-]+)`", cell))
+               for key, cell in rows}
+    assert readers == {key: set(algs) for key, algs in OPTIONS.items()}

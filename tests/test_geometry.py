@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setquant.geometry import (
+    MEMBER_TOL,
     BoxRegion,
     DeltaCover,
     boundary_band,
@@ -185,6 +186,39 @@ def test_bucket_kernel_on_bucket_boundaries_equals_the_scan(case, extra, data):
         np.testing.assert_array_equal(cover.batch_distances(pts), d)
     want = np.abs(pts[:, None, :] - cover.centers[None, :, :]).max(axis=2).argmin(axis=1)
     np.testing.assert_array_equal(cover.nearest_all(pts), want)
+
+
+@given(scrambled_covers(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_outside_equals_the_brute_force_scan(case, emptied):
+    """``outside`` is ``d > radius + MEMBER_TOL`` for ``d`` the scanned distance to the live centers.
+
+    The queries add far points and points at the member limit of a center,
+    dead or alive, on one axis; an emptied cover has every point outside.
+    """
+    cover, rng = case
+    if emptied:
+        cover.deactivate(cover.active_indices())
+    limit = cover.radius + MEMBER_TOL
+    pick = cover.centers[rng.integers(0, len(cover), size=40)]
+    axis = rng.integers(0, cover.dim, size=40)
+    at_limit = pick.copy()
+    at_limit[np.arange(40), axis] += rng.choice([-limit, limit, np.nextafter(limit, np.inf)], size=40)
+    far = pick + rng.choice([-1.0, 1.0], size=pick.shape) * rng.uniform(10.0, 1e6, size=pick.shape)
+    pts = np.concatenate([query_points(cover, rng), at_limit, far])
+    d = np.abs(pts[:, None, :] - cover.active_centers()[None, :, :]).max(axis=2).min(axis=1, initial=np.inf)
+    np.testing.assert_array_equal(cover.outside(pts), d > limit)
+
+
+def test_outside_at_the_member_limit():
+    cv = DeltaCover(np.array([[0.0], [5.0]]), 1.0, BoxRegion([-2.0], [8.0]))
+    limit = 1.0 + MEMBER_TOL
+    pts = [[limit], [-limit], [np.nextafter(limit, 2.0)], [5.0 - limit], [1e9]]
+    assert cv.outside(pts).tolist() == [False, False, True, False, True]
+    cv.deactivate([1])  # a dead center holds nothing
+    assert cv.outside(pts).tolist() == [False, False, True, True, True]
+    cv.deactivate([0])
+    assert cv.outside(pts).all()
 
 
 def test_nearest_center_tie_goes_to_the_lowest_ordinal():

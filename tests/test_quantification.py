@@ -19,7 +19,6 @@ from setquant.quantification import (
     quantify_spe,
     quantify_vanilla,
     reachable_closure,
-    TrajectoryBuffer,
 )
 from setquant.scenario import (
     BoxActionSet,
@@ -99,17 +98,6 @@ def test_reachable_closure_collects_ancestors_only():
     assert reachable_closure(g, 2) == {0, 1, 2, 3}
     assert reachable_closure(g, 4) == {0, 1, 2, 3, 4}
     assert reachable_closure(g, 0) == {0}
-
-
-def test_trajectory_buffer_spills_and_replays_in_order():
-    buf = TrajectoryBuffer(mem_cap=2)
-    recs = [(i, np.array([[float(i)], [float(i) + 1]]), "none") for i in range(5)]
-    for r in recs:
-        buf.append(r)
-    out = list(buf)
-    assert [r[0] for r in out] == [0, 1, 2, 3, 4]
-    np.testing.assert_array_equal(out[4][1], recs[4][1])
-    buf.close()
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +201,7 @@ def test_spe_is_bit_reproducible_per_seed():
     b = quantify_spe(toy, toy.action_box, HP, 7)
     np.testing.assert_array_equal(a.cover.centers, b.cover.centers)
     np.testing.assert_array_equal(a.cover.active, b.cover.active)
-    assert a.report.to_json_dict() == b.report.to_json_dict()
+    assert a.report == b.report
     c = quantify_spe(toy, toy.action_box, HP, 8)
     assert not np.array_equal(a.cover.centers, c.cover.centers)
 

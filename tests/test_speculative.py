@@ -156,8 +156,6 @@ def sequential_spe(sys, actions, hyper, seed, prioritized=False, replay=False, w
                 for start_ord, states, exit_kind in buffer:
                     replayed += max(0, states.shape[0] - 1)
                     apply_trajectory(start_ord, states, exit_kind)
-    if buffer is not None:
-        buffer.close()
     vol = volume_estimate(cover)
     rep = RunReport(algorithm="qnt-spe", seed=seed, hyper=hyper_dict(hyper, sys),
                     n_fresh_samples=n, n_replayed=replayed, n_decays=decays,
@@ -234,7 +232,7 @@ def test_speculative_blocks_equal_the_sequential_loop(name):
     (rep, cover, pruned, graph), want_traces, want_records = observed(lambda **kw: sequential_spe(
         sys_, actions, hyper, seed, prioritized=prioritized, replay=replay, **kw))
 
-    assert got.report.to_json_dict() == rep.to_json_dict()
+    assert got.report == rep
     assert same_bits(got.cover.centers, cover.centers)
     np.testing.assert_array_equal(got.cover.active, cover.active)
     assert got.cover.radius == cover.radius

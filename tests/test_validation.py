@@ -14,7 +14,6 @@ from setquant.scenario import (
     make_toy_threshold,
 )
 from setquant.validation import (
-    _BoxMembership,
     _child_seeds,
     _run_samples,
     replay_counterexample,
@@ -149,7 +148,7 @@ def test_runner_returns_the_lowest_failure_across_blocks(monkeypatch):
     toy = make_toy_threshold()
     starts = [np.array([0.5 if i in (5, 11, 15) else 5.0]) for i in range(16)]
     args = (toy, starts, 4, UniformPolicy(toy.action_box), _child_seeds(0, 16),
-            _BoxMembership(toy.state_box))
+            toy.state_box)
     assert _run_samples(*args, 1) == 5
     assert _run_samples(*args, 2) == 5
 
