@@ -120,7 +120,7 @@ OPTIONS = {
     "min_feature_scale": ("qnt-spe",),
     "adversarial": ALGORITHMS,
     "action_points": ALGORITHMS,
-    "emit_trajectories": ALGORITHMS,
+    "emit_trajectories": tuple(a for a in ALGORITHMS if a != "oracle"),  # the oracle logs no rollout
 }
 # switches: JSON true or false, nothing else
 _BOOLEAN_OPTIONS = ("adversarial", "boundary_band", "emit_trajectories", "prioritized", "replay")

@@ -29,6 +29,8 @@ __all__ = [
     "volume_estimate",
     "save_cover_csv",
     "load_cover_csv",
+    "key_round",
+    "scan_distances",
 ]
 
 # Slack of a membership test: a point within ``radius + MEMBER_TOL`` of a live
@@ -116,21 +118,69 @@ def signed_distance(point, box: BoxRegion) -> float:
     return float(-slack.min())
 
 
-def _axis_centers(lo: float, hi: float, delta: float) -> list[float]:
-    """Lattice of 1-d centers with pitch ``2*delta`` whose balls cover [lo, hi]."""
-    width = hi - lo
-    if width < 2.0 * delta:
-        return [0.5 * (lo + hi)]
-    out = []
-    c = lo + delta
-    while c <= hi - delta + MEMBER_TOL:
-        out.append(c)
-        c += 2.0 * delta
-    # the trailing partial cell gets a center clamped inward so its ball
-    # still reaches the upper bound without the lattice overshooting it
-    if out[-1] < hi - delta - MEMBER_TOL:
-        out.append(hi - delta)
+def _lattices(lo: np.ndarray, hi: np.ndarray, delta: float) -> np.ndarray:
+    """The ``build_cover`` centers of every box ``[lo[i], hi[i]]``, box after box, as one array.
+
+    Per box and axis the centers run ``lo + delta``, then ``+= 2*delta`` in
+    sequence (``np.add.accumulate`` adds in order) while they stay within
+    ``hi - delta``; a trailing partial cell gets a center clamped inward to
+    ``hi - delta`` so its ball still reaches the upper bound without the
+    lattice overshooting it, and an axis narrower than one full cell gets a
+    single midpoint.  A box's centers are the product of its axes, the last
+    axis varying fastest.
+    """
+    k, n = lo.shape
+    two = 2.0 * delta
+    axes, counts = [], np.empty((k, n), dtype=np.int64)
+    rows = np.arange(k)
+    for a in range(n):
+        low, high = lo[:, a], hi[:, a]
+        narrow = high - low < two
+        # at most width // two + 1 centers fit, so the last column never does
+        steps = int(np.max((high - low) // two, initial=0.0)) + 2
+        run = np.add.accumulate(np.column_stack([low + delta, np.full((k, steps - 1), two)]), axis=1)
+        fit = (run <= (high - delta + MEMBER_TOL)[:, None]).sum(axis=1)
+        trail = ~narrow & (run[rows, fit - 1] < high - delta - MEMBER_TOL)
+        run[rows[trail], fit[trail]] = (high - delta)[trail]
+        run[narrow, 0] = 0.5 * (low + high)[narrow]
+        axes.append(run)
+        counts[:, a] = np.where(narrow, 1, fit + trail)
+    total = counts.prod(axis=1)
+    owner = np.repeat(rows, total)
+    t = np.arange(owner.size) - np.repeat(np.cumsum(total) - total, total)
+    out = np.empty((owner.size, n))
+    for a in reversed(range(n)):
+        c = counts[owner, a]
+        out[:, a] = axes[a][owner, t % c]
+        t //= c
     return out
+
+
+def _per_distinct(fn, values, dtype) -> np.ndarray:
+    """``fn`` of every entry of a float array, called once per distinct bit pattern.
+
+    Bit patterns, not values, so -0.0 and 0.0 stay apart: Python's ``round``
+    and ``_fmt`` keep the sign of a zero.
+    """
+    a = np.ascontiguousarray(values, dtype=float)
+    bits, inv = np.unique(a.view(np.int64), return_inverse=True)
+    return np.array([fn(x) for x in bits.view(float).tolist()], dtype=dtype)[inv].reshape(a.shape)
+
+
+def key_round(points) -> np.ndarray:
+    """``round(float(x), KEY_DIGITS)`` of every entry, bit for bit: the coordinates that identify a center.
+
+    Dedup keys and slice groups are these rounded coordinates.  ``np.round``
+    is no substitute: it scales by a power of ten and rounds differently near
+    half-way values, so Python's correctly rounded ``round`` runs once per
+    distinct value instead.
+    """
+    return _per_distinct(lambda x: round(x, KEY_DIGITS), points, float)
+
+
+def _center_keys(points) -> list:
+    """The dedup key of each row of (m, n) ``points``: its ``key_round`` coordinates as a tuple."""
+    return list(map(tuple, key_round(points).tolist()))
 
 
 # Reach slack of the bucket index on top of the cover radius: the largest
@@ -141,7 +191,7 @@ _INDEX_TOL = LATTICE_TOL
 # Relative widening of a query's reach, past the rounding of a computed
 # distance that is <= reach.  Bucket widths exceed twice the widened reach.
 _WIDEN = 1e-9
-# Point-center differences per chunk of the brute-force fallback scan.
+# Point-center differences per chunk of a brute-force scan (``scan_distances``, ``nearest_all``'s fallback).
 _SCAN_CHUNK = 1 << 20
 # Query points per chunk of ``DeltaCover.distances_within`` and ``nearest_all``.
 _QUERY_ROWS = 1 << 11
@@ -219,6 +269,23 @@ def _sup_gaps(centers: np.ndarray, cand: np.ndarray, pts: np.ndarray, row: np.nd
     return d
 
 
+def scan_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Min sup-norm distance from each row of ``points`` to the rows of non-empty ``centers``, by a full scan.
+
+    Rows go through in chunks of at most ``_SCAN_CHUNK`` point-center
+    differences, so transient memory stays bounded whatever their number.
+    """
+    out = np.empty(points.shape[0])
+    rows = max(1, _SCAN_CHUNK // centers.size)
+    for i in range(0, points.shape[0], rows):
+        chunk = points[i:i + rows]
+        d = np.abs(chunk[:, None, 0] - centers[None, :, 0])
+        for a in range(1, centers.shape[1]):  # one axis at a time: a max over a short last axis is slow
+            np.maximum(d, np.abs(chunk[:, None, a] - centers[None, :, a]), out=d)
+        out[i:i + rows] = d.min(axis=1)
+    return out
+
+
 class DeltaCover:
     """A finite set of centers whose closed ``radius``-balls cover a region.
 
@@ -227,9 +294,10 @@ class DeltaCover:
     store ordinals stay valid across pruning and refinement.
 
     Storage is one growable center buffer (capacity doubles, so appends are
-    amortised O(1)) with the activity mask beside it, plus the dedup map of
-    ``KEY_DIGITS``-rounded coordinates that makes a repeated append return, and
-    reactivate, the existing ordinal.  Nearest-center queries go through a
+    amortised O(1)) with the activity mask beside it, plus the dedup map from
+    a center's ``key_round`` coordinates to its ordinal (the last one, when
+    the initial centers repeat a key) that makes a repeated append return,
+    and reactivate, the existing ordinal.  Nearest-center queries go through a
     sup-norm bucket index (``_BucketIndex``) with bucket width a hair over
     ``2 * (radius + _INDEX_TOL)``, rebuilt lazily once centers were appended:
     a point is compared only with the centers of the buckets its reach
@@ -253,12 +321,8 @@ class DeltaCover:
             self._act = np.ones(self._n, dtype=bool)
         else:
             self._act = np.asarray(active, dtype=bool).copy()
-        self._seen = {self._key(c): i for i, c in enumerate(self._buf)}
+        self._seen = dict(zip(_center_keys(self._buf), range(self._n)))
         self._index = None
-
-    @staticmethod
-    def _key(pt) -> tuple:
-        return tuple(round(float(x), KEY_DIGITS) for x in pt)
 
     # -- basic accessors -------------------------------------------------
 
@@ -300,7 +364,7 @@ class DeltaCover:
         the hole-refilling move the discovery rule relies on.
         """
         pt = np.asarray(point, dtype=float)
-        key = self._key(pt)
+        key = _center_keys(pt.reshape(1, -1))[0]
         if key in self._seen:
             i = self._seen[key]
             self.active[i] = True
@@ -365,11 +429,7 @@ class DeltaCover:
         d = self.distances_within(pts, self.radius + _INDEX_TOL)
         far = np.flatnonzero(np.isinf(d))
         if far.size:
-            act = self.active_centers()
-            rows = max(1, _SCAN_CHUNK // act.size)
-            d[far] = np.concatenate([
-                np.abs(pts[far[i:i + rows], None, :] - act[None, :, :]).max(axis=2).min(axis=1)
-                for i in range(0, far.size, rows)])
+            d[far] = scan_distances(pts[far], self.active_centers())
         return d
 
     def nearest(self, point, active_only: bool = True) -> tuple[int, float]:
@@ -441,10 +501,7 @@ def build_cover(region: BoxRegion, delta: float) -> DeltaCover:
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    axes = [_axis_centers(region.lower[i], region.upper[i], delta) for i in range(region.dim)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([g.ravel() for g in grids], axis=-1)
-    return DeltaCover(centers, delta, region)
+    return DeltaCover(_lattices(region.lower[None], region.upper[None], delta), delta, region)
 
 
 def nearest_center(cover: DeltaCover, point) -> tuple[int, float]:
@@ -467,32 +524,29 @@ def refine_cover(cover: DeltaCover, gamma: float, excluded=None, margin: float =
     Every old center keeps its ordinal and activity flag.  Each *active* cell
     is re-covered by a child lattice at radius ``gamma * radius`` (clipped to
     the domain); children within ``margin`` of any point in ``excluded`` are
-    dropped, as are exact duplicates of existing centers.
+    dropped, as are exact duplicates of existing centers, live or dead (which
+    stay as they are), and of earlier children.  The rest are appended active,
+    cell by cell in ordinal order.
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
     new_radius = gamma * cover.radius
-    old = cover.centers
-    out = DeltaCover(old.copy(), new_radius, cover.domain, active=cover.active)
-    excl = None
-    if excluded is not None:
+    act = cover.active_centers()
+    lo = np.maximum(act - cover.radius, cover.domain.lower)
+    hi = np.minimum(act + cover.radius, cover.domain.upper)
+    if not np.all(lo < hi):
+        raise ValueError("an active cell does not reach into the domain")
+    children = _lattices(lo, hi, new_radius)
+    if excluded is not None and np.size(excluded):
         excl = np.atleast_2d(np.asarray(excluded, dtype=float))
-        if excl.size == 0:
-            excl = None
-    for i in cover.active_indices():
-        cell_box = cover.cell(int(i)).box()
-        lo = np.maximum(cell_box.lower, cover.domain.lower)
-        hi = np.minimum(cell_box.upper, cover.domain.upper)
-        child = build_cover(BoxRegion(lo, hi), new_radius)
-        for pt in child.centers:
-            if excl is not None:
-                if np.abs(excl - pt).max(axis=1).min() <= margin:
-                    continue
-            key = DeltaCover._key(pt)
-            if key in out._seen:
-                continue
-            out.append(pt)
-    return out
+        children = children[~(scan_distances(children, excl) <= margin)]
+    fresh: dict = {}  # key -> first child with it
+    for i, key in enumerate(_center_keys(children)):
+        if key not in cover._seen:
+            fresh.setdefault(key, i)
+    new = children[list(fresh.values())]
+    return DeltaCover(np.concatenate([cover.centers, new]), new_radius, cover.domain,
+                      active=np.concatenate([cover.active, np.ones(new.shape[0], dtype=bool)]))
 
 
 class BandPredicate:
@@ -572,21 +626,27 @@ def _fmt(x: float) -> str:
     return s
 
 
+def _fmt_values(values) -> np.ndarray:
+    """``_fmt`` of every entry of a float array, as an object array of strings."""
+    return _per_distinct(_fmt, values, object)
+
+
+def _write_csv(path, rows) -> None:
+    """Rows of string fields as CSV with ``csv``'s ``\\r\\n`` line ends; no field holds a comma, quote or newline."""
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(",".join(r) + "\r\n" for r in rows))
+
+
 def save_cover_csv(cover: DeltaCover, path, flags=None) -> None:
     """Write a cover as CSV: header ``dim,delta``, its values, then one row per center.
 
     ``flags`` (optional, aligned with ordinals) appends a 0/1 column per row;
     used by the ground-truth artifacts to mark membership.
     """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dim", "delta"])
-        w.writerow([cover.dim, _fmt(cover.radius)])
-        for i, row in enumerate(cover.centers):
-            rec = [_fmt(v) for v in row]
-            if flags is not None:
-                rec.append(str(int(flags[i])))
-            w.writerow(rec)
+    cols = _fmt_values(cover.centers).T.tolist()
+    if flags is not None:
+        cols.append([str(v) for v in np.asarray(flags).astype(np.int64).tolist()])
+    _write_csv(path, [["dim", "delta"], [str(cover.dim), _fmt(cover.radius)], *zip(*cols)])
 
 
 def load_cover_csv(path, domain: BoxRegion | None = None):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LATTICE_TOL, BoxRegion, DeltaCover, build_cover, compare_grids
-from .scenario import ScenarioSystem, default_action_samples, step_batch
+from .scenario import ScenarioSystem, default_action_samples, run_held
 
 __all__ = [
     "OracleSet",
@@ -84,16 +84,12 @@ def _final_cells(sys: ScenarioSystem, grid: DeltaCover, pairs: list, horizon: in
     for lo in range(0, m, per):
         x = np.repeat(grid.centers[lo:lo + per], p, axis=0)
         cells = x.shape[0] // p
-        uu, ww = np.tile(u, (cells, 1)), np.tile(w, (cells, 1))
-        unsafe = np.zeros(x.shape[0], dtype=bool)
-        for _t in range(horizon):
-            rows = np.flatnonzero(~unsafe)
-            x[rows], code = step_batch(sys, x[rows], uu[rows], ww[rows])
-            unsafe[rows] = code >= 0
-        safe = np.flatnonzero(~unsafe)
+        live, final = run_held(sys, x, np.tile(u, (cells, 1)), np.tile(w, (cells, 1)), horizon)
         flat = np.zeros(x.shape[0], dtype=np.int64)
-        flat[safe] = _nearest_all(grid, x[safe])
+        flat[live] = _nearest_all(grid, final)
         dest[lo:lo + cells] = flat.reshape(cells, p)
+        unsafe = np.ones(x.shape[0], dtype=bool)
+        unsafe[live] = False
         doomed[lo:lo + cells] = unsafe.reshape(cells, p).any(axis=1)
     return dest, doomed
 

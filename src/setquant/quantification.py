@@ -36,6 +36,7 @@ from .geometry import (
     DeltaCover,
     build_cover,
     refine_cover,
+    scan_distances,
     volume_estimate,
 )
 from .reporting import RunReport
@@ -420,11 +421,7 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
         m = len(cover)
         if dist_to_pruned.shape[0] < m:
             new = cover.centers[dist_to_pruned.shape[0]:]
-            if pruned_pts:
-                pts = np.asarray(pruned_pts)
-                d = np.abs(new[:, None, :] - pts[None, :, :]).max(axis=2).min(axis=1)
-            else:
-                d = np.full(new.shape[0], np.inf)
+            d = scan_distances(new, np.asarray(pruned_pts)) if pruned_pts else np.full(new.shape[0], np.inf)
             dist_to_pruned = np.concatenate([dist_to_pruned, d])
 
     def note_pruned(pt):

@@ -9,7 +9,6 @@ produced it, so downstream comparisons can refuse apples-to-oranges input.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import platform
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import KEY_DIGITS, DeltaCover, save_cover_csv, _fmt
+from .geometry import DeltaCover, _fmt_values, _write_csv, key_round, save_cover_csv
 
 __all__ = [
     "RunReport",
@@ -80,36 +79,43 @@ def write_oracle_csv(path, grid: DeltaCover, mask) -> None:
     save_cover_csv(grid, path, flags=np.asarray(mask, dtype=int))
 
 
+def _first_extreme(ext, vals: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Per run of ``vals`` starting at the positions ``first``, the first position holding the run's ``ext``.
+
+    Python's ``min`` and ``max`` keep the earlier of equal values, 0.0 and -0.0 included.
+    """
+    best = np.repeat(ext.reduceat(vals, first), np.diff(np.append(first, vals.size)))
+    return np.minimum.reduceat(np.where(vals == best, np.arange(vals.size), vals.size), first)
+
+
 def write_slices_csv(path, cover: DeltaCover) -> None:
     """Per-axis extent summary of the active centers.
 
-    For each axis, active centers are grouped by their coordinates on the
-    remaining axes; each group contributes one row with the min and max center
-    coordinate along the axis.  ``fixed`` holds the grouping coordinates as
-    ``dim=value`` pairs joined by semicolons (empty in one dimension).
+    For each axis, active centers are grouped by their ``key_round``
+    coordinates on the remaining axes; each group contributes one row with
+    the min and max center coordinate along the axis, groups in ascending
+    order of their coordinates.  ``fixed`` holds the grouping coordinates as
+    ``dim=value`` pairs joined by semicolons (empty in one dimension), those
+    of the group's first center in ordinal order.  Of equal extremes (0.0 and
+    -0.0), the first in ordinal order is written.
     """
-    rows = []
     act = cover.active_centers()
-    n = cover.dim
-    for axis in range(n):
-        groups: dict = {}
-        for c in act:
-            key = tuple(round(float(c[d]), KEY_DIGITS) for d in range(n) if d != axis)
-            v = float(c[axis])
-            lohi = groups.get(key)
-            if lohi is None:
-                groups[key] = [v, v]
-            else:
-                lohi[0] = min(lohi[0], v)
-                lohi[1] = max(lohi[1], v)
-        other = [d for d in range(n) if d != axis]
-        for key in sorted(groups):
-            fixed = ";".join(f"{d}={_fmt(val)}" for d, val in zip(other, key))
-            rows.append([axis, fixed, _fmt(groups[key][0]), _fmt(groups[key][1])])
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["axis", "fixed", "min_center", "max_center"])
-        w.writerows(rows)
+    keys = key_round(act)
+    text, key_text = _fmt_values(act), _fmt_values(keys)
+    rows = [["axis", "fixed", "min_center", "max_center"]]
+    for axis in range(cover.dim if act.size else 0):
+        other = [d for d in range(cover.dim) if d != axis]
+        # stable, so each group lists its centers in ordinal order
+        order = np.lexsort(keys[:, other[::-1]].T) if other else np.arange(act.shape[0])
+        grouped = keys[order][:, other]
+        first = np.flatnonzero(np.r_[True, (grouped[1:] != grouped[:-1]).any(axis=1)])
+        vals = act[order, axis]
+        lo, hi = (order[_first_extreme(ext, vals, first)] for ext in (np.minimum, np.maximum))
+        prefix = [f"{d}=" for d in other]
+        for f, a, b in zip(key_text[order[first]][:, other].tolist(), text[lo, axis].tolist(),
+                           text[hi, axis].tolist()):
+            rows.append([str(axis), ";".join(map(str.__add__, prefix, f)), a, b])
+    _write_csv(path, rows)
 
 
 def write_trajectories_ndjson(path, records) -> None:

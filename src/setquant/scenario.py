@@ -38,6 +38,7 @@ __all__ = [
     "idm_accel_array",
     "step",
     "step_batch",
+    "run_held",
     "outside_domain",
     "run_scenario",
     "Rollouts",
@@ -639,6 +640,29 @@ def run_batch(sys: ScenarioSystem, x0, noise) -> Rollouts:
         if live.size == 0:
             break
     return Rollouts(states, acts, code, length)
+
+
+def run_held(sys: ScenarioSystem, x0, actions, omegas, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Roll the rows of (B, n) ``x0`` ``steps`` steps, row ``j`` holding ``actions[j]`` and ``omegas[j]``.
+
+    Returns ``(live, final)``: the indices of the rows that crossed no unsafe
+    facet, ascending, and their final states, each what ``steps`` calls of
+    ``step_batch`` give.  The start rows are checked against the domain once
+    (truncation clamps, so a live row stays inside), and the live rows are
+    compacted only on a step where one of them goes unsafe.
+    """
+    if steps:
+        _check_inside(sys, x0)
+    masks = _unsafe_masks(sys)
+    live, x = np.arange(x0.shape[0]), x0
+    for _ in range(steps):
+        if live.size == 0:
+            break
+        x, code = _advance(sys, x, actions, omegas, masks)
+        if code is not None:
+            keep = code < 0
+            live, x, actions, omegas = live[keep], x[keep], actions[keep], omegas[keep]
+    return live, x
 
 
 def noise_sampler(sys: ScenarioSystem, policy, steps: int):

@@ -263,6 +263,7 @@ def test_main_compare_prints_and_saves_canonical_json(tmp_path, capsys):
     ("val-eps-delta", "options.replay = true"),
     ("val-delta", "options.region_box = [[-1, 1]]"),
     ("oracle", "options.initial_state = [0.5]"),
+    ("oracle", "options.emit_trajectories = true"),
     ("qnt-spe", "options.region_box = [[-1, 1]]"),
     ("qnt-spe", "options.fixed_action = [0.5]"),
     ("qnt-dp", "options.horizon = 3"),

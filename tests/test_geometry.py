@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setquant.geometry import (
+    KEY_DIGITS,
     MEMBER_TOL,
     BoxRegion,
     DeltaCover,
     boundary_band,
     build_cover,
     compare_grids,
+    key_round,
     load_cover_csv,
     nearest_center,
     refine_cover,
@@ -277,6 +279,94 @@ def test_refine_rejects_bad_gamma():
             refine_cover(cv, g)
 
 
+def _reference_axis_centers(lo: float, hi: float, delta: float) -> list:
+    """The scalar lattice of one axis that ``build_cover`` used to build."""
+    width = hi - lo
+    if width < 2.0 * delta:
+        return [0.5 * (lo + hi)]
+    out = []
+    c = lo + delta
+    while c <= hi - delta + MEMBER_TOL:
+        out.append(c)
+        c += 2.0 * delta
+    if out[-1] < hi - delta - MEMBER_TOL:
+        out.append(hi - delta)
+    return out
+
+
+def _reference_lattice(lo, hi, delta) -> np.ndarray:
+    axes = [_reference_axis_centers(lo[i], hi[i], delta) for i in range(len(lo))]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+def _reference_refine(cover, gamma, excluded=None, margin=0.0):
+    """``refine_cover`` as the per-cell, per-child loop it replaced."""
+    new_radius = gamma * cover.radius
+    out = DeltaCover(cover.centers.copy(), new_radius, cover.domain, active=cover.active)
+    excl = None
+    if excluded is not None:
+        excl = np.atleast_2d(np.asarray(excluded, dtype=float))
+        if excl.size == 0:
+            excl = None
+    for i in cover.active_indices():
+        cell_box = cover.cell(int(i)).box()
+        lo = np.maximum(cell_box.lower, cover.domain.lower)
+        hi = np.minimum(cell_box.upper, cover.domain.upper)
+        for pt in _reference_lattice(lo, hi, new_radius):
+            if excl is not None and np.abs(excl - pt).max(axis=1).min() <= margin:
+                continue
+            if tuple(round(float(x), KEY_DIGITS) for x in pt) in out._seen:
+                continue
+            out.append(pt)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([0.5, 0.3]), st.data())
+def test_refine_cover_equals_the_per_cell_loop(dim, gamma, data):
+    """Children, their order, the margin rule and the dedup against live and dead centers match the old loop."""
+    lo = np.asarray(data.draw(st.lists(st.floats(-5, 5), min_size=dim, max_size=dim)))
+    # narrow axes (one midpoint) down to a fraction of a child cell
+    widths = np.asarray(data.draw(st.lists(st.floats(0.05, 2.5), min_size=dim, max_size=dim)))
+    box = BoxRegion(lo, lo + widths)
+    delta = data.draw(st.sampled_from([0.25, 0.3, 0.5, 0.7, 1.0]))
+    cover = build_cover(box, delta)
+    assert np.array_equal(cover.centers, _reference_lattice(box.lower, box.upper, delta))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # off-lattice centers near the faces, some outside: their cells are clipped at the domain
+    # (and still reach into it after one refinement)
+    reach = 0.5 * gamma * delta
+    for p in rng.uniform(box.lower - reach, box.upper + reach, size=(data.draw(st.integers(0, 4)), dim)):
+        cover.append(p)
+    cover.deactivate(rng.choice(len(cover), size=len(cover) // 3, replace=False))
+    live = cover.active_indices()
+    margin = gamma * cover.radius
+    ghost = None
+    if live.size:
+        c = cover.centers[live[0]]
+        kids = _reference_lattice(np.maximum(c - cover.radius, box.lower), np.minimum(c + cover.radius, box.upper),
+                                  gamma * cover.radius)
+        ghost = cover.append(kids[-1])  # a dead center where a child would go
+        cover.deactivate([ghost])
+        # pruned points exactly the margin away from children, one step either side, and anywhere
+        near = kids[rng.integers(0, len(kids), size=3)]
+        near[:, 0] += np.array([margin, -margin, np.nextafter(margin, np.inf)])
+        excluded = np.concatenate([near, rng.uniform(box.lower, box.upper, size=(2, dim))])
+    else:
+        excluded = rng.uniform(box.lower, box.upper, size=(2, dim))
+    if data.draw(st.booleans()):
+        excluded = None
+    for _ in range(data.draw(st.integers(1, 2))):
+        got = refine_cover(cover, gamma, excluded=excluded, margin=margin)
+        want = _reference_refine(cover, gamma, excluded=excluded, margin=margin)
+        assert got.radius == want.radius
+        assert np.array_equal(got.centers, want.centers) and np.array_equal(got.active, want.active)
+        assert got._seen == want._seen and list(got._seen.values()) == list(want._seen.values())
+        if ghost is not None:
+            assert not got.active[ghost]  # never reactivated
+        cover = got
+
+
 # ---------------------------------------------------------------------------
 # volume
 # ---------------------------------------------------------------------------
@@ -365,3 +455,50 @@ def test_compare_grids_notices_radius_and_center_drift():
     assert not compare_grids(a, c)
     d = DeltaCover(a.centers, 0.9, a.domain)
     assert not compare_grids(a, d)
+
+
+# ---------------------------------------------------------------------------
+# the key rounding that identifies a center
+# ---------------------------------------------------------------------------
+
+
+def _nudge(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, np.inf if ulps > 0 else -np.inf))
+    return x
+
+
+# a few ulps around half-way points of the KEY_DIGITS-th decimal, large
+# magnitudes, anything finite, and zeros of both signs
+key_values = st.one_of(
+    st.builds(lambda k, ulps: _nudge((k + 0.5) / 10.0 ** KEY_DIGITS, ulps),
+              st.integers(-10**14, 10**14), st.integers(-4, 4)),
+    st.builds(lambda k, ulps: _nudge(float(k) + 0.5 * 10.0 ** -KEY_DIGITS, ulps),
+              st.integers(-10**5, 10**5), st.integers(-4, 4)),
+    st.floats(min_value=1e8, max_value=1e300) | st.floats(min_value=-1e300, max_value=-1e8),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e-11, -1e-11, 5e-11, -5e-11]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_key_round_is_pythons_round_bit_for_bit(dim, data):
+    rows = data.draw(st.lists(st.lists(key_values, min_size=dim, max_size=dim), max_size=12))
+    a = np.array(rows, dtype=float).reshape(-1, dim)
+    want = np.array([[round(float(x), KEY_DIGITS) for x in row] for row in a], dtype=float).reshape(a.shape)
+    assert np.array_equal(key_round(a).view(np.int64), want.view(np.int64))
+
+
+def test_key_round_keeps_the_sign_of_zero():
+    a = np.array([[0.0, -0.0], [-0.0, 0.0], [-1e-12, 1e-12], [0.0, -0.0]])
+    got = key_round(a)
+    assert np.array_equal(np.signbit(got), [[False, True], [True, False], [True, False], [False, True]])
+    assert not got.any()
+
+
+def test_cover_keys_merge_zeros_and_the_last_duplicate_ordinal_wins():
+    cv = DeltaCover([[0.0, 1.0], [-0.0, 1.0 + 1e-12], [2.0, 2.0]], 0.5, BoxRegion([-1.0, 0.0], [3.0, 3.0]))
+    assert cv._seen == {(0.0, 1.0): 1, (2.0, 2.0): 2}
+    cv.deactivate([1])
+    assert cv.append([-1e-12, 1.0]) == 1 and cv.active[1]

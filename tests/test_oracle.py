@@ -6,15 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import query_points, scrambled_covers
 
+from setquant import oracle
 from setquant.geometry import BoxRegion, DeltaCover, build_cover
 from setquant.oracle import _nearest_all, brute_force_invariant, compare_sets, project_to_grid
 from setquant.scenario import (
+    default_action_samples,
     make_lead_follow,
+    make_three_vehicle,
     make_toy_flip,
     make_toy_shift,
     make_toy_shrink,
     make_toy_threshold,
     make_toy_two_basins,
+    step_batch,
 )
 
 
@@ -132,3 +136,68 @@ def test_oracle_flags_non_convergence_when_starved_of_sweeps():
     o = brute_force_invariant(make_toy_shift(), 0.5, horizon=1, max_sweeps=1)
     assert not o.converged
     assert o.count() > 0  # erosion takes several sweeps; one is not enough
+
+
+# ---------------------------------------------------------------------------
+# the held-input roller against the per-step loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_final_cells(sys_, grid, pairs, horizon, rows):
+    """``_final_cells`` as one ``step_batch`` call per step, plus the step at which each rollout went unsafe."""
+    m, p = len(grid), len(pairs)
+    dest = np.zeros((m, p), dtype=np.int64)
+    doomed = np.zeros(m, dtype=bool)
+    u = np.array([np.atleast_1d(np.asarray(a, dtype=float)) for a, _ in pairs])
+    w = np.array([np.asarray(o, dtype=float) for _, o in pairs]).reshape(p, -1)
+    per = max(1, rows // p)
+    steps = set()
+    for lo in range(0, m, per):
+        x = np.repeat(grid.centers[lo:lo + per], p, axis=0)
+        cells = x.shape[0] // p
+        uu, ww = np.tile(u, (cells, 1)), np.tile(w, (cells, 1))
+        unsafe = np.zeros(x.shape[0], dtype=bool)
+        for t in range(horizon):
+            live = np.flatnonzero(~unsafe)
+            x[live], code = step_batch(sys_, x[live], uu[live], ww[live])
+            unsafe[live] = code >= 0
+            if (code >= 0).any():
+                steps.add(t)
+        safe = np.flatnonzero(~unsafe)
+        flat = np.zeros(x.shape[0], dtype=np.int64)
+        flat[safe] = grid.nearest_all(x[safe])
+        dest[lo:lo + cells] = flat.reshape(cells, p)
+        doomed[lo:lo + cells] = unsafe.reshape(cells, p).any(axis=1)
+    return dest, doomed, steps
+
+
+@pytest.mark.parametrize("factory,delta,horizon", [
+    (lambda: make_lead_follow(sv="brake"), 2.0, 60),
+    (lambda: make_lead_follow(sv="idm", omega_bar=0.3), 2.0, 1),
+    (lambda: make_three_vehicle(sv="idm", omega_bar=0.2), 2.5, 30),
+    (lambda: make_three_vehicle(sv="brake"), 2.5, 1),
+    (lambda: make_toy_two_basins(omega_bar=0.1), 0.5, 60),
+    (lambda: make_toy_threshold(omega_bar=0.25), 0.3, 1),
+])
+def test_final_cells_equal_the_per_step_loop(monkeypatch, factory, delta, horizon):
+    sys_ = factory()
+    grid = build_cover(sys_.state_box, delta)
+    w = sys_.omega_bar
+    noise = [(-w,) * sys_.disturbance_dim, (0.0,) * sys_.disturbance_dim, (w,) * sys_.disturbance_dim] if w \
+        else [sys_.zero_disturbance()]
+    pairs = [(u, o) for u in default_action_samples(sys_.action_box) for o in noise]
+    rows = 3 * len(pairs)  # several chunks, the last one short
+    assert len(grid) * len(pairs) > 2 * rows and len(grid) % 3
+    monkeypatch.setattr(oracle, "_ROLLOUT_ROWS", rows)
+    dest, doomed = oracle._final_cells(sys_, grid, pairs, horizon)
+    want_dest, want_doomed, steps = _reference_final_cells(sys_, grid, pairs, horizon, rows)
+    assert np.array_equal(dest, want_dest) and np.array_equal(doomed, want_doomed)
+    if horizon > 1:
+        assert len(steps) > 1  # rollouts go unsafe at different steps
+
+
+def test_oracle_refuses_a_lattice_outside_the_state_box():
+    sys_ = make_toy_threshold()
+    wide = BoxRegion(sys_.state_box.lower - 1.0, sys_.state_box.upper)
+    with pytest.raises(ValueError, match="outside the domain"):
+        brute_force_invariant(sys_, 0.5, horizon=2, domain=wide)
