@@ -167,15 +167,20 @@ def _per_distinct(fn, values, dtype) -> np.ndarray:
     return np.array([fn(x) for x in bits.view(float).tolist()], dtype=dtype)[inv].reshape(a.shape)
 
 
+def _round_key(x: float) -> float:
+    """The coordinate that identifies a center: ``x`` rounded to ``KEY_DIGITS`` decimals by Python's ``round``."""
+    return round(x, KEY_DIGITS)
+
+
 def key_round(points) -> np.ndarray:
-    """``round(float(x), KEY_DIGITS)`` of every entry, bit for bit: the coordinates that identify a center.
+    """``_round_key`` of every entry, bit for bit: ``round(float(x), KEY_DIGITS)``.
 
     Dedup keys and slice groups are these rounded coordinates.  ``np.round``
     is no substitute: it scales by a power of ten and rounds differently near
     half-way values, so Python's correctly rounded ``round`` runs once per
     distinct value instead.
     """
-    return _per_distinct(lambda x: round(x, KEY_DIGITS), points, float)
+    return _per_distinct(_round_key, points, float)
 
 
 def _center_keys(points) -> list:
@@ -364,7 +369,7 @@ class DeltaCover:
         the hole-refilling move the discovery rule relies on.
         """
         pt = np.asarray(point, dtype=float)
-        key = _center_keys(pt.reshape(1, -1))[0]
+        key = tuple(map(_round_key, pt.tolist()))
         if key in self._seen:
             i = self._seen[key]
             self.active[i] = True
