@@ -64,8 +64,8 @@ def run(args) -> None:
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
             res = _bench(sides[side], args.workload, seed, args.seconds)
-            rec = {"workload": args.workload, "seed": seed, "side": side, "first": order[0],
-                   "commit": commits[side], **res}
+            rec = {"workload": args.workload, "seed": seed, "seconds": args.seconds, "side": side,
+                   "first": order[0], "commit": commits[side], **res}
             with open(args.log, "a") as fh:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
             print(f"{args.workload} seed {seed} {side}: {json.dumps(res.get('metrics', {}))}", file=sys.stderr)
@@ -95,7 +95,8 @@ def summarize(args) -> None:
         pairs = [(runs[(s, "parent")], runs[(s, "change")]) for s in seeds
                  if (s, "parent") in runs and (s, "change") in runs]
         by_side = {"parent": [p for p, _ in pairs], "change": [c for _, c in pairs]}
-        entry = {"seeds": seeds, "pairs": len(pairs),
+        entry = {"seeds": seeds, "seconds": sorted({r["seconds"] for r in by_side["parent"] + by_side["change"]}),
+                 "pairs": len(pairs),
                  "correct_runs": {side: sum(r["correct"] for r in rs) for side, rs in by_side.items()},
                  "failed_jobs": {side: sum(r["failed"] for r in rs) for side, rs in by_side.items()},
                  "metrics": {}}
