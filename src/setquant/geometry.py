@@ -163,8 +163,14 @@ def _per_distinct(fn, values, dtype) -> np.ndarray:
     and ``_fmt`` keep the sign of a zero.
     """
     a = np.ascontiguousarray(values, dtype=float)
-    bits, inv = np.unique(a.view(np.int64), return_inverse=True)
-    return np.array([fn(x) for x in bits.view(float).tolist()], dtype=dtype)[inv].reshape(a.shape)
+    bits = a.view(np.int64).ravel()
+    order = np.argsort(bits, kind="stable")
+    ranked = bits[order]
+    first = np.ones(ranked.size, dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    inv = np.empty(ranked.size, dtype=np.int64)
+    inv[order] = np.cumsum(first) - 1
+    return np.array([fn(x) for x in ranked[first].view(float).tolist()], dtype=dtype)[inv].reshape(a.shape)
 
 
 def _round_key(x: float) -> float:
@@ -198,14 +204,16 @@ _INDEX_TOL = LATTICE_TOL
 _WIDEN = 1e-9
 # Point-center differences per chunk of a brute-force scan (``scan_distances``, ``nearest_all``'s fallback).
 _SCAN_CHUNK = 1 << 20
-# Query points per chunk of ``DeltaCover.distances_within`` and ``nearest_all``.
+# Query points per chunk of ``DeltaCover.distances_within``, ``outside`` and ``nearest_all``.
 _QUERY_ROWS = 1 << 11
+# Centers keyed per chunk when a cover builds its dedup map.
+_KEY_ROWS = 1 << 12
 
 
 class _BucketIndex:
     """Uniform sup-norm bucket grid over the first ``n`` centers of a cover, in CSR form.
 
-    Center ``c`` lies in bucket ``floor((c - lower) / h)``.  ``order`` lists
+    Center ``c`` lies in bucket ``floor((c - origin) / h)``.  ``order`` lists
     the ordinals sorted by bucket (ascending within a bucket), ``keys`` the
     row-major numbers of the non-empty buckets and ``starts`` where each one
     begins in ``order``.  A query visits every bucket that the sup-norm ball
@@ -219,9 +227,9 @@ class _BucketIndex:
     minimum whenever it is within reach.
     """
 
-    def __init__(self, centers: np.ndarray, lower: np.ndarray, h: float):
-        self.n, self.lower, self.h = centers.shape[0], lower, h
-        cell = np.floor((centers - lower) / h)
+    def __init__(self, centers: np.ndarray, origin: np.ndarray, h: float):
+        self.n, self.origin, self.h = centers.shape[0], origin, h
+        cell = np.floor((centers - origin) / h)
         self.kmin, self.kmax = cell.min(axis=0), cell.max(axis=0)
         extent = (self.kmax - self.kmin + 1).astype(np.int64)
         self.strides = np.append(np.cumprod(extent[:0:-1])[::-1], 1)
@@ -246,6 +254,14 @@ class _BucketIndex:
         pos = np.arange(int(count.sum())) + np.repeat(start - (np.cumsum(count) - count), count)
         return self.order[pos], count
 
+    def own_bucket(self, pts: np.ndarray):
+        """(row, ordinal) of every center in the bucket that holds a row of ``pts``, grouped by row."""
+        cell = np.floor((pts - self.origin) / self.h)
+        rows = np.flatnonzero(((cell >= self.kmin) & (cell <= self.kmax)).all(axis=1))  # false for NaN too
+        j, hit = self._lookup((cell[rows] - self.kmin).astype(np.int64) @ self.strides)
+        ords, count = self._members(j[hit])
+        return np.repeat(rows[hit], count), ords
+
     def candidates(self, pts: np.ndarray, reach: float):
         """(row, ordinal) of every center in a bucket within reach of a row of ``pts``, grouped by row."""
         half = reach * (1.0 + _WIDEN) / self.h
@@ -253,7 +269,7 @@ class _BucketIndex:
         mask = np.zeros(pts.shape[0], dtype=np.int64)
         ok = np.ones(pts.shape[0], dtype=bool)
         for a in range(pts.shape[1]):
-            q = (pts[:, a] - self.lower[a]) / self.h
+            q = (pts[:, a] - self.origin[a]) / self.h
             lo = np.maximum(np.floor(q - half), self.kmin[a])
             hi = np.minimum(np.floor(q + half), self.kmax[a])
             ok &= hi >= lo  # false for a non-finite coordinate too
@@ -291,6 +307,23 @@ def scan_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lattice_anchor(centers: np.ndarray, pitch: float) -> np.ndarray:
+    """Per axis, the first coordinate of the most common lattice of pitch ``pitch`` among the non-empty ``centers``.
+
+    Each coordinate falls in one of eight classes by its offset from the
+    first center in eighths of the pitch, rounded; a refined cover's
+    children outnumber the coarser lattices kept beside them, which sit in
+    other classes, and off-lattice centers spread over all eight.
+    """
+    eighths = np.rint((centers - centers[0]) * (8.0 / pitch if pitch > 0.0 else 0.0))
+    cls = np.where(np.isfinite(eighths), eighths % 8, 0).astype(np.int64)
+    anchor = np.empty(centers.shape[1])
+    for a in range(centers.shape[1]):
+        first = np.flatnonzero(cls[:, a] == np.bincount(cls[:, a], minlength=8).argmax())[0]
+        anchor[a] = centers[first, a]
+    return anchor
+
+
 class DeltaCover:
     """A finite set of centers whose closed ``radius``-balls cover a region.
 
@@ -306,10 +339,13 @@ class DeltaCover:
     sup-norm bucket index (``_BucketIndex``) with bucket width a hair over
     ``2 * (radius + _INDEX_TOL)``, rebuilt lazily once centers were appended:
     a point is compared only with the centers of the buckets its reach
-    touches, one or two per axis.  Membership (``outside``) needs nothing
-    more; the nearest-center queries fall back to a full scan for a point
-    with no center within reach, so every answer equals the brute-force one
-    bit for bit.
+    touches, one or two per axis.  The grid is anchored once per cover, when
+    it is first built, at the most common lattice of its centers
+    (``_lattice_anchor``), which sits mid-bucket: one of its centers lies in
+    each bucket, and a point within the radius of one shares its bucket.
+    Membership (``outside``) needs nothing more; the nearest-center queries
+    fall back to a full scan for a point with no center within reach, so
+    every answer equals the brute-force one bit for bit.
     """
 
     def __init__(self, centers, radius: float, domain: BoxRegion, active=None):
@@ -326,7 +362,10 @@ class DeltaCover:
             self._act = np.ones(self._n, dtype=bool)
         else:
             self._act = np.asarray(active, dtype=bool).copy()
-        self._seen = dict(zip(_center_keys(self._buf), range(self._n)))
+        self._seen = {}
+        for lo in range(0, self._n, _KEY_ROWS):
+            self._seen.update(zip(_center_keys(self._buf[lo:lo + _KEY_ROWS]), range(lo, self._n)))
+        self._anchor = None
         self._index = None
 
     # -- basic accessors -------------------------------------------------
@@ -395,7 +434,9 @@ class DeltaCover:
         idx = self._index
         if idx is None or idx.n != self._n or idx.h <= 2.0 * reach * (1.0 + _WIDEN):
             h = 2.0 * max(reach, self.radius + _INDEX_TOL) * (1.0 + 2.0 * _WIDEN)
-            idx = self._index = _BucketIndex(self.centers, self.domain.lower, h)
+            if self._anchor is None:
+                self._anchor = _lattice_anchor(self.centers, 2.0 * self.radius)
+            idx = self._index = _BucketIndex(self.centers, self._anchor - 0.5 * h, h)
         return idx
 
     def distances_within(self, points, reach: float) -> np.ndarray:
@@ -422,9 +463,29 @@ class DeltaCover:
         return best
 
     def outside(self, points) -> np.ndarray:
-        """Per row of ``points``, whether no live center lies within ``radius + MEMBER_TOL`` of it."""
+        """Per row of ``points``, whether no live center lies within ``radius + MEMBER_TOL`` of it.
+
+        A row with a live center within that limit in its own bucket is inside;
+        only the rows left undecided go through ``distances_within``, which
+        also visits the neighbouring buckets.  Both compare the same computed
+        distances with the same limit, so the answer is that of the full query.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
         reach = self.radius + MEMBER_TOL
-        return self.distances_within(points, reach) > reach
+        out = np.ones(pts.shape[0], dtype=bool)
+        if self._n == 0:
+            return out
+        index = self._bucket_index(reach)
+        for lo in range(0, pts.shape[0], _QUERY_ROWS):
+            chunk = pts[lo:lo + _QUERY_ROWS]
+            row, cand = index.own_bucket(chunk)
+            live = self.active[cand]
+            row, cand = row[live], cand[live]
+            out[lo + row[_sup_gaps(self.centers, cand, chunk, row) <= reach]] = False
+        rest = np.flatnonzero(out)
+        if rest.size:
+            out[rest] = self.distances_within(pts[rest], reach) > reach
+        return out
 
     def batch_distances(self, points) -> np.ndarray:
         """Min sup-norm distance from each row of ``points`` to the active centers."""

@@ -44,7 +44,6 @@ from .scenario import (
     EXIT_UNSAFE,
     ScenarioSystem,
     UniformPolicy,
-    child_noise,
     noise_sampler,
     outside_domain,
     run_batch,
@@ -430,20 +429,18 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
         pruned_pts.append(p)
         dist_to_pruned = np.minimum(dist_to_pruned, np.abs(cover.centers - p).max(axis=1))
 
-    def cover_distances(parts: list) -> list:
-        """Each array of ``parts``' distances to the cover, ``inf`` beyond the member limit, with one query."""
+    def cover_outside(parts: list) -> list:
+        """For each array of ``parts``, whether each of its rows lies outside the cover, with one query."""
         sizes = [p.shape[0] for p in parts]
         if not sum(sizes):
-            return [np.empty(0)] * len(parts)
-        reach = cover.radius + MEMBER_TOL
-        return np.split(cover.distances_within(np.concatenate(parts), reach), np.cumsum(sizes)[:-1])
+            return [np.empty(0, dtype=bool)] * len(parts)
+        return np.split(cover.outside(np.concatenate(parts)), np.cumsum(sizes)[:-1])
 
-    def apply_trajectory(start_ord: int, states: np.ndarray, exit_kind: str, base_d) -> bool:
-        """Apply one trajectory; ``base_d`` holds the distances of ``states[1:]`` to the cover.
+    def apply_trajectory(start_ord: int, states: np.ndarray, exit_kind: str, base_out) -> bool:
+        """Apply one trajectory; ``base_out`` says which of ``states[1:]`` lie outside the cover.
 
-        Only whether a distance exceeds ``limit`` matters, also after taking its
-        minimum with the distances to this trajectory's new centers, so a stray
-        state's distance may be ``inf``.
+        A state outside the cover is a discovery unless it lies within
+        ``limit`` of a center this trajectory already added.
         """
         nonlocal weights_cum
         if not cover.active[start_ord]:
@@ -452,7 +449,7 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
         if length < 2:
             return False
         limit = cover.radius + MEMBER_TOL
-        if exit_kind != EXIT_UNSAFE and (dist_to_pruned[start_ord] <= limit or base_d.max() <= limit):
+        if exit_kind != EXIT_UNSAFE and (dist_to_pruned[start_ord] <= limit or not base_out.any()):
             return False  # no prune, and no state can be a discovery
         event = False
         new_centers: list = []
@@ -465,10 +462,8 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
                 event = True
                 weights_cum = None
                 break
-            d = float(base_d[t - 1])
-            for c in new_centers:
-                d = min(d, float(np.abs(c - states[t]).max()))
-            if d > limit and dist_to_pruned[start_ord] > limit:
+            out = bool(base_out[t - 1]) and all(float(np.abs(c - states[t]).max()) > limit for c in new_centers)
+            if out and dist_to_pruned[start_ord] > limit:
                 o = cover.append(states[t])
                 extend_dists()
                 graph.add_edge(start_ord, int(o))
@@ -496,12 +491,12 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
             j = 0
             while j < len(chunk):
                 live = [k for k in range(j, len(chunk)) if cover.active[chunk[k][0]]]
-                dists = dict(zip(live, cover_distances([chunk[k][1][1:] for k in live])))
+                outs = dict(zip(live, cover_outside([chunk[k][1][1:] for k in live])))
                 for k in range(j, len(chunk)):
                     start_ord, states, exit_kind = chunk[k]
                     replayed += max(0, states.shape[0] - 1)
                     j = k + 1
-                    if apply_trajectory(start_ord, states, exit_kind, dists.get(k)):
+                    if apply_trajectory(start_ord, states, exit_kind, outs.get(k)):
                         break  # the cover changed: query the rest of the chunk afresh
 
     while True:
@@ -523,9 +518,9 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
                              sample_stream(_sample_desc(seed, n)))
             del starts[refused[0]:], drawn[refused[0]:]
             sel.bit_generator.state = drawn[-1]
-        noise = child_noise(draw_noise, [_sample_desc(seed, n + j) for j in range(len(starts))])
+        noise = draw_noise.block([_sample_desc(seed, n + j) for j in range(len(starts))])
         rolls = run_batch(sys, cover.centers[starts], noise)
-        dists = cover_distances([rolls.states[j, 1:k] for j, k in enumerate(rolls.length)])
+        outs = cover_outside([rolls.states[j, 1:k] for j, k in enumerate(rolls.length)])
         for j, idx in enumerate(starts):
             traj = rolls.trajectory(j)
             n += 1
@@ -533,7 +528,7 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
                 record(n - 1, traj)
             if buffer is not None:
                 buffer.append((idx, traj.states, traj.exit_kind))
-            event = apply_trajectory(idx, traj.states, traj.exit_kind, dists[j])
+            event = apply_trajectory(idx, traj.states, traj.exit_kind, outs[j])
             if trace is not None:
                 trace(n, cover, event)
             streak = 0 if event else streak + 1

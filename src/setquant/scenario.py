@@ -607,17 +607,21 @@ class Rollouts:
 
 
 def run_batch(sys: ScenarioSystem, x0, noise) -> Rollouts:
-    """Roll the rows of (B, n) ``x0`` in lock-step, row ``j`` under ``noise[j]``.
+    """Roll the rows of (B, n) ``x0`` in lock-step, row ``j`` under row ``j`` of ``noise``.
 
-    ``noise[j]`` is the ``(actions, disturbances)`` pair that ``noise_sampler``
-    pre-draws for one rollout.  Every step moves the live rows through
-    ``step_batch``; a row that crosses an unsafe facet keeps the raw offending
-    state as its last and is frozen, so row ``j`` equals the ``run_scenario``
-    rollout that makes the same draws.  Until the first row stops, the steps
-    go through slice views of every row, with no row gather or scatter.
+    ``noise`` is the tuple ``(actions (B, steps, m), disturbances (B, steps,
+    k))`` that a ``noise_sampler``'s ``block`` draws, or a list of the B
+    per-rollout pairs that the sampler draws (``child_noise``).  Every step
+    moves the live rows through ``step_batch``; a row that crosses an unsafe
+    facet keeps the raw offending state as its last and is frozen, so row
+    ``j`` equals the ``run_scenario`` rollout that makes the same draws.
+    Until the first row stops, the steps go through slice views of every
+    row, with no row gather or scatter.
     """
-    acts = np.stack([u for u, _ in noise])
-    omegas = np.stack([w for _, w in noise])
+    if isinstance(noise, tuple):
+        acts, omegas = noise
+    else:
+        acts, omegas = np.stack([u for u, _ in noise]), np.stack([w for _, w in noise])
     b, n = x0.shape
     steps = acts.shape[1]
     if steps:
@@ -666,42 +670,89 @@ def run_held(sys: ScenarioSystem, x0, actions, omegas, steps: int) -> tuple[np.n
 
 
 def noise_sampler(sys: ScenarioSystem, policy, steps: int):
-    """A function ``rng -> (actions (steps, m), disturbances (steps, k))``.
+    """A sampler of the random inputs of ``run_scenario`` rollouts under a state-independent ``policy``.
 
-    It pre-draws the random inputs of one ``run_scenario`` rollout under a
-    state-independent ``policy``, in the rollout's order (action, then
+    Called with a generator, it pre-draws one rollout's ``(actions (steps, m),
+    disturbances (steps, k))`` in the rollout's order (action, then
     disturbance, per step), so that stepping them gives the same trajectory.
-    A uniform policy over a box draws them all with one ``random`` call scaled
-    to the per-step bounds, which is how ``uniform`` computes its values, and
-    one over a finite set without disturbances with one ``integers`` call;
-    each yields the same values, and leaves the generator in the same state,
-    as the per-step calls.
+    Its ``block(descs)`` draws those of every seed descriptor's stream into
+    one ``(B, steps, m)`` and one ``(B, steps, k)`` array, row ``j`` from
+    ``descs[j]``'s.  A uniform policy over a box draws a rollout with one
+    ``random`` call scaled to the per-step bounds, which is how ``uniform``
+    computes its values, and one over a finite set without disturbances with
+    one ``integers`` call; each yields the same values, and leaves the
+    generator in the same state, as the per-step calls.
     """
-    m, k, w = sys.action_box.dim, sys.disturbance_dim, sys.omega_bar
     acts = policy.actions if isinstance(policy, UniformPolicy) else None
     if isinstance(acts, BoxActionSet):
-        box, noisy = acts.box, (k if w > 0.0 else 0)
-        lower = np.tile(np.concatenate([box.lower, np.full(noisy, -w)]), steps)
-        span = np.tile(np.concatenate([box.upper, np.full(noisy, w)]), steps) - lower
+        return _BoxNoise(sys, policy, steps)
+    if isinstance(acts, FiniteActionSet) and sys.omega_bar == 0.0:
+        return _FiniteNoise(sys, policy, steps)
+    return _StepNoise(sys, policy, steps)
 
-        def draw(rng):
-            u = (lower + span * rng.random(lower.size)).reshape(steps, m + noisy)
-            return u[:, :m], (u[:, m:] if noisy else np.zeros((steps, k)))
-        return draw
-    if isinstance(acts, FiniteActionSet) and w == 0.0:
-        points = np.asarray(acts.points, dtype=float).reshape(len(acts.points), m)
 
-        def draw(rng):
-            return points[rng.integers(len(points), size=steps)], np.zeros((steps, k))
-        return draw
+class _StepNoise:
+    """The per-step draws of ``run_scenario``: the sampler of any policy the others do not cover."""
 
-    def draw(rng):
+    def __init__(self, sys: ScenarioSystem, policy, steps: int):
+        self.sys, self.policy, self.steps = sys, policy, steps
+        self.m, self.k = sys.action_box.dim, sys.disturbance_dim
+
+    def __call__(self, rng):
         u, om = [], []
-        for _ in range(steps):
-            u.append(policy(None, rng))
-            om.append(sys.draw_disturbance(rng))
-        return np.asarray(u, dtype=float).reshape(steps, m), np.asarray(om, dtype=float).reshape(steps, k)
-    return draw
+        for _ in range(self.steps):
+            u.append(self.policy(None, rng))
+            om.append(self.sys.draw_disturbance(rng))
+        return (np.asarray(u, dtype=float).reshape(self.steps, self.m),
+                np.asarray(om, dtype=float).reshape(self.steps, self.k))
+
+    def block(self, descs) -> tuple[np.ndarray, np.ndarray]:
+        draws = child_noise(self, descs)
+        b = len(descs)
+        return (np.array([u for u, _ in draws], dtype=float).reshape(b, self.steps, self.m),
+                np.array([w for _, w in draws], dtype=float).reshape(b, self.steps, self.k))
+
+
+class _BoxNoise(_StepNoise):
+    """A uniform policy over a box: ``lower + span * u`` of one ``random`` call per rollout."""
+
+    def __init__(self, sys: ScenarioSystem, policy, steps: int):
+        super().__init__(sys, policy, steps)
+        box, w = policy.actions.box, sys.omega_bar
+        self.noisy = self.k if w > 0.0 else 0
+        self.lower = np.tile(np.concatenate([box.lower, np.full(self.noisy, -w)]), steps)
+        self.span = np.tile(np.concatenate([box.upper, np.full(self.noisy, w)]), steps) - self.lower
+
+    def __call__(self, rng):
+        return self._split(self.lower + self.span * rng.random(self.lower.size))
+
+    def block(self, descs) -> tuple[np.ndarray, np.ndarray]:
+        raw = np.empty((len(descs), self.lower.size))
+        for j, rng in _seeded_streams(descs):
+            rng.random(out=raw[j])
+        return self._split(self.lower + self.span * raw)
+
+    def _split(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Scaled draws, one rollout per row, as its actions and disturbances."""
+        u = u.reshape(u.shape[:-1] + (self.steps, self.m + self.noisy))
+        return u[..., :self.m], (u[..., self.m:] if self.noisy else np.zeros(u.shape[:-1] + (self.k,)))
+
+
+class _FiniteNoise(_StepNoise):
+    """A uniform policy over a finite set, no disturbances: ``points`` at one ``integers`` call per rollout."""
+
+    def __init__(self, sys: ScenarioSystem, policy, steps: int):
+        super().__init__(sys, policy, steps)
+        self.points = np.asarray(policy.actions.points, dtype=float).reshape(-1, self.m)
+
+    def __call__(self, rng):
+        return self.points[rng.integers(len(self.points), size=self.steps)], np.zeros((self.steps, self.k))
+
+    def block(self, descs) -> tuple[np.ndarray, np.ndarray]:
+        picks = np.empty((len(descs), self.steps), dtype=np.int64)
+        for j, rng in _seeded_streams(descs):
+            picks[j] = rng.integers(len(self.points), size=self.steps)
+        return self.points[picks], np.zeros((len(descs), self.steps, self.k))
 
 
 # ---------------------------------------------------------------------------
@@ -806,14 +857,15 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-def child_noise(draw, descs) -> list:
-    """``[draw(sample_stream(d)) for d in descs]``, with the streams seeded in bulk.
+def _seeded_streams(descs):
+    """``(j, rng)`` per descriptor, ``rng`` set to the start of ``sample_stream(descs[j])``.
 
     The seed words of every descriptor come from one vectorised
     ``SeedSequence`` computation per entropy length; each sample then sets
     one reused ``PCG64`` to the state that seeding reaches (PCG's set-seq
     seeding: ``inc = (seq << 1) | 1``, ``state = ((inc + seed) * MULT + inc)``
-    mod 2**128) and calls ``draw`` with it.
+    mod 2**128).  The descriptors come grouped by entropy length, and the one
+    generator holds a sample's stream only until the next is yielded.
     """
     bits = np.random.PCG64(0)
     rng = np.random.Generator(bits)
@@ -823,7 +875,6 @@ def child_noise(draw, descs) -> list:
         rows, entropy = groups.setdefault(len(words), ([], []))
         rows.append(j)
         entropy.append(words)
-    out = [None] * len(descs)
     for rows, entropy in groups.values():
         seeds = _seed_words(np.array(entropy, dtype=np.uint32)).tolist()
         for j, (seed_hi, seed_lo, seq_hi, seq_lo) in zip(rows, seeds):
@@ -831,7 +882,14 @@ def child_noise(draw, descs) -> list:
             state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _M128
             bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                           "has_uint32": 0, "uinteger": 0}
-            out[j] = draw(rng)
+            yield j, rng
+
+
+def child_noise(draw, descs) -> list:
+    """``[draw(sample_stream(d)) for d in descs]``, with the streams seeded in bulk (``_seeded_streams``)."""
+    out = [None] * len(descs)
+    for j, rng in _seeded_streams(descs):
+        out[j] = draw(rng)
     return out
 
 

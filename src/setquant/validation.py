@@ -31,7 +31,6 @@ from .scenario import (
     ScenarioSystem,
     Trajectory,
     UniformPolicy,
-    child_noise,
     noise_sampler,
     outside_domain,
     run_batch,
@@ -136,7 +135,7 @@ def _run_block(sys, x0, first, draw, seed_descs, region, record) -> int:
     outside the region.  Membership is queried once per block, over every
     state of the rows that did not go unsafe.
     """
-    rolls = run_batch(sys, x0, child_noise(draw, seed_descs[first:first + len(x0)]))
+    rolls = run_batch(sys, x0, draw.block(seed_descs[first:first + len(x0)]))
     failed = rolls.code >= 0
     safe = np.flatnonzero(~failed)
     steps = rolls.states.shape[1] - 1
@@ -153,12 +152,13 @@ def _run_samples(sys, starts, horizon, policy, seed_descs, region, workers: int,
     """Run the samples in index order; returns the earliest failing index or -1.
 
     The samples go through in blocks of ``_BLOCK``, each rolled in lock-step
-    by ``step_batch`` from actions and disturbances pre-drawn from the
-    sample's own stream (``noise_sampler``, the streams seeded in bulk by
-    ``child_noise``), so every trajectory equals the one ``run_scenario``
-    draws.  The run stops at the first block with a failure and returns its
-    lowest failing index: the verdict of a sequential loop.  ``record(i, traj)`` sees the trajectories of samples
-    0 up to that index, in order.  A start outside the domain raises
+    by ``run_batch`` from actions and disturbances that the ``noise_sampler``
+    draws into one array per block, each row from its sample's own stream,
+    so every trajectory equals the one ``run_scenario`` draws; the block's
+    states then go through one ``outside`` query.  The run stops at the
+    first block with a failure and returns its lowest failing index: the
+    verdict of a sequential loop.  ``record(i, traj)`` sees the trajectories
+    of samples 0 up to that index, in order.  A start outside the domain raises
     ``run_scenario``'s ``ValueError`` once every sample before it passed.
     ``workers`` is accepted for compatibility and changes nothing.
     """

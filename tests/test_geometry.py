@@ -165,14 +165,15 @@ def test_bucket_kernel_on_bucket_boundaries_equals_the_scan(case, extra, data):
     """
     cover, rng = case
     reach = cover.radius + 1e-9 + extra
-    h = cover._bucket_index(reach).h
-    lower, dim = cover.domain.lower, cover.dim
+    index = cover._bucket_index(reach)
+    h, origin, dim = index.h, index.origin, cover.dim
     for _ in range(data.draw(st.integers(1, 6))):
         c = rng.uniform(cover.domain.lower, cover.domain.upper)
         axes = rng.random(dim) < 0.5
-        c[axes] = lower[axes] + h * rng.integers(-2, 8, size=int(axes.sum()))
+        c[axes] = origin[axes] + h * rng.integers(-2, 8, size=int(axes.sum()))
         cover.append(c)
-    assert cover._bucket_index(reach).h == h
+    index = cover._bucket_index(reach)
+    assert index.h == h and np.array_equal(index.origin, origin)
     base = cover.centers[rng.integers(0, len(cover), size=60)]
     axis = rng.integers(0, dim, size=60)
     gap = rng.choice([reach, cover.radius, np.nextafter(reach, 0.0), np.nextafter(reach, 1.0)], size=60)

@@ -14,8 +14,11 @@ groups the logged runs by workload and end-to-end metric and writes, per
 side, the median and quartiles, the pairs the change won (ties count for
 neither side), the change's median over the parent's, and whether that
 ratio is within the metric's ``BENCHMARK.json`` bound (the share of the
-parent's median by which the metric may worsen), with the machine, the
-Python and numpy versions and both commits.
+parent's median by which the metric may worsen), and whether the gain rule
+holds: the change won at least 9 in 10 of the pairs, and its median is
+better than the parent's by more than the parent's interquartile range.
+The file also records the machine, the Python and numpy versions and both
+commits.
 """
 
 from __future__ import annotations
@@ -108,14 +111,19 @@ def summarize(args) -> None:
             sign = 1.0 if m["better"] == "lower" else -1.0
             parent, change = _quartiles([p for p, _ in good]), _quartiles([c for _, c in good])
             ratio = change["median"] / parent["median"] if parent["median"] else None
+            wins = sum(sign * (c - p) < 0 for p, c in good)
+            gap = sign * (parent["median"] - change["median"])  # > 0 when the change is better
+            iqr = parent["q3"] - parent["q1"]
             entry["metrics"][metric] = {
                 "unit": m["unit"], "better": m["better"], "bound": m["bound"],
                 "parent": parent, "change": change,
-                "change_wins": sum(sign * (c - p) < 0 for p, c in good),
+                "change_wins": wins,
                 "parent_wins": sum(sign * (c - p) > 0 for p, c in good),
                 "change_over_parent": ratio,
                 "within_bound": None if ratio is None else
                 (ratio <= 1.0 + m["bound"] if sign > 0 else ratio >= 1.0 - m["bound"]),
+                "gain": {"median_gap": gap, "parent_iqr": iqr,
+                         "holds": 10 * wins >= 9 * len(good) and gap > iqr},
             }
         out["workloads"][name] = entry
     with open(args.out, "w") as fh:
