@@ -10,6 +10,7 @@ indexed by ordinal survive a resolution change).
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -190,8 +191,12 @@ def key_round(points) -> np.ndarray:
 
 
 def _center_keys(points) -> list:
-    """The dedup key of each row of (m, n) ``points``: its ``key_round`` coordinates as a tuple."""
-    return list(map(tuple, key_round(points).tolist()))
+    """The dedup key of each row of (m, n) ``points``: its ``key_round`` coordinates as a tuple.
+
+    The tuples share one float object per distinct coordinate, so the keys
+    of a lattice cost little more than their tuples.
+    """
+    return list(zip(*_per_distinct(_round_key, points, object).T))
 
 
 # Reach slack of the bucket index on top of the cover radius: the largest
@@ -719,7 +724,12 @@ def load_cover_csv(path, domain: BoxRegion | None = None):
     """Read a cover CSV back; returns (DeltaCover, flags-or-None).
 
     When the rows carry a trailing flag column the flags come back as a bool
-    array and double as the active mask.
+    array and double as the active mask.  The rows are parsed ``_KEY_ROWS``
+    at a time straight into one float array, with no list per row.  Raises
+    ``ValueError`` for a header other than ``dim,delta``, a ``dim`` below 1,
+    a ``delta`` that is not finite and positive, rows that do not all have
+    ``dim`` fields or all ``dim + 1``, a coordinate that is not finite or a
+    flag other than 0 or 1.
     """
     with open(path, newline="") as fh:
         r = csv.reader(fh)
@@ -728,25 +738,36 @@ def load_cover_csv(path, domain: BoxRegion | None = None):
             raise ValueError(f"unexpected cover header: {header!r}")
         dim_s, delta_s = next(r, ("", ""))
         dim, delta = int(dim_s), float(delta_s)
-        rows, flags = [], []
-        has_flags = None
-        for rec in r:
-            if not rec:
-                continue
-            if has_flags is None:
-                has_flags = len(rec) == dim + 1
-            vals = [float(v) for v in rec[:dim]]
-            rows.append(vals)
-            if has_flags:
-                flags.append(bool(int(rec[dim])))
-    arr = np.asarray(rows, dtype=float)
+        if dim < 1 or not (math.isfinite(delta) and delta > 0.0):
+            raise ValueError(f"need dim >= 1 and a finite delta > 0, got dim {dim}, delta {delta}")
+        body = filter(None, (line.rstrip("\r\n") for line in fh))  # csv reads an empty line as no row
+        fields, chunks = None, []
+        while lines := list(itertools.islice(body, _KEY_ROWS)):
+            counts = {line.count(",") + 1 for line in lines}
+            fields = fields or lines[0].count(",") + 1
+            if counts != {fields} or fields not in (dim, dim + 1):
+                raise ValueError(f"cover rows need {dim} fields in every row, or {dim + 1} with a flag; "
+                                 f"got rows of {sorted(counts | {fields})}")
+            try:
+                vals = np.fromstring(",".join(lines), sep=",")
+            except ValueError:
+                vals = None
+            if vals is None or vals.size != len(lines) * fields:  # a last empty field ends the parse quietly
+                raise ValueError("a cover row holds an empty field or one that is not a number")
+            chunks.append(vals.reshape(len(lines), fields))
+    arr = np.concatenate(chunks) if chunks else np.empty((0, dim))
+    del chunks
+    if not np.isfinite(arr[:, :dim]).all():
+        raise ValueError("a cover center has a coordinate that is not finite")
+    mask = None
+    if fields == dim + 1:
+        mask = arr[:, dim] == 1.0
+        if not (mask | (arr[:, dim] == 0.0)).all():
+            raise ValueError("a cover flag is neither 0 nor 1")
+    centers = arr[:, :dim]
     if domain is None:
-        lo = arr.min(axis=0) - delta
-        hi = arr.max(axis=0) + delta
-        domain = BoxRegion(lo, hi)
-    mask = np.asarray(flags, dtype=bool) if has_flags else None
-    cover = DeltaCover(arr, delta, domain, active=mask if mask is not None else None)
-    return cover, mask
+        domain = BoxRegion(centers.min(axis=0) - delta, centers.max(axis=0) + delta)
+    return DeltaCover(centers, delta, domain, active=mask), mask
 
 
 def compare_grids(a: DeltaCover, b: DeltaCover, tol: float = LATTICE_TOL) -> bool:

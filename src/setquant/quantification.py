@@ -206,6 +206,15 @@ def _sample_desc(seed: int, ordinal: int) -> dict:
 _SELECT = 2**31
 
 
+def _start_draws(sel: np.random.Generator, weighted: bool, k: int, count: int) -> np.ndarray:
+    """``count`` start draws with one call: uniforms in [0, 1) when ``weighted``, else integers below ``k``.
+
+    Each equals ``count`` scalar calls of its kind, in values and in the
+    state it leaves ``sel`` in.
+    """
+    return sel.random(count) if weighted else sel.integers(k, size=count)
+
+
 # ---------------------------------------------------------------------------
 # baseline: guess-a-box
 # ---------------------------------------------------------------------------
@@ -430,11 +439,22 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
         dist_to_pruned = np.minimum(dist_to_pruned, np.abs(cover.centers - p).max(axis=1))
 
     def cover_outside(parts: list) -> list:
-        """For each array of ``parts``, whether each of its rows lies outside the cover, with one query."""
-        sizes = [p.shape[0] for p in parts]
-        if not sum(sizes):
+        """For each array of ``parts``, whether each of its rows lies outside the cover, with one query.
+
+        A row with the bits of the row before it in its part has that row's
+        answer, so only the first row of a part and the rows that differ
+        from their predecessor are queried.
+        """
+        ends = np.cumsum([p.shape[0] for p in parts])
+        if not ends.size or not ends[-1]:
             return [np.empty(0, dtype=bool)] * len(parts)
-        return np.split(cover.outside(np.concatenate(parts)), np.cumsum(sizes)[:-1])
+        pts = np.concatenate(parts)
+        bits = pts.view(np.int64)
+        new = np.ones(pts.shape[0], dtype=bool)
+        new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+        new[ends[:-1]] = True
+        out = cover.outside(pts[new])[np.cumsum(new) - 1]
+        return [out[e - p.shape[0]:e] for p, e in zip(parts, ends.tolist())]
 
     def apply_trajectory(start_ord: int, states: np.ndarray, exit_kind: str, base_out) -> bool:
         """Apply one trajectory; ``base_out`` says which of ``states[1:]`` lie outside the cover.
@@ -472,16 +492,14 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
                 weights_cum = None
         return event
 
-    def draw_start(act: np.ndarray) -> int:
+    def start_ordinals(act: np.ndarray, draws: np.ndarray, weighted: bool) -> np.ndarray:
+        """The starts that a block's ``_start_draws`` pick: uniform over ``act``, or weighted toward the frontier."""
         nonlocal weights_cum
-        if prioritized and pruned_pts:
-            if weights_cum is None or weights_cum.shape[0] != act.size:
-                w = prioritized_weights(dist_to_pruned[act], weight_power)
-                weights_cum = np.cumsum(w)
-            r = sel.random() * weights_cum[-1]
-            k = min(int(np.searchsorted(weights_cum, r, side="right")), act.size - 1)
-            return int(act[k])
-        return int(act[int(sel.integers(act.size))])
+        if not weighted:
+            return act[draws]
+        if weights_cum is None or weights_cum.shape[0] != act.size:
+            weights_cum = np.cumsum(prioritized_weights(dist_to_pruned[act], weight_power))
+        return act[np.minimum(np.searchsorted(weights_cum, draws * weights_cum[-1], side="right"), act.size - 1)]
 
     def replay_buffer() -> None:
         """Re-apply every buffered trajectory in order, one cover query per chunk and event."""
@@ -507,21 +525,21 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
             break
         size = min(max(streak, _SPEC_MIN), _SPEC_MAX, hyper.budget - n, n_eps - streak)
         act = cover.active_indices()
-        starts, drawn = [], []
-        for _ in range(size):
-            starts.append(draw_start(act))
-            drawn.append(sel.bit_generator.state)
+        weighted = prioritized and bool(pruned_pts)
+        before = sel.bit_generator.state
+        starts = start_ordinals(act, _start_draws(sel, weighted, act.size, size), weighted)
         refused = np.flatnonzero(outside_domain(sys, cover.centers[starts])) if steps else ()
         if len(refused):  # end the block before the start that run_scenario refuses
             if refused[0] == 0:
                 run_scenario(sys, cover.centers[starts[0]], hyper.horizon, policy,
                              sample_stream(_sample_desc(seed, n)))
-            del starts[refused[0]:], drawn[refused[0]:]
-            sel.bit_generator.state = drawn[-1]
-        noise = draw_noise.block([_sample_desc(seed, n + j) for j in range(len(starts))])
+            starts = starts[:refused[0]]
+            sel.bit_generator.state = before  # keep the kept starts' draws only
+            _start_draws(sel, weighted, act.size, starts.size)
+        noise = draw_noise.block([_sample_desc(seed, n + j) for j in range(starts.size)])
         rolls = run_batch(sys, cover.centers[starts], noise)
         outs = cover_outside([rolls.states[j, 1:k] for j, k in enumerate(rolls.length)])
-        for j, idx in enumerate(starts):
+        for j, idx in enumerate(starts.tolist()):
             traj = rolls.trajectory(j)
             n += 1
             if record is not None:
@@ -533,7 +551,8 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
                 trace(n, cover, event)
             streak = 0 if event else streak + 1
             if event:
-                sel.bit_generator.state = drawn[j]  # rewind past the dropped draws
+                sel.bit_generator.state = before  # undo the dropped draws: redraw the kept ones as the block did
+                _start_draws(sel, weighted, act.size, j + 1)
                 break
         if streak >= n_eps:
             if hyper.decay_undershoots(cover.radius):

@@ -304,10 +304,13 @@ class LeadFollowDynamics:
         v0, v1, p10 = x.T
         a0 = self.policy.accel_array(v0, v1, p10)
         dt = self.dt
+        out = np.empty(x.shape)
         nv0 = v0 + (a0 + w[:, 0]) * dt
         nv1 = v1 + (u[:, 0] + w[:, 1]) * dt
-        return np.stack([np.where(nv0 > 0.0, nv0, 0.0), np.where(nv1 > 0.0, nv1, 0.0),
-                         p10 + (v1 - v0) * dt], axis=1)
+        out[:, 0] = np.where(nv0 > 0.0, nv0, 0.0)
+        out[:, 1] = np.where(nv1 > 0.0, nv1, 0.0)
+        out[:, 2] = p10 + (v1 - v0) * dt
+        return out
 
 
 class ThreeVehicleDynamics:
@@ -341,12 +344,16 @@ class ThreeVehicleDynamics:
         v0, v1, v2, p10, p20 = x.T
         a0 = self.policy.accel_array(v0, v1, p10)
         dt = self.dt
+        out = np.empty(x.shape)
         nv0 = v0 + (a0 + w[:, 0]) * dt
         nv1 = v1 + (u[:, 0] + w[:, 1]) * dt
         nv2 = v2 + (u[:, 1] + w[:, 2]) * dt
-        return np.stack([np.where(nv0 > 0.0, nv0, 0.0), np.where(nv1 > 0.0, nv1, 0.0),
-                         np.where(nv2 > 0.0, nv2, 0.0), p10 + (v1 - v0) * dt,
-                         p20 + (v2 - v0) * dt], axis=1)
+        out[:, 0] = np.where(nv0 > 0.0, nv0, 0.0)
+        out[:, 1] = np.where(nv1 > 0.0, nv1, 0.0)
+        out[:, 2] = np.where(nv2 > 0.0, nv2, 0.0)
+        out[:, 3] = p10 + (v1 - v0) * dt
+        out[:, 4] = p20 + (v2 - v0) * dt
+        return out
 
 
 class ToyDynamics:
@@ -539,7 +546,7 @@ def _advance(sys: ScenarioSystem, states, actions, omegas, masks) -> tuple[np.nd
     hi = sys.state_box.upper
     raw = sys.transition.batch(states, actions, omegas)
     below, above = raw < lo, raw > hi
-    if not (below.any() or above.any()):
+    if not (below | above).any():
         return raw, None
     clamped = np.where(below, lo, np.where(above, hi, raw))
     hit = (below & masks[0]) | (above & masks[1])
@@ -617,6 +624,11 @@ def run_batch(sys: ScenarioSystem, x0, noise) -> Rollouts:
     ``j`` equals the ``run_scenario`` rollout that makes the same draws.
     Until the first row stops, the steps go through slice views of every
     row, with no row gather or scatter.
+
+    When every row holds its input (the same bits at every step), each row
+    steps under one fixed map.  Once a step sends no row unsafe and leaves
+    every live row's state where it was, bit for bit, no later step can move
+    one, so the block stops there and the later states repeat those.
     """
     if isinstance(noise, tuple):
         acts, omegas = noise
@@ -627,15 +639,20 @@ def run_batch(sys: ScenarioSystem, x0, noise) -> Rollouts:
     if steps:
         _check_inside(sys, x0)  # a live row stays inside: truncation clamps it
     masks = _unsafe_masks(sys)
+    held = _held(acts) and _held(omegas)
     states = np.empty((b, steps + 1, n))
     states[:, 0] = x0
     code = np.full(b, -1)
     length = np.full(b, steps + 1)
     live = slice(None)  # every row, then the indices of the rows still live
     for t in range(steps):
-        nxt, ex = _advance(sys, states[live, t], acts[live, t], omegas[live, t], masks)
+        cur = states[live, t]
+        nxt, ex = _advance(sys, cur, acts[live, t], omegas[live, t], masks)
         states[live, t + 1] = nxt
         if ex is None:
+            if held and (_bits(nxt) == _bits(cur)).all():
+                states[live, t + 2:] = nxt[:, None]
+                break
             continue
         rows = np.arange(b) if isinstance(live, slice) else live
         unsafe = ex >= 0
@@ -644,6 +661,17 @@ def run_batch(sys: ScenarioSystem, x0, noise) -> Rollouts:
         if live.size == 0:
             break
     return Rollouts(states, acts, code, length)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The bit patterns of a float array: -0.0 and 0.0 differ, and so may two NaNs."""
+    return a.view(np.int64)
+
+
+def _held(a: np.ndarray) -> bool:
+    """Whether every row of (B, steps, k) ``a`` has the same bits at every step."""
+    bits = _bits(a)
+    return bool((bits == bits[:, :1]).all())
 
 
 def run_held(sys: ScenarioSystem, x0, actions, omegas, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -681,7 +709,8 @@ def noise_sampler(sys: ScenarioSystem, policy, steps: int):
     ``random`` call scaled to the per-step bounds, which is how ``uniform``
     computes its values, and one over a finite set without disturbances with
     one ``integers`` call; each yields the same values, and leaves the
-    generator in the same state, as the per-step calls.
+    generator in the same state, as the per-step calls.  A one-point set's
+    ``block`` holds its point and seeds no stream.
     """
     acts = policy.actions if isinstance(policy, UniformPolicy) else None
     if isinstance(acts, BoxActionSet):
@@ -749,9 +778,10 @@ class _FiniteNoise(_StepNoise):
         return self.points[rng.integers(len(self.points), size=self.steps)], np.zeros((self.steps, self.k))
 
     def block(self, descs) -> tuple[np.ndarray, np.ndarray]:
-        picks = np.empty((len(descs), self.steps), dtype=np.int64)
-        for j, rng in _seeded_streams(descs):
-            picks[j] = rng.integers(len(self.points), size=self.steps)
+        picks = np.zeros((len(descs), self.steps), dtype=np.int64)
+        if len(self.points) > 1:  # integers(1) is always 0, and nothing else reads the stream
+            for j, rng in _seeded_streams(descs):
+                picks[j] = rng.integers(len(self.points), size=self.steps)
         return self.points[picks], np.zeros((len(descs), self.steps, self.k))
 
 

@@ -157,6 +157,8 @@ SAMPLERS = {
     "box": lambda: (make_lead_follow(sv="idm"), None),
     "box-disturbed": lambda: (make_three_vehicle(sv="brake", omega_bar=0.4), None),
     "finite": lambda: (make_three_vehicle(sv="idm"), [(-5.0, -7.0), (3.0, -3.0), (0.0, -5.0)]),
+    # a one-point set seeds no stream
+    "one-point": lambda: (make_lead_follow(sv="brake"), [(-5.0,)]),
     # a finite set with disturbances draws step by step
     "per-step": lambda: (make_lead_follow(sv="brake", omega_bar=0.3), [(-5.0,), (1.0,)]),
 }

@@ -244,6 +244,28 @@ def test_main_rejects_a_missing_or_unreadable_cells_file(tmp_path, capsys, cells
     assert "E-DOMAIN: options.cells_file" in capsys.readouterr().err
 
 
+SLAB_ROWS = "1,1,21,1\n1,1,23,1\n"
+
+
+@pytest.mark.parametrize("cells", [
+    "dim,delta\n3,1\n1,1,21,1\n1,1,23\n",  # a row without the flag column after rows with it
+    "dim,delta\n3,1\n1,1,21\n1,1,23,1\n",  # a row with the flag column after rows without it
+    "dim,delta\n3,1\n1,nan,21,1\n1,1,23,1\n",  # a coordinate that is not finite
+    "dim,delta\n3,nan\n" + SLAB_ROWS,
+    "dim,delta\n3,-1\n" + SLAB_ROWS,
+    "dim,delta\n3,1\n1,1,21,2\n1,1,23,1\n",  # a flag other than 0 or 1
+], ids=["flag-then-none", "none-then-flag", "nan-coordinate", "nan-delta", "negative-delta", "flag-2"])
+def test_main_rejects_a_malformed_cells_file(tmp_path, capsys, cells):
+    (tmp_path / "cells.csv").write_text(cells)
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("algorithm = val-eps-delta\nseed = 0\nsystem.name = lead-follow\nhyper.epsilon = 0.5\n"
+                   f"hyper.K = 4\noptions.cells_file = {json.dumps(str(tmp_path / 'cells.csv'))}\n")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "E-DOMAIN: options.cells_file" in err and "cannot be read" in err
+    assert "Traceback" not in err
+
+
 def test_main_compare_prints_and_saves_canonical_json(tmp_path, capsys):
     run_into(ORACLE_CFG, tmp_path / "a")
     run_into(ORACLE_CFG, tmp_path / "b")

@@ -1,5 +1,7 @@
 """Covering lattice, refinement and volume accounting."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -439,6 +441,70 @@ def test_cover_csv_round_trip(tmp_path):
     assert compare_grids(cv, back)
     np.testing.assert_array_equal(flags, cv.active)
     assert back.n_active() == cv.n_active()
+
+
+def csv_module_load(path, domain):
+    """A cover file as the ``csv`` module reads it, one list per row, keyed as one tuple per row."""
+    with open(path, newline="") as fh:
+        r = csv.reader(fh)
+        next(r)
+        dim_s, delta_s = next(r)
+        dim = int(dim_s)
+        rows = [rec for rec in r if rec]
+    centers = np.array([[float(v) for v in rec[:dim]] for rec in rows]).reshape(-1, dim)
+    flags = np.array([bool(int(rec[dim])) for rec in rows]) if rows and len(rows[0]) == dim + 1 else None
+    seen = {}
+    for i, row in enumerate(key_round(centers).tolist()):
+        seen[tuple(row)] = i
+    return centers, float(delta_s), flags, seen
+
+
+@pytest.mark.parametrize("flagged", [True, False])
+@pytest.mark.parametrize("line_end", ["\r\n", "\n"])
+def test_load_cover_equals_the_csv_module_parse(tmp_path, flagged, line_end):
+    # a refined 5-D lattice with off-lattice, repeated and tiny centers, across several parse chunks
+    cv = refine_cover(build_cover(BoxRegion([0, 0, 0, 5, -25], [6, 6, 6, 25, -5]), 2.5), 0.5)
+    rng = np.random.default_rng(11)
+    for c in rng.uniform(cv.domain.lower, cv.domain.upper, size=(300, 5)):
+        cv.append(c)
+    cv.append([1e-12, -3.5e-7, 2.0 / 3.0, 5.0 + 1e-9, -5.0])
+    cv.deactivate(rng.choice(len(cv), size=len(cv) // 3, replace=False))
+    path = tmp_path / "cells.csv"
+    save_cover_csv(cv, path, flags=cv.active.astype(int) if flagged else None)
+    lines = path.read_text().split("\r\n")
+    lines[5:5] = ["", ""]  # blank lines are no rows
+    path.write_bytes(line_end.join(lines).encode())
+    back, flags = load_cover_csv(path, domain=cv.domain)
+    centers, delta, want_flags, seen = csv_module_load(path, cv.domain)
+    assert len(back) == len(centers) > 4096
+    assert back.centers.tobytes() == centers.tobytes() and back.radius == delta
+    if flagged:
+        np.testing.assert_array_equal(flags, want_flags)
+        np.testing.assert_array_equal(back.active, cv.active)
+    else:
+        assert flags is None and want_flags is None and back.active.all()
+    assert list(back._seen.items()) == list(seen.items())
+
+
+@pytest.mark.parametrize("text,message", [
+    ("dim,delta\n2,1\n1,2,1\n1,2\n", "fields"),
+    ("dim,delta\n2,1\n1,2\n1,2,1\n", "fields"),
+    ("dim,delta\n2,1\n1,2,1,0\n", "fields"),
+    ("dim,delta\n2,1\n1,2,\n", "empty field or one that is not a number"),
+    ("dim,delta\n2,1\n1,x\n", "empty field or one that is not a number"),
+    ("dim,delta\n2,1\n1,inf\n", "not finite"),
+    ("dim,delta\n2,1\n1,nan,1\n", "not finite"),
+    ("dim,delta\n2,inf\n1,2\n", "finite delta > 0"),
+    ("dim,delta\n2,0\n1,2\n", "finite delta > 0"),
+    ("dim,delta\n0,1\n1\n", "dim >= 1"),
+    ("dim,delta\n2,1\n1,2,0.5\n", "neither 0 nor 1"),
+    ("dim,delta\n2,1\n1,2,nan\n", "neither 0 nor 1"),
+])
+def test_load_cover_rejects_a_malformed_body(tmp_path, text, message):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_cover_csv(p)
 
 
 def test_load_cover_rejects_foreign_header(tmp_path):

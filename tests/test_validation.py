@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,3 +177,33 @@ def test_a_band_that_excludes_every_center_keeps_the_undersampled_flag():
     assert (v.result, v.n_samples, v.undersampled) == (True, 0, True)
     v = validate_eps_delta(lf, cover, 40, 0.01, 0.1, lf.action_box, rng=0, band=band)
     assert (v.result, v.n_samples, v.undersampled) == (True, 0, False)
+
+
+# ---------------------------------------------------------------------------
+# the miss rate that the sample size promises
+# ---------------------------------------------------------------------------
+
+
+def binomial_band(n: int, p: float, alpha: float) -> tuple[int, int]:
+    """The counts ``k`` of Binomial(n, p) whose lower and upper tails both exceed ``alpha / 2``."""
+    pmf = [math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                    + k * math.log(p) + (n - k) * math.log1p(-p)) for k in range(n + 1)]
+    below = list(itertools.accumulate(pmf))  # P(X <= k)
+    lo = next(k for k in range(n + 1) if below[k] > alpha / 2)
+    hi = next(k for k in range(n, -1, -1) if 1.0 - (below[k - 1] if k else 0.0) > alpha / 2)
+    return lo, hi
+
+
+def test_val_eps_passes_an_eps_unsafe_region_at_the_rate_the_bound_gives():
+    # toy-threshold sends every start below 1 out through its unsafe floor,
+    # and [a, 10] puts exactly eps of its mass there: (1 - a) / (10 - a) = 0.05
+    toy = make_toy_threshold()
+    a = 0.5 / 0.95
+    eps, beta, seeds = 0.05, 0.1, range(2000)
+    n = sample_size_probabilistic(eps, beta)
+    assert n == 45
+    lo, hi = binomial_band(len(seeds), (1.0 - eps) ** n, 1e-6)  # fixed before the run
+    passes = sum(validate_eps(toy, BoxRegion([a], [10.0]), 2, eps, beta, toy.action_box, rng=s).result
+                 for s in seeds)
+    assert lo <= passes <= hi, (f"{passes} of {len(seeds)} runs passed an eps-unsafe region; "
+                                f"(1 - eps)^N expects {len(seeds) * (1.0 - eps) ** n:.1f}, band [{lo}, {hi}]")
