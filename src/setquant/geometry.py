@@ -750,13 +750,13 @@ def load_cover_csv(path, domain: BoxRegion | None = None):
                                  f"got rows of {sorted(counts | {fields})}")
             try:
                 vals = np.fromstring(",".join(lines), sep=",")
-            except ValueError:
-                vals = None
-            if vals is None or vals.size != len(lines) * fields:  # a last empty field ends the parse quietly
+            except ValueError:  # a field that is not a number
+                vals = np.empty(0)
+            if vals.size != len(lines) * fields:  # an empty last field ends the parse without an error
                 raise ValueError("a cover row holds an empty field or one that is not a number")
             chunks.append(vals.reshape(len(lines), fields))
     arr = np.concatenate(chunks) if chunks else np.empty((0, dim))
-    del chunks
+    del chunks  # the pieces are copied: free them before the cover copies the centers again
     if not np.isfinite(arr[:, :dim]).all():
         raise ValueError("a cover center has a coordinate that is not finite")
     mask = None
