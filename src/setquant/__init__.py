@@ -3,11 +3,9 @@
 from .geometry import (
     BandPredicate,
     BoxRegion,
-    Cell,
     DeltaCover,
     boundary_band,
     build_cover,
-    cover_distance,
     load_cover_csv,
     nearest_center,
     refine_cover,

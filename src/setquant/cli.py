@@ -42,7 +42,7 @@ from .reporting import (
     write_slices_csv,
     write_trajectories_ndjson,
 )
-from .scenario import FiniteActionSet, default_action_samples, outside_domain
+from .scenario import FiniteActionSet, FixedActionPolicy, default_action_samples, outside_domain
 from .validation import validate_delta, validate_eps, validate_eps_delta
 
 __all__ = ["main", "dispatch"]
@@ -86,7 +86,7 @@ def _validate(cfg, system, actions, hyper, workers, record):
                 u0 = list(actions.points[0])
             else:
                 u0 = (0.5 * (actions.box.lower + actions.box.upper)).tolist()
-        verdict = validate_delta(system, region, hyper.horizon, lambda s: tuple(u0), record=record)
+        verdict = validate_delta(system, region, hyper.horizon, FixedActionPolicy(u0), record=record)
     elif alg == "val-eps":
         verdict = validate_eps(system, region, hyper.horizon, hyper.epsilon, hyper.beta,
                                actions, rng=cfg.seed, workers=workers, record=record)

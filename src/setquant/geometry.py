@@ -12,17 +12,15 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "BoxRegion",
-    "Cell",
     "DeltaCover",
     "signed_distance",
     "build_cover",
-    "cover_distance",
     "nearest_center",
     "refine_cover",
     "boundary_band",
@@ -78,27 +76,12 @@ class BoxRegion:
         p = np.asarray(point, dtype=float)
         return bool(np.all(p >= self.lower - tol) and np.all(p <= self.upper + tol))
 
-    def clip(self, point) -> np.ndarray:
-        return np.minimum(np.maximum(np.asarray(point, dtype=float), self.lower), self.upper)
-
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lower, self.upper)
 
     def outside(self, points: np.ndarray) -> np.ndarray:
         """Per row of (B, n) ``points``, whether it lies farther than ``MEMBER_TOL`` outside the box."""
         return ~(np.all(points >= self.lower - MEMBER_TOL, axis=1) & np.all(points <= self.upper + MEMBER_TOL, axis=1))
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One cover cell: a center plus the half-width of its infinity-norm ball."""
-
-    center: np.ndarray
-    radius: float
-
-    def box(self) -> BoxRegion:
-        c = np.asarray(self.center, dtype=float)
-        return BoxRegion(c - self.radius, c + self.radius)
 
 
 def signed_distance(point, box: BoxRegion) -> float:
@@ -207,9 +190,9 @@ _INDEX_TOL = LATTICE_TOL
 # Relative widening of a query's reach, past the rounding of a computed
 # distance that is <= reach.  Bucket widths exceed twice the widened reach.
 _WIDEN = 1e-9
-# Point-center differences per chunk of a brute-force scan (``scan_distances``, ``nearest_all``'s fallback).
+# Point-center differences per chunk of a brute-force scan (``scan_distances``, ``_nearest``'s fallback).
 _SCAN_CHUNK = 1 << 20
-# Query points per chunk of ``DeltaCover.distances_within``, ``outside`` and ``nearest_all``.
+# Query points per chunk of ``DeltaCover.distances_within``, ``outside`` and ``_nearest``.
 _QUERY_ROWS = 1 << 11
 # Centers keyed per chunk when a cover builds its dedup map.
 _KEY_ROWS = 1 << 12
@@ -401,9 +384,6 @@ class DeltaCover:
     def n_active(self) -> int:
         return int(self.active.sum())
 
-    def cell(self, ordinal: int) -> Cell:
-        return Cell(self.centers[ordinal], self.radius)
-
     # -- mutation ---------------------------------------------------------
 
     def append(self, point) -> int:
@@ -492,53 +472,17 @@ class DeltaCover:
             out[rest] = self.distances_within(pts[rest], reach) > reach
         return out
 
-    def batch_distances(self, points) -> np.ndarray:
-        """Min sup-norm distance from each row of ``points`` to the active centers."""
-        if not self.active.any():
-            raise ValueError("cover has no active centers")
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d = self.distances_within(pts, self.radius + _INDEX_TOL)
-        far = np.flatnonzero(np.isinf(d))
-        if far.size:
-            d[far] = scan_distances(pts[far], self.active_centers())
-        return d
+    def _nearest(self, points, active_only: bool) -> tuple[np.ndarray, np.ndarray]:
+        """(ordinal, distance) of the nearest center to each row of ``points``, the lowest ordinal on ties.
 
-    def nearest(self, point, active_only: bool = True) -> tuple[int, float]:
-        """(ordinal, distance) of the nearest center, the lowest ordinal on ties.
-
-        ``active_only=False`` searches deactivated centers too.  A point with
-        no candidate center within reach falls back to a full scan.  Raises
-        ``ValueError`` when there is no center to search.
+        ``active_only`` searches the live centers only.  Rows go through in
+        chunks; a row with no candidate within reach falls back to a full
+        scan, so every answer is the brute-force one.  Raises ``ValueError``
+        when there is no center to search.
         """
-        if self._n == 0:
-            raise ValueError("cover has no centers")
-        p = np.asarray(point, dtype=float)
-        reach = self.radius + _INDEX_TOL
-        cand = np.sort(self._bucket_index(reach).candidates(np.atleast_2d(p), reach)[1])
-        if active_only:
-            cand = cand[self.active[cand]]
-        if cand.size:
-            d = np.abs(self.centers[cand] - p).max(axis=1)
-            k = int(np.argmin(d))  # candidates ascend, so the first minimum is the lowest ordinal
-            if d[k] <= reach:
-                return int(cand[k]), float(d[k])
-        cand = self.active_indices() if active_only else np.arange(self._n)
-        if cand.size == 0:
-            raise ValueError("cover has no active centers")
-        d = np.abs(self.centers[cand] - p).max(axis=1)
-        k = int(np.argmin(d))
-        return int(cand[k]), float(d[k])
-
-    def nearest_all(self, points) -> np.ndarray:
-        """Ordinal of the nearest center, active or not, to each row of ``points``.
-
-        Row by row equal to ``nearest(p, active_only=False)[0]``: the lowest
-        ordinal wins ties, and a row with no center within reach falls back
-        to a full scan.  Rows go through in chunks, so transient memory stays
-        bounded whatever their number.
-        """
-        if self._n == 0:
-            raise ValueError("cover has no centers")
+        pool = self.active_indices() if active_only else np.arange(self._n)
+        if pool.size == 0:
+            raise ValueError("cover has no active centers" if active_only else "cover has no centers")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         reach = self.radius + _INDEX_TOL
         index = self._bucket_index(reach)
@@ -547,6 +491,9 @@ class DeltaCover:
         for lo in range(0, pts.shape[0], _QUERY_ROWS):
             chunk = pts[lo:lo + _QUERY_ROWS]
             row, cand = index.candidates(chunk, reach)
+            if active_only:
+                live = self.active[cand]
+                row, cand = row[live], cand[live]
             if row.size:
                 d = _sup_gaps(self.centers, cand, chunk, row)
                 first = np.flatnonzero(np.diff(row, prepend=-1))
@@ -555,11 +502,34 @@ class DeltaCover:
                 best[lo + row[first]] = dmin
                 out[lo + row[first]] = np.minimum.reduceat(np.where(tied, cand, self._n), first)
         far = np.flatnonzero(~(best <= reach))
-        rows = max(1, _SCAN_CHUNK // self.centers.size)
+        rows = max(1, _SCAN_CHUNK // (pool.size * self.dim))
         for i in range(0, far.size, rows):
             sel = far[i:i + rows]
-            out[sel] = np.abs(pts[sel, None, :] - self.centers[None, :, :]).max(axis=2).argmin(axis=1)
-        return out
+            d = np.abs(pts[sel, None, :] - self.centers[pool][None, :, :]).max(axis=2)
+            out[sel], best[sel] = pool[d.argmin(axis=1)], d.min(axis=1)  # pool ascends: the lowest ordinal
+        return out, best
+
+    def batch_distances(self, points) -> np.ndarray:
+        """Min sup-norm distance from each row of ``points`` to the active centers."""
+        return self._nearest(points, True)[1]
+
+    def nearest(self, point, active_only: bool = True) -> tuple[int, float]:
+        """(ordinal, distance) of the nearest center, the lowest ordinal on ties.
+
+        ``active_only=False`` searches deactivated centers too.  Raises
+        ``ValueError`` when there is no center to search.
+        """
+        if self._n == 0:
+            raise ValueError("cover has no centers")
+        ords, dists = self._nearest(point, active_only)
+        return int(ords[0]), float(dists[0])
+
+    def nearest_all(self, points) -> np.ndarray:
+        """Ordinal of the nearest center, active or not, to each row of ``points``.
+
+        Row by row equal to ``nearest(p, active_only=False)[0]``.
+        """
+        return self._nearest(points, False)[0]
 
 
 def build_cover(region: BoxRegion, delta: float) -> DeltaCover:
@@ -582,11 +552,6 @@ def nearest_center(cover: DeltaCover, point) -> tuple[int, float]:
     infinite distance, so callers cannot mistake emptiness for remoteness.
     """
     return cover.nearest(point)
-
-
-def cover_distance(cover: DeltaCover, point) -> float:
-    """Sup-norm distance from ``point`` to the nearest active center."""
-    return nearest_center(cover, point)[1]
 
 
 def refine_cover(cover: DeltaCover, gamma: float, excluded=None, margin: float = 0.0) -> DeltaCover:
@@ -724,7 +689,8 @@ def load_cover_csv(path, domain: BoxRegion | None = None):
     """Read a cover CSV back; returns (DeltaCover, flags-or-None).
 
     When the rows carry a trailing flag column the flags come back as a bool
-    array and double as the active mask.  The rows are parsed ``_KEY_ROWS``
+    array and double as the active mask.  Without ``domain`` the domain is the
+    centers' bounds grown by ``delta``, or ``[-delta, delta]^dim`` with no rows.  The rows are parsed ``_KEY_ROWS``
     at a time straight into one float array, with no list per row.  Raises
     ``ValueError`` for a header other than ``dim,delta``, a ``dim`` below 1,
     a ``delta`` that is not finite and positive, rows that do not all have
@@ -766,7 +732,8 @@ def load_cover_csv(path, domain: BoxRegion | None = None):
             raise ValueError("a cover flag is neither 0 nor 1")
     centers = arr[:, :dim]
     if domain is None:
-        domain = BoxRegion(centers.min(axis=0) - delta, centers.max(axis=0) + delta)
+        lo, hi = (centers.min(axis=0), centers.max(axis=0)) if len(centers) else (np.zeros(dim), np.zeros(dim))
+        domain = BoxRegion(lo - delta, hi + delta)
     return DeltaCover(centers, delta, domain, active=mask), mask
 
 

@@ -44,13 +44,14 @@ from .scenario import (
     EXIT_UNSAFE,
     ScenarioSystem,
     UniformPolicy,
+    _check_inside,
     noise_sampler,
     outside_domain,
     run_batch,
     run_scenario,
     sample_stream,
 )
-from .validation import sample_size_probabilistic, validate_eps_delta
+from .validation import _SELECT, _sample_desc, sample_size_probabilistic, validate_eps_delta
 
 __all__ = [
     "HyperParams",
@@ -141,16 +142,9 @@ class ReachGraph:
 
     def __init__(self):
         self.parents: dict[int, set[int]] = {}
-        self.n_edges = 0
 
     def add_edge(self, src: int, dst: int) -> None:
-        peers = self.parents.setdefault(dst, set())
-        if src not in peers:
-            peers.add(src)
-            self.n_edges += 1
-
-    def __len__(self) -> int:
-        return self.n_edges
+        self.parents.setdefault(dst, set()).add(src)
 
 
 def reachable_closure(graph: ReachGraph, vertex: int) -> set[int]:
@@ -196,14 +190,6 @@ class TrajectoryBuffer(list):
 
     It holds at most one record per fresh sample, so at most the sample budget.
     """
-
-
-def _sample_desc(seed: int, ordinal: int) -> dict:
-    """The seed descriptor of fresh sample ``ordinal``; ordinal ``2**31`` names the selection stream."""
-    return {"entropy": int(seed), "spawn_key": [int(ordinal)]}
-
-
-_SELECT = 2**31
 
 
 def _start_draws(sel: np.random.Generator, weighted: bool, k: int, count: int) -> np.ndarray:
@@ -529,10 +515,8 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
         before = sel.bit_generator.state
         starts = start_ordinals(act, _start_draws(sel, weighted, act.size, size), weighted)
         refused = np.flatnonzero(outside_domain(sys, cover.centers[starts])) if steps else ()
-        if len(refused):  # end the block before the start that run_scenario refuses
-            if refused[0] == 0:
-                run_scenario(sys, cover.centers[starts[0]], hyper.horizon, policy,
-                             sample_stream(_sample_desc(seed, n)))
+        if len(refused):  # end the block before the refused start
+            _check_inside(sys, cover.centers[starts[:1]])  # raises when that is the first
             starts = starts[:refused[0]]
             sel.bit_generator.state = before  # keep the kept starts' draws only
             _start_draws(sel, weighted, act.size, starts.size)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,9 +129,6 @@ class BoxActionSet:
     def contains(self, u, tol: float = DOMAIN_TOL) -> bool:
         return self.box.contains(np.atleast_1d(u), tol=tol)
 
-    def describe(self) -> dict:
-        return {"kind": "box", "lower": self.box.lower.tolist(), "upper": self.box.upper.tolist()}
-
 
 class FiniteActionSet:
     """Discrete action set, sampled uniformly over its points.
@@ -159,9 +156,6 @@ class FiniteActionSet:
     def contains(self, u, tol: float = DOMAIN_TOL) -> bool:
         arr = np.atleast_1d(u)
         return any(np.abs(np.asarray(p) - arr).max() <= tol for p in self.points)
-
-    def describe(self) -> dict:
-        return {"kind": "finite", "points": [list(p) for p in self.points]}
 
 
 class UniformPolicy:

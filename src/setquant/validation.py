@@ -3,7 +3,7 @@
 Three routines with increasing reach:
 
 * ``validate_delta`` — exhaustive: rolls out once from every cover center
-  under a deterministic policy with disturbances off.
+  under a fixed action with disturbances off.
 * ``validate_eps`` — probabilistic: iid uniform starts from a candidate
   region, enough of them that a miss probability above ``epsilon`` would have
   been detected except with probability ``beta``.
@@ -27,10 +27,12 @@ import numpy as np
 
 from .geometry import DeltaCover
 from .scenario import (
-    EXIT_UNSAFE,
+    FiniteActionSet,
+    FixedActionPolicy,
     ScenarioSystem,
     Trajectory,
     UniformPolicy,
+    _check_inside,
     noise_sampler,
     outside_domain,
     run_batch,
@@ -101,6 +103,14 @@ class ValidationVerdict:
 # ---------------------------------------------------------------------------
 
 
+def _sample_desc(seed: int, ordinal: int) -> dict:
+    """The seed descriptor of sample ``ordinal`` of an integer seed; ordinal ``_SELECT`` names the selection stream."""
+    return {"entropy": int(seed), "spawn_key": [int(ordinal)]}
+
+
+_SELECT = 2**31
+
+
 def _child_seeds(rng, n: int) -> list[dict]:
     """One seed descriptor per sample.
 
@@ -110,7 +120,7 @@ def _child_seeds(rng, n: int) -> list[dict]:
     in any grouping.
     """
     if isinstance(rng, (int, np.integer)):
-        return [{"entropy": int(rng), "spawn_key": [i]} for i in range(n)]
+        return [_sample_desc(rng, i) for i in range(n)]
     if isinstance(rng, np.random.Generator):
         ent = rng.integers(0, 2**63 - 1, size=n)
         return [{"entropy": int(e)} for e in ent]
@@ -159,7 +169,7 @@ def _run_samples(sys, starts, horizon, policy, seed_descs, region, workers: int,
     first block with a failure and returns its lowest failing index: the
     verdict of a sequential loop.  ``record(i, traj)`` sees the trajectories
     of samples 0 up to that index, in order.  A start outside the domain raises
-    ``run_scenario``'s ``ValueError`` once every sample before it passed.
+    the domain check's ``ValueError`` once every sample before it passed.
     ``workers`` is accepted for compatibility and changes nothing.
     """
     n = len(starts)
@@ -176,8 +186,7 @@ def _run_samples(sys, starts, horizon, policy, seed_descs, region, workers: int,
         bad = _run_block(sys, x0[lo:min(lo + _BLOCK, stop)], lo, draw, seed_descs, region, record)
         if bad >= 0:
             return bad
-    if stop < n:
-        run_scenario(sys, starts[stop], horizon, policy, sample_stream(seed_descs[stop]))
+    _check_inside(sys, x0[stop:stop + 1])  # the refused start, if there is one
     return -1
 
 
@@ -186,29 +195,22 @@ def _run_samples(sys, starts, horizon, policy, seed_descs, region, workers: int,
 # ---------------------------------------------------------------------------
 
 
-def validate_delta(sys: ScenarioSystem, cover: DeltaCover, horizon: int, policy,
+def validate_delta(sys: ScenarioSystem, cover: DeltaCover, horizon: int, policy: FixedActionPolicy,
                    record=None) -> ValidationVerdict:
-    """Exhaustive rollout from every active center, deterministic, no noise.
+    """Exhaustive rollout from every active center under the fixed action ``policy.u``, no noise.
 
-    ``policy`` maps a state to an action (no randomness).  Fails on the first
-    center whose rollout exits unsafely or strays farther than delta from the
-    cover.
+    Fails on the first center whose rollout exits unsafely or strays farther
+    than delta from the cover.  The centers run as ``_run_samples``'s samples,
+    under a one-point action set that seeds no stream.
     """
     quiet = dataclasses.replace(sys, omega_bar=0.0, facets=dict(sys.facets))
-    det = lambda state, rng=None: policy(state)
-    rng = np.random.Generator(np.random.PCG64(0))  # never consulted
-    idx = cover.active_indices()
-    for k, i in enumerate(idx):
-        start = cover.centers[int(i)]
-        traj = run_scenario(quiet, start, horizon, det, rng)
-        if record is not None:
-            record(int(k), traj)
-        if traj.exit_kind == EXIT_UNSAFE or cover.outside(traj.states[1:]).any():
-            return ValidationVerdict(
-                result=False, n_samples=int(k + 1), delta=cover.radius, kind="delta",
-                counterexample_start=[float(x) for x in start],
-                counterexample_seed=None, counterexample=traj)
-    return ValidationVerdict(result=True, n_samples=int(idx.size), delta=cover.radius, kind="delta")
+    starts = cover.active_centers()
+    bad = _run_samples(quiet, starts, horizon, UniformPolicy(FiniteActionSet([policy.u])),
+                       _child_seeds(0, len(starts)), cover, 1, record=record)
+    found = {} if bad < 0 else {"counterexample_start": [float(x) for x in starts[bad]],
+                                "counterexample": run_scenario(quiet, starts[bad], horizon, policy, None)}
+    return ValidationVerdict(result=bad < 0, n_samples=len(starts) if bad < 0 else bad + 1,
+                             delta=cover.radius, kind="delta", **found)
 
 
 def _validate_sampled(sys, horizon, epsilon, beta, actions, rng, n_samples, workers, record,
@@ -235,7 +237,7 @@ def _validate_sampled(sys, horizon, epsilon, beta, actions, rng, n_samples, work
     seed_descs = _child_seeds(rng, n)
     starts = np.empty((0, sys.state_box.dim))
     if n:
-        starts = pick_starts(sample_stream({"entropy": seed_descs[0]["entropy"], "spawn_key": [2**31]}), n)
+        starts = pick_starts(sample_stream(_sample_desc(seed_descs[0]["entropy"], _SELECT)), n)
     policy = UniformPolicy(actions)
     bad = _run_samples(sys, starts, horizon, policy, seed_descs, region, workers, record=record)
     found = {} if bad < 0 else {

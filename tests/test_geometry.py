@@ -312,7 +312,7 @@ def _reference_refine(cover, gamma, excluded=None, margin=0.0):
         if excl.size == 0:
             excl = None
     for i in cover.active_indices():
-        cell_box = cover.cell(int(i)).box()
+        cell_box = BoxRegion(cover.centers[int(i)] - cover.radius, cover.centers[int(i)] + cover.radius)
         lo = np.maximum(cell_box.lower, cover.domain.lower)
         hi = np.minimum(cell_box.upper, cover.domain.upper)
         for pt in _reference_lattice(lo, hi, new_radius):
