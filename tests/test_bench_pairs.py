@@ -3,8 +3,9 @@
 Each workload has ten pairs of runs, parent and change, with values chosen
 so that every figure of the summary is known in advance: the medians and
 inclusive quartiles, the pairs each side won (a tie is a win for neither),
-the ratio against the metric's bound at exactly ``1 + bound``, and the gain
-rule at 9 of 10 pairs won and at 8 of 10.
+the ratio against the metric's bound at exactly ``1 + bound``, the gain
+rule at 9 of 10 pairs won and at 8 of 10, and the unresolved verdict on a
+parent spread wider than the bound, with the sides overlapping and apart.
 """
 
 import importlib.util
@@ -32,6 +33,12 @@ PAIRS = {
     "w-eight": {  # 8 wins, a tie and a loss: the gain rule fails at 8 of 10
         "solve_s": [(20.0 + i, 10.0 + i) for i in range(8)] + [(28.0, 28.0), (29.0, 30.0)],
         "setup_s": [(4.0, 5.0)] * 10,  # exactly 1 + bound
+    },
+    "w-wide": {  # the parent spreads 4.5 / 12.5 = 0.36 of its median, and the sides overlap
+        "solve_s": [(8.0 + i, 8.5 + i) for i in range(10)],
+    },
+    "w-apart": {  # the parent spreads 9 / 19 = 0.47, but every change run beats every parent run
+        "solve_s": [(10.0 + 2 * i, 1.0 + 0.5 * i) for i in range(10)],
     },
 }
 
@@ -88,3 +95,14 @@ def test_the_gain_rule_holds_at_nine_pairs_in_ten_and_not_at_eight(summary):
     # the median gap beats the spread here too: only the pair count fails
     assert eight["gain"]["median_gap"] > eight["gain"]["parent_iqr"]
     assert eight["gain"]["holds"] is False
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved_unless_the_sides_are_apart(summary):
+    wide = summary["workloads"]["w-wide"]["metrics"]["solve_s"]
+    assert wide["parent_spread"] == 4.5 / 12.5 and wide["bound"] == 0.25
+    assert wide["within_bound"] is True and wide["unresolved"] is True
+    apart = summary["workloads"]["w-apart"]["metrics"]["solve_s"]
+    assert apart["parent_spread"] == 9.0 / 19.0
+    assert apart["unresolved"] is False
+    narrow = summary["workloads"]["w-nine"]["metrics"]["solve_s"]
+    assert narrow["parent_spread"] == 4.5 / 24.5 and narrow["unresolved"] is False

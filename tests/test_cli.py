@@ -338,3 +338,16 @@ def test_an_empty_answer_keeps_the_sign_of_its_cost(tmp_path, cfg, cost):
     report = files["report.json"].decode()
     assert f'  "cost": {cost},' in report.splitlines()
     assert json.loads(report)["cell_count"] == 0
+
+
+@pytest.mark.parametrize("empty", ["a", "b"])
+def test_compare_reads_a_cells_file_with_no_rows(tmp_path, capsys, empty):
+    # no guessed box validates, so qnt-vs writes a cover header and no row
+    run_into("algorithm = qnt-vs\nseed = 0\nsystem.name = toy-shift\noptions.n_attempts = 2\n", tmp_path / "vs")
+    run_into("algorithm = oracle\nseed = 0\nsystem.name = toy-shift\n", tmp_path / "or")
+    assert (tmp_path / "vs" / "cells.csv").read_text() == "dim,delta\n1,1\n"
+    runs = ["vs", "or"] if empty == "a" else ["or", "vs"]
+    capsys.readouterr()
+    assert main(["compare", *(str(tmp_path / r) for r in runs), "--force"]) == 0
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    assert metrics[f"{empty}_count"] == 0 and metrics[f"{empty}_volume"] == 0.0

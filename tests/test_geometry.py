@@ -150,9 +150,12 @@ def test_indexed_queries_equal_the_brute_force_scan(case):
     idx = cover.active_indices()
     d = np.abs(pts[:, None, :] - cover.centers[idx][None, :, :]).max(axis=2)
     np.testing.assert_array_equal(cover.batch_distances(pts), d.min(axis=1))
-    for p, row in zip(pts, d):
+    every = np.abs(pts[:, None, :] - cover.centers[None, :, :]).max(axis=2)  # dead centers too
+    for p, row, all_row in zip(pts, d, every):
         k = int(np.argmin(row))  # first minimum: the lowest ordinal wins a tie
         assert nearest_center(cover, p) == (int(idx[k]), float(row[k]))
+        k = int(np.argmin(all_row))
+        assert cover.nearest(p, active_only=False) == (k, float(all_row[k]))
 
 
 @given(scrambled_covers(), st.sampled_from([0.0, 0.3]), st.data())

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -7,14 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setquant import validation
-from setquant.geometry import BoxRegion, boundary_band, build_cover
+from setquant.geometry import BoxRegion, DeltaCover, boundary_band, build_cover
 from setquant.scenario import (
     EXIT_UNSAFE,
     FixedActionPolicy,
     UniformPolicy,
     make_lead_follow,
+    make_three_vehicle,
+    make_toy_shift,
     make_toy_shrink,
     make_toy_threshold,
+    run_scenario,
 )
 from setquant.validation import (
     _child_seeds,
@@ -207,3 +211,137 @@ def test_val_eps_passes_an_eps_unsafe_region_at_the_rate_the_bound_gives():
                  for s in seeds)
     assert lo <= passes <= hi, (f"{passes} of {len(seeds)} runs passed an eps-unsafe region; "
                                 f"(1 - eps)^N expects {len(seeds) * (1.0 - eps) ** n:.1f}, band [{lo}, {hi}]")
+
+
+
+def test_val_eps_delta_passes_a_cover_at_the_rate_its_doomed_fraction_gives():
+    # toy-shift's step x + 1 sends the centers 2.25 and 2.75 of the 0.25-cover of [0, 3] out through its
+    # unsafe ceiling and every other center into the cover: 2 of the 6 centers are doomed, and 2 of the 4
+    # that the boundary band keeps (0.25, 0.75, 2.25, 2.75)
+    toy = make_toy_shift()
+    cover = build_cover(toy.state_box, 0.25)
+    band = boundary_band(toy.state_box, toy.sigma_bar)
+    assert cover.centers[:, 0].tolist() == [0.25, 0.75, 1.25, 1.75, 2.25, 2.75]
+    assert [c for c in cover.centers[:, 0].tolist() if band([c])] == [0.25, 0.75, 2.25, 2.75]
+    eps, beta, seeds = 0.5, 0.1, range(2000)
+    n = sample_size_probabilistic(eps, beta)
+    assert n == 4
+    for restrict, doomed in ((None, 1.0 / 3.0), (band, 0.5)):
+        lo, hi = binomial_band(len(seeds), (1.0 - doomed) ** n, 1e-6)  # fixed before the run
+        passes = sum(validate_eps_delta(toy, cover, 2, eps, beta, toy.action_box, rng=s, band=restrict).result
+                     for s in seeds)
+        assert lo <= passes <= hi, (f"{passes} of {len(seeds)} runs passed a cover with a doomed fraction of "
+                                    f"{doomed:.3f}; expected {len(seeds) * (1.0 - doomed) ** n:.1f}, band [{lo}, {hi}]")
+
+
+def test_val_delta_runs_one_sample_per_cell_where_the_resolution_bound_is_tight():
+    toy = make_toy_shrink()
+    v = validate_delta(toy, build_cover(toy.state_box, 0.125), 8, FixedActionPolicy([0.0]))
+    assert v.result and v.n_samples == 8 == sample_size_resolution(toy.state_box.volume, 0.125, 1)
+    lf = make_lead_follow(sv="brake")
+    box = BoxRegion([0.0, 0.0, 6.0], [16.0, 16.0, 60.0])  # 8 x 8 x 27 cells of width 2
+    v = validate_delta(lf, build_cover(box, 1.0), 1, FixedActionPolicy([0.0]))
+    assert v.result and v.n_samples == 1728 == sample_size_resolution(box.volume, 1.0, 3)
+
+# ---------------------------------------------------------------------------
+# val-delta through the block engine, against the per-center loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def per_center_validate_delta(sys_, cover, horizon, action, record):
+    """``validate_delta`` as the loop it replaced: one ``run_scenario`` and one ``outside`` query per active center.
+
+    Returns ``(result, n_samples, counterexample_start, counterexample)``;
+    the action is handed over as given, so an integer action stays integer.
+    """
+    quiet = dataclasses.replace(sys_, omega_bar=0.0, facets=dict(sys_.facets))
+    det = lambda state, rng=None: tuple(action)
+    idx = cover.active_indices()
+    for k, i in enumerate(idx):
+        start = cover.centers[int(i)]
+        traj = run_scenario(quiet, start, horizon, det, np.random.Generator(np.random.PCG64(0)))
+        record(int(k), traj)
+        if traj.exit_kind == EXIT_UNSAFE or cover.outside(traj.states[1:]).any():
+            return False, k + 1, [float(x) for x in start], traj
+    return True, int(idx.size), None, None
+
+
+def recorder():
+    seen = []
+
+    def record(k, traj):
+        seen.append((k, traj.states.shape, traj.states.tobytes(), traj.actions.shape, traj.actions.tobytes(),
+                     traj.exit_kind, traj.exit_facet))
+    return seen, record
+
+
+def thinned(cover, keep):
+    """``cover`` with only the centers whose ordinal satisfies ``keep`` left active."""
+    cover.active[:] = keep(np.arange(len(cover)))
+    return cover
+
+
+LF_SLAB = BoxRegion([0.0, 0.0, 20.0], [4.0, 16.0, 60.0])
+
+DELTA_CASES = {
+    # name: (system, cover, horizon, action)
+    "lf-brake-full-box-fails": (lambda: make_lead_follow(sv="brake"),
+                                lambda s: build_cover(s.state_box, 1.0), 40, [3.0]),
+    "lf-brake-slab": (lambda: make_lead_follow(sv="brake"), lambda s: build_cover(LF_SLAB, 1.0), 40, [-5.0]),
+    "lf-idm-slab-fails": (lambda: make_lead_follow(sv="idm"), lambda s: build_cover(LF_SLAB, 1.0), 40, [3.0]),
+    "lf-brake-dead-centers": (lambda: make_lead_follow(sv="brake"),
+                              lambda s: thinned(build_cover(s.state_box, 2.0), lambda o: o % 3 != 1), 40, [-5.0]),
+    "lf-brake-horizon-1": (lambda: make_lead_follow(sv="brake"), lambda s: build_cover(s.state_box, 2.0), 1, [3.0]),
+    "lf-brake-no-active-center": (lambda: make_lead_follow(sv="brake"),
+                                  lambda s: thinned(build_cover(s.state_box, 2.0), lambda o: o < 0), 40, [3.0]),
+    "3v-idm": (lambda: make_three_vehicle(sv="idm"), lambda s: build_cover(s.state_box, 1.25), 30, [0.0, -3.0]),
+    "3v-brake-integer-action": (lambda: make_three_vehicle(sv="brake"),
+                                lambda s: build_cover(s.state_box, 2.5), 30, [0, -3]),
+    "shrink-truncating-passes": (make_toy_shrink, lambda s: build_cover(BoxRegion([-1.0], [0.0]), 0.25), 8, [-0.9]),
+    "shrink-truncating-fails": (make_toy_shrink, lambda s: build_cover(BoxRegion([-1.0], [0.0]), 0.25), 8, [0.9]),
+    "threshold-fails-first": (make_toy_threshold, lambda s: build_cover(s.state_box, 0.5), 8, [0.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DELTA_CASES))
+def test_validate_delta_equals_the_per_center_loop(case):
+    make, cover_of, horizon, action = DELTA_CASES[case]
+    sys_ = make()
+    cover = cover_of(sys_)
+    want, want_record = recorder()
+    result, n, start, traj = per_center_validate_delta(sys_, cover, horizon, action, want_record)
+    got, got_record = recorder()
+    v = validate_delta(sys_, cover, horizon, FixedActionPolicy(action), record=got_record)
+    assert (v.result, v.n_samples, v.counterexample_start) == (result, n, start)
+    assert (v.kind, v.delta, v.counterexample_seed) == ("delta", cover.radius, None)
+    assert got == want
+    if not result:
+        assert v.counterexample.states.tobytes() == traj.states.tobytes()
+        assert v.counterexample.actions.tobytes() == traj.actions.tobytes()
+        assert (v.counterexample.exit_kind, v.counterexample.exit_facet) == (traj.exit_kind, traj.exit_facet)
+
+
+@pytest.mark.parametrize("centers,action,recorded", [
+    ([[0.0], [0.25], [2.0], [-0.25]], [0.0], 2),  # the centers before the one outside [-1, 1] pass
+    ([[0.0], [-0.25], [-1.5]], [0.0], 2),
+    ([[0.5], [2.0]], [0.9], 1),  # center 0 fails first: the one outside is never reached
+])
+def test_validate_delta_refuses_a_center_outside_the_state_box_as_the_loop_did(centers, action, recorded):
+    toy = make_toy_shrink()
+    want, want_record = recorder()
+    got, got_record = recorder()
+    cover = DeltaCover(centers, 0.25, toy.state_box)
+    try:
+        old = per_center_validate_delta(toy, cover, 4, action, want_record)
+    except ValueError as exc:
+        old = str(exc)
+    try:
+        v = validate_delta(toy, cover, 4, FixedActionPolicy(action), record=got_record)
+        new = (v.result, v.n_samples, v.counterexample_start, v.counterexample)
+    except ValueError as exc:
+        new = str(exc)
+    if isinstance(old, str):
+        assert "outside the domain" in old and new == old
+    else:
+        assert new[:3] == old[:3] == (False, 1, [0.5])
+    assert got == want and len(got) == recorded

@@ -17,6 +17,10 @@ ratio is within the metric's ``BENCHMARK.json`` bound (the share of the
 parent's median by which the metric may worsen), and whether the gain rule
 holds: the change won at least 9 in 10 of the pairs, and its median is
 better than the parent's by more than the parent's interquartile range.
+A metric is ``unresolved`` when the parent's spread, its interquartile
+range over its median, is wider than the bound, unless every run of the
+change is better than every run of the parent: the runs then cannot tell a
+change within the bound from one past it.
 The file also records the machine, the Python and numpy versions and both
 commits.
 """
@@ -80,7 +84,10 @@ def _quartiles(xs: list) -> dict:
 
 
 def summarize(args) -> None:
-    recs = [json.loads(line) for path in args.log for line in open(path) if line.strip()]
+    recs = []
+    for path in args.log:
+        with open(path) as fh:
+            recs += [json.loads(line) for line in fh if line.strip()]
     with open("BENCHMARK.json") as fh:
         spec = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     workloads: dict = {}
@@ -114,6 +121,8 @@ def summarize(args) -> None:
             wins = sum(sign * (c - p) < 0 for p, c in good)
             gap = sign * (parent["median"] - change["median"])  # > 0 when the change is better
             iqr = parent["q3"] - parent["q1"]
+            spread = iqr / parent["median"] if parent["median"] else None
+            apart = max(sign * c for _, c in good) < min(sign * p for p, _ in good)  # every change run better
             entry["metrics"][metric] = {
                 "unit": m["unit"], "better": m["better"], "bound": m["bound"],
                 "parent": parent, "change": change,
@@ -124,6 +133,8 @@ def summarize(args) -> None:
                 (ratio <= 1.0 + m["bound"] if sign > 0 else ratio >= 1.0 - m["bound"]),
                 "gain": {"median_gap": gap, "parent_iqr": iqr,
                          "holds": 10 * wins >= 9 * len(good) and gap > iqr},
+                "parent_spread": spread,
+                "unresolved": spread is not None and spread > m["bound"] and not apart,
             }
         out["workloads"][name] = entry
     with open(args.out, "w") as fh:
