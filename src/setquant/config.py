@@ -171,15 +171,16 @@ def _check_hyper(h: dict) -> None:
     _domain(h["delta_min"] > 0.0, f"delta_min={h['delta_min']} must be positive")
     _domain(isinstance(h["K"], int) and h["K"] >= 1, f"K={h['K']} must be an integer >= 1")
     _domain(isinstance(h["N"], int) and h["N"] >= 1, f"N={h['N']} must be an integer >= 1")
-    _domain(h["omega_bar"] >= 0.0, f"omega_bar={h['omega_bar']} must be non-negative")
+    _domain(h["omega_bar"] >= 0.0 and math.isfinite(2.0 * h["omega_bar"]),
+            f"omega_bar={h['omega_bar']} must be non-negative, with a finite span 2 * omega_bar")
     _domain(h["dt"] > 0.0, f"dt={h['dt']} must be positive")
 
 
 def _check_box_pairs(v, what: str) -> list:
     ok = isinstance(v, list) and v and all(
         isinstance(p, list) and len(p) == 2 and all(_is_number(x) for x in p) and p[0] < p[1]
-        for p in v)
-    _domain(ok, f"{what} must be a list of [lower, upper] pairs with lower < upper")
+        and math.isfinite(float(p[1]) - float(p[0])) for p in v)
+    _domain(ok, f"{what} must be a list of [lower, upper] pairs with lower < upper and a finite width")
     return [[float(p[0]), float(p[1])] for p in v]
 
 

@@ -44,14 +44,16 @@ from .scenario import (
     EXIT_UNSAFE,
     ScenarioSystem,
     UniformPolicy,
+    _SELECT,
     _check_inside,
+    _sample_desc,
     noise_sampler,
     outside_domain,
     run_batch,
     run_scenario,
     sample_stream,
 )
-from .validation import _SELECT, _sample_desc, sample_size_probabilistic, validate_eps_delta
+from .validation import sample_size_probabilistic, validate_eps_delta
 
 __all__ = [
     "HyperParams",
@@ -520,7 +522,7 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
             starts = starts[:refused[0]]
             sel.bit_generator.state = before  # keep the kept starts' draws only
             _start_draws(sel, weighted, act.size, starts.size)
-        noise = draw_noise.block([_sample_desc(seed, n + j) for j in range(starts.size)])
+        noise = draw_noise.block(seed, np.arange(n, n + starts.size))
         rolls = run_batch(sys, cover.centers[starts], noise)
         outs = cover_outside([rolls.states[j, 1:k] for j, k in enumerate(rolls.length)])
         for j, idx in enumerate(starts.tolist()):

@@ -45,7 +45,6 @@ __all__ = [
     "run_batch",
     "noise_sampler",
     "sample_stream",
-    "child_noise",
     "adversarial_actions",
     "default_action_samples",
     "make_lead_follow",
@@ -611,11 +610,10 @@ def run_batch(sys: ScenarioSystem, x0, noise) -> Rollouts:
     """Roll the rows of (B, n) ``x0`` in lock-step, row ``j`` under row ``j`` of ``noise``.
 
     ``noise`` is the tuple ``(actions (B, steps, m), disturbances (B, steps,
-    k))`` that a ``noise_sampler``'s ``block`` draws, or a list of the B
-    per-rollout pairs that the sampler draws (``child_noise``).  Every step
-    moves the live rows through ``step_batch``; a row that crosses an unsafe
-    facet keeps the raw offending state as its last and is frozen, so row
-    ``j`` equals the ``run_scenario`` rollout that makes the same draws.
+    k))`` that a ``noise_sampler``'s ``block`` draws.  Every step moves the
+    live rows through ``step_batch``; a row that crosses an unsafe facet
+    keeps the raw offending state as its last and is frozen, so row ``j``
+    equals the ``run_scenario`` rollout that makes the same draws.
     Until the first row stops, the steps go through slice views of every
     row, with no row gather or scatter.
 
@@ -624,10 +622,7 @@ def run_batch(sys: ScenarioSystem, x0, noise) -> Rollouts:
     every live row's state where it was, bit for bit, no later step can move
     one, so the block stops there and the later states repeat those.
     """
-    if isinstance(noise, tuple):
-        acts, omegas = noise
-    else:
-        acts, omegas = np.stack([u for u, _ in noise]), np.stack([w for _, w in noise])
+    acts, omegas = noise
     b, n = x0.shape
     steps = acts.shape[1]
     if steps:
@@ -695,16 +690,17 @@ def noise_sampler(sys: ScenarioSystem, policy, steps: int):
     """A sampler of the random inputs of ``run_scenario`` rollouts under a state-independent ``policy``.
 
     Called with a generator, it pre-draws one rollout's ``(actions (steps, m),
-    disturbances (steps, k))`` in the rollout's order (action, then
-    disturbance, per step), so that stepping them gives the same trajectory.
-    Its ``block(descs)`` draws those of every seed descriptor's stream into
-    one ``(B, steps, m)`` and one ``(B, steps, k)`` array, row ``j`` from
-    ``descs[j]``'s.  A uniform policy over a box draws a rollout with one
-    ``random`` call scaled to the per-step bounds, which is how ``uniform``
-    computes its values, and one over a finite set without disturbances with
-    one ``integers`` call; each yields the same values, and leaves the
-    generator in the same state, as the per-step calls.  A one-point set's
-    ``block`` holds its point and seeds no stream.
+    disturbances (steps, k))`` step by step, in the rollout's order (action,
+    then disturbance), so that stepping them gives the same trajectory.  Its
+    ``block(seed, ordinals)`` draws those of every ordinal's sample stream
+    (``_seeded_streams``) into one ``(B, steps, m)`` and one ``(B, steps,
+    k)`` array, row ``j`` from ``ordinals[j]``'s.  A uniform policy over a
+    box draws a rollout with one ``random`` call scaled to the per-step
+    bounds, which is how ``uniform`` computes its values, and one over a
+    finite set without disturbances with one ``integers`` call; each yields
+    the same values, and leaves the generator in the same state, as the
+    per-step calls.  A one-point set's ``block`` holds its point and seeds no
+    stream.
     """
     acts = policy.actions if isinstance(policy, UniformPolicy) else None
     if isinstance(acts, BoxActionSet):
@@ -729,11 +725,11 @@ class _StepNoise:
         return (np.asarray(u, dtype=float).reshape(self.steps, self.m),
                 np.asarray(om, dtype=float).reshape(self.steps, self.k))
 
-    def block(self, descs) -> tuple[np.ndarray, np.ndarray]:
-        draws = child_noise(self, descs)
-        b = len(descs)
-        return (np.array([u for u, _ in draws], dtype=float).reshape(b, self.steps, self.m),
-                np.array([w for _, w in draws], dtype=float).reshape(b, self.steps, self.k))
+    def block(self, seed: int, ordinals) -> tuple[np.ndarray, np.ndarray]:
+        u, w = np.empty((len(ordinals), self.steps, self.m)), np.empty((len(ordinals), self.steps, self.k))
+        for j, rng in _seeded_streams(seed, ordinals):
+            u[j], w[j] = self(rng)
+        return u, w
 
 
 class _BoxNoise(_StepNoise):
@@ -746,18 +742,11 @@ class _BoxNoise(_StepNoise):
         self.lower = np.tile(np.concatenate([box.lower, np.full(self.noisy, -w)]), steps)
         self.span = np.tile(np.concatenate([box.upper, np.full(self.noisy, w)]), steps) - self.lower
 
-    def __call__(self, rng):
-        return self._split(self.lower + self.span * rng.random(self.lower.size))
-
-    def block(self, descs) -> tuple[np.ndarray, np.ndarray]:
-        raw = np.empty((len(descs), self.lower.size))
-        for j, rng in _seeded_streams(descs):
+    def block(self, seed: int, ordinals) -> tuple[np.ndarray, np.ndarray]:
+        raw = np.empty((len(ordinals), self.lower.size))
+        for j, rng in _seeded_streams(seed, ordinals):
             rng.random(out=raw[j])
-        return self._split(self.lower + self.span * raw)
-
-    def _split(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Scaled draws, one rollout per row, as its actions and disturbances."""
-        u = u.reshape(u.shape[:-1] + (self.steps, self.m + self.noisy))
+        u = (self.lower + self.span * raw).reshape(len(ordinals), self.steps, self.m + self.noisy)
         return u[..., :self.m], (u[..., self.m:] if self.noisy else np.zeros(u.shape[:-1] + (self.k,)))
 
 
@@ -768,21 +757,26 @@ class _FiniteNoise(_StepNoise):
         super().__init__(sys, policy, steps)
         self.points = np.asarray(policy.actions.points, dtype=float).reshape(-1, self.m)
 
-    def __call__(self, rng):
-        return self.points[rng.integers(len(self.points), size=self.steps)], np.zeros((self.steps, self.k))
-
-    def block(self, descs) -> tuple[np.ndarray, np.ndarray]:
-        picks = np.zeros((len(descs), self.steps), dtype=np.int64)
+    def block(self, seed: int, ordinals) -> tuple[np.ndarray, np.ndarray]:
+        picks = np.zeros((len(ordinals), self.steps), dtype=np.int64)
         if len(self.points) > 1:  # integers(1) is always 0, and nothing else reads the stream
-            for j, rng in _seeded_streams(descs):
+            for j, rng in _seeded_streams(seed, ordinals):
                 picks[j] = rng.integers(len(self.points), size=self.steps)
-        return self.points[picks], np.zeros((len(descs), self.steps, self.k))
+        return self.points[picks], np.zeros((len(ordinals), self.steps, self.k))
 
 
 # ---------------------------------------------------------------------------
-# per-sample random streams: a seed descriptor {"entropy": e} or
-# {"entropy": e, "spawn_key": [i]} names numpy's SeedSequence stream
+# per-sample random streams: sample ``i`` of an integer seed draws from
+# numpy's ``SeedSequence(seed, spawn_key=(i,))``
 # ---------------------------------------------------------------------------
+
+# the ordinal of the stream that selection draws (starts, seed points) use
+_SELECT = 2**31
+
+
+def _sample_desc(seed: int, ordinal: int) -> dict:
+    """The replayable descriptor of sample ``ordinal``'s stream, as a verdict records it."""
+    return {"entropy": int(seed), "spawn_key": [int(ordinal)]}
 
 
 def sample_stream(desc: dict) -> np.random.Generator:
@@ -804,26 +798,6 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M128 = (1 << 128) - 1
 
 
-def _uint32_words(n: int) -> list:
-    """A non-negative integer as little-endian uint32 words, zero as one word."""
-    words = [n & _M32]
-    while n > _M32:
-        n >>= 32
-        words.append(n & _M32)
-    return words
-
-
-def _assembled_entropy(desc: dict) -> list:
-    """``SeedSequence``'s assembled entropy words of a descriptor."""
-    words = _uint32_words(int(desc["entropy"]))
-    key = desc.get("spawn_key", ())
-    if len(key):
-        words += [0] * (_POOL - len(words))  # a spawned sequence pads its entropy to the pool
-        for k in key:
-            words += _uint32_words(int(k))
-    return words
-
-
 def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The xor and the multiply constant of each of ``count`` successive hash steps."""
     consts = [init]
@@ -833,7 +807,7 @@ def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarr
 
 
 # a seed below 2**64 with one spawn key below 2**64 assembles to at most 6 words
-_MAX_WORDS = 8
+_MAX_WORDS = 6
 _XOR_A, _MUL_A = _hash_consts(_INIT_A, _MULT_A, _POOL * _MAX_WORDS)
 _XOR_B, _MUL_B = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
 
@@ -849,16 +823,13 @@ def _mix(x, y):
 
 
 def _pool_of(head: np.ndarray) -> np.ndarray:
-    """The first two steps of ``SeedSequence.mix_entropy`` per row of (n, <= 4) leading words.
+    """The first two steps of ``SeedSequence.mix_entropy`` per row of (n, 4) leading words.
 
-    Each word hashes into its pool word (a missing word hashes as 0), then
-    every pool word mixes into every other.  The hash steps that read one
-    source word are independent, so each group runs as one operation over
-    pool columns.
+    Each word hashes into its pool word, then every pool word mixes into
+    every other.  The hash steps that read one source word are independent,
+    so each group runs as one operation over pool columns.
     """
-    pool = np.zeros((head.shape[0], _POOL), dtype=np.uint32)
-    pool[:, :head.shape[1]] = head
-    pool = _hashmix(pool, _XOR_A[:_POOL], _MUL_A[:_POOL])
+    pool = _hashmix(head, _XOR_A[:_POOL], _MUL_A[:_POOL])
     for src in range(_POOL):
         c = _POOL + src * (_POOL - 1)
         dst = [d for d in range(_POOL) if d != src]
@@ -866,14 +837,11 @@ def _pool_of(head: np.ndarray) -> np.ndarray:
     return pool
 
 
-def _seed_words(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(...).generate_state(4, uint64)`` per row of (n, L) assembled entropy words."""
-    length = entropy.shape[1]
-    if length > _MAX_WORDS:
-        raise ValueError(f"an assembled entropy of {length} words is longer than {_MAX_WORDS}")
+def _generate_state(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(...).generate_state(4, uint64)`` per row of (n, 5 or 6) assembled entropy words."""
     pool = _pool_of(entropy[:, :_POOL])
     # the words past the pool mix into every pool word, each step with the next constant
-    for src in range(_POOL, length):
+    for src in range(_POOL, entropy.shape[1]):
         c = _POOL * src
         pool = _mix(pool, _hashmix(entropy[:, src:src + 1], _XOR_A[c:c + _POOL], _MUL_A[c:c + _POOL]))
     # generate_state cycles through the pool for 8 words, read as 4 little-endian uint64
@@ -881,40 +849,51 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-def _seeded_streams(descs):
-    """``(j, rng)`` per descriptor, ``rng`` set to the start of ``sample_stream(descs[j])``.
+def _seed_words(seed: int, ordinals) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(i,)).generate_state(4, uint64)`` for each ``i`` of ``ordinals``: (n, 4).
 
-    The seed words of every descriptor come from one vectorised
-    ``SeedSequence`` computation per entropy length; each sample then sets
-    one reused ``PCG64`` to the state that seeding reaches (PCG's set-seq
-    seeding: ``inc = (seq << 1) | 1``, ``state = ((inc + seed) * MULT + inc)``
-    mod 2**128).  The descriptors come grouped by entropy length, and the one
-    generator holds a sample's stream only until the next is yielded.
+    A row's assembled entropy is the seed's low and high words, two zero
+    words (a spawned sequence pads its entropy to the pool), then the
+    ordinal's low word, and its high word when it is not zero: one array of
+    5 and one of 6 words.
     """
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"a sample seed must lie in [0, 2**64), not {seed}")
+    ordinals = np.asarray(ordinals, dtype=np.uint64)
+    out = np.empty((ordinals.size, 4), dtype=np.uint64)
+    wide = ordinals > _M32
+    for rows, length in ((~wide, 5), (wide, 6)):
+        key = ordinals[rows]
+        if key.size:
+            entropy = np.zeros((key.size, length), dtype=np.uint32)
+            entropy[:, 0], entropy[:, 1] = seed & _M32, seed >> 32
+            entropy[:, 4] = key & _M32
+            if length == 6:
+                entropy[:, 5] = key >> np.uint64(32)
+            out[rows] = _generate_state(entropy)
+    return out
+
+
+def _seeded_streams(seed: int, ordinals):
+    """``(j, rng)`` per ordinal, ``rng`` set to the start of ``sample_stream(_sample_desc(seed, ordinals[j]))``.
+
+    The seed words of every ordinal come from one vectorised ``SeedSequence``
+    computation (``_seed_words``); each sample then sets one reused
+    ``PCG64`` to the state that seeding reaches (PCG's set-seq seeding:
+    ``inc = (seq << 1) | 1``, ``state = ((inc + seed) * MULT + inc)`` mod
+    2**128).  The one generator holds a sample's stream only until the next
+    is yielded.
+    """
+    seeds = _seed_words(seed, ordinals).tolist()
     bits = np.random.PCG64(0)
     rng = np.random.Generator(bits)
-    groups: dict = {}
-    for j, desc in enumerate(descs):
-        words = _assembled_entropy(desc)
-        rows, entropy = groups.setdefault(len(words), ([], []))
-        rows.append(j)
-        entropy.append(words)
-    for rows, entropy in groups.values():
-        seeds = _seed_words(np.array(entropy, dtype=np.uint32)).tolist()
-        for j, (seed_hi, seed_lo, seq_hi, seq_lo) in zip(rows, seeds):
-            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _M128
-            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _M128
-            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                          "has_uint32": 0, "uinteger": 0}
-            yield j, rng
-
-
-def child_noise(draw, descs) -> list:
-    """``[draw(sample_stream(d)) for d in descs]``, with the streams seeded in bulk (``_seeded_streams``)."""
-    out = [None] * len(descs)
-    for j, rng in _seeded_streams(descs):
-        out[j] = draw(rng)
-    return out
+    for j, (seed_hi, seed_lo, seq_hi, seq_lo) in enumerate(seeds):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _M128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _M128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        yield j, rng
 
 
 # ---------------------------------------------------------------------------

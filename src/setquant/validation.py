@@ -32,7 +32,9 @@ from .scenario import (
     ScenarioSystem,
     Trajectory,
     UniformPolicy,
+    _SELECT,
     _check_inside,
+    _sample_desc,
     noise_sampler,
     outside_domain,
     run_batch,
@@ -99,35 +101,6 @@ class ValidationVerdict:
 
 
 # ---------------------------------------------------------------------------
-# per-sample random streams (replayable, order-independent)
-# ---------------------------------------------------------------------------
-
-
-def _sample_desc(seed: int, ordinal: int) -> dict:
-    """The seed descriptor of sample ``ordinal`` of an integer seed; ordinal ``_SELECT`` names the selection stream."""
-    return {"entropy": int(seed), "spawn_key": [int(ordinal)]}
-
-
-_SELECT = 2**31
-
-
-def _child_seeds(rng, n: int) -> list[dict]:
-    """One seed descriptor per sample.
-
-    An integer master seed spawns children; a Generator draws independent
-    64-bit entropies.  Either way the descriptor alone reconstructs the
-    stream, so counterexamples replay exactly and samples can be evaluated
-    in any grouping.
-    """
-    if isinstance(rng, (int, np.integer)):
-        return [_sample_desc(rng, i) for i in range(n)]
-    if isinstance(rng, np.random.Generator):
-        ent = rng.integers(0, 2**63 - 1, size=n)
-        return [{"entropy": int(e)} for e in ent]
-    raise TypeError("rng must be an integer seed or a numpy Generator")
-
-
-# ---------------------------------------------------------------------------
 # the batched sample runner
 # ---------------------------------------------------------------------------
 
@@ -137,7 +110,7 @@ def _child_seeds(rng, n: int) -> list[dict]:
 _BLOCK = 256
 
 
-def _run_block(sys, x0, first, draw, seed_descs, region, record) -> int:
+def _run_block(sys, x0, first, draw, seed, region, record) -> int:
     """Roll samples ``first .. first + len(x0) - 1`` in lock-step; returns the lowest failing index or -1.
 
     A row stops when it goes unsafe; the others run to the horizon, and a
@@ -145,7 +118,7 @@ def _run_block(sys, x0, first, draw, seed_descs, region, record) -> int:
     outside the region.  Membership is queried once per block, over every
     state of the rows that did not go unsafe.
     """
-    rolls = run_batch(sys, x0, draw.block(seed_descs[first:first + len(x0)]))
+    rolls = run_batch(sys, x0, draw.block(seed, np.arange(first, first + len(x0))))
     failed = rolls.code >= 0
     safe = np.flatnonzero(~failed)
     steps = rolls.states.shape[1] - 1
@@ -158,18 +131,19 @@ def _run_block(sys, x0, first, draw, seed_descs, region, record) -> int:
     return first + int(bad[0]) if bad.size else -1
 
 
-def _run_samples(sys, starts, horizon, policy, seed_descs, region, workers: int, record=None):
+def _run_samples(sys, starts, horizon, policy, seed, region, workers: int, record=None):
     """Run the samples in index order; returns the earliest failing index or -1.
 
     The samples go through in blocks of ``_BLOCK``, each rolled in lock-step
     by ``run_batch`` from actions and disturbances that the ``noise_sampler``
-    draws into one array per block, each row from its sample's own stream,
-    so every trajectory equals the one ``run_scenario`` draws; the block's
-    states then go through one ``outside`` query.  The run stops at the
-    first block with a failure and returns its lowest failing index: the
-    verdict of a sequential loop.  ``record(i, traj)`` sees the trajectories
-    of samples 0 up to that index, in order.  A start outside the domain raises
-    the domain check's ``ValueError`` once every sample before it passed.
+    draws into one array per block, sample ``i``'s from the stream of ordinal
+    ``i`` of ``seed``, so every trajectory equals the one ``run_scenario``
+    draws; the block's states then go through one ``outside`` query.  The run
+    stops at the first block with a failure and returns its lowest failing
+    index: the verdict of a sequential loop.  ``record(i, traj)`` sees the
+    trajectories of samples 0 up to that index, in order.  A start outside
+    the domain raises the domain check's ``ValueError`` once every sample
+    before it passed.
     ``workers`` is accepted for compatibility and changes nothing.
     """
     n = len(starts)
@@ -183,7 +157,7 @@ def _run_samples(sys, starts, horizon, policy, seed_descs, region, workers: int,
         outside = np.flatnonzero(outside_domain(sys, x0))
         stop = int(outside[0]) if outside.size else n
     for lo in range(0, stop, _BLOCK):
-        bad = _run_block(sys, x0[lo:min(lo + _BLOCK, stop)], lo, draw, seed_descs, region, record)
+        bad = _run_block(sys, x0[lo:min(lo + _BLOCK, stop)], lo, draw, seed, region, record)
         if bad >= 0:
             return bad
     _check_inside(sys, x0[stop:stop + 1])  # the refused start, if there is one
@@ -205,8 +179,8 @@ def validate_delta(sys: ScenarioSystem, cover: DeltaCover, horizon: int, policy:
     """
     quiet = dataclasses.replace(sys, omega_bar=0.0, facets=dict(sys.facets))
     starts = cover.active_centers()
-    bad = _run_samples(quiet, starts, horizon, UniformPolicy(FiniteActionSet([policy.u])),
-                       _child_seeds(0, len(starts)), cover, 1, record=record)
+    bad = _run_samples(quiet, starts, horizon, UniformPolicy(FiniteActionSet([policy.u])), 0, cover, 1,
+                       record=record)
     found = {} if bad < 0 else {"counterexample_start": [float(x) for x in starts[bad]],
                                 "counterexample": run_scenario(quiet, starts[bad], horizon, policy, None)}
     return ValidationVerdict(result=bad < 0, n_samples=len(starts) if bad < 0 else bad + 1,
@@ -217,14 +191,17 @@ def _validate_sampled(sys, horizon, epsilon, beta, actions, rng, n_samples, work
                       region, pick_starts, kind) -> ValidationVerdict:
     """The shared body of ``validate_eps`` and ``validate_eps_delta``.
 
-    Sizes the sample (warning when ``n_samples`` is below the bound), spawns
-    one seed descriptor per sample, draws the ``n`` starts with one
-    ``pick_starts(stream, n)`` call on a stream of their own, runs them and
-    wraps the verdict; a failure carries its start, its seed descriptor and
-    the trajectory they replay to.  ``pick_starts=None`` means no start is
-    eligible: the verdict is then vacuously true on zero samples, and still
-    flagged when ``n_samples`` is below the bound.
+    Sizes the sample (warning when ``n_samples`` is below the bound), draws
+    the ``n`` starts with one ``pick_starts(stream, n)`` call on the stream
+    of ordinal ``_SELECT`` of the integer seed ``rng``, runs sample ``i`` on
+    the stream of ordinal ``i`` and wraps the verdict; a failure carries its
+    start, its stream's descriptor and the trajectory they replay to.
+    ``pick_starts=None`` means no start is eligible: the verdict is then
+    vacuously true on zero samples, and still flagged when ``n_samples`` is
+    below the bound.
     """
+    if not isinstance(rng, (int, np.integer)):
+        raise TypeError("rng must be an integer seed")
     required = sample_size_probabilistic(epsilon, beta)
     n = required if n_samples is None else int(n_samples)
     undersampled = n < required
@@ -234,16 +211,16 @@ def _validate_sampled(sys, horizon, epsilon, beta, actions, rng, n_samples, work
     if pick_starts is None:
         return ValidationVerdict(result=True, n_samples=0, epsilon=epsilon, beta=beta, delta=delta,
                                  undersampled=undersampled, kind=kind)
-    seed_descs = _child_seeds(rng, n)
     starts = np.empty((0, sys.state_box.dim))
     if n:
-        starts = pick_starts(sample_stream(_sample_desc(seed_descs[0]["entropy"], _SELECT)), n)
+        starts = pick_starts(sample_stream(_sample_desc(rng, _SELECT)), n)
     policy = UniformPolicy(actions)
-    bad = _run_samples(sys, starts, horizon, policy, seed_descs, region, workers, record=record)
+    bad = _run_samples(sys, starts, horizon, policy, rng, region, workers, record=record)
+    desc = _sample_desc(rng, bad)
     found = {} if bad < 0 else {
         "counterexample_start": [float(x) for x in starts[bad]],
-        "counterexample_seed": seed_descs[bad],
-        "counterexample": run_scenario(sys, starts[bad], horizon, policy, sample_stream(seed_descs[bad]))}
+        "counterexample_seed": desc,
+        "counterexample": run_scenario(sys, starts[bad], horizon, policy, sample_stream(desc))}
     return ValidationVerdict(result=bad < 0, n_samples=n, epsilon=epsilon, beta=beta, delta=delta,
                              undersampled=undersampled, kind=kind, **found)
 

@@ -38,17 +38,11 @@ from setquant.scenario import (
     noise_sampler,
     run_batch,
     run_scenario,
-    sample_stream,
     step,
     step_batch,
 )
-from setquant.scenario import _assembled_entropy, _seed_words, child_noise
-from setquant.validation import (
-    _child_seeds,
-    _run_samples,
-    validate_eps,
-    validate_eps_delta,
-)
+from setquant.scenario import _seed_words, _seeded_streams
+from setquant.validation import _run_samples, validate_eps, validate_eps_delta
 
 VEHICLES = ("lead-follow", "three-vehicle")
 SYSTEMS = [(name, sv) for name in sorted(BUILTIN_SYSTEMS)
@@ -211,55 +205,41 @@ def test_one_integers_call_equals_the_per_step_calls(k, steps):
 # ---------------------------------------------------------------------------
 
 
-def reference_stream(desc):
-    """numpy's own stream of a seed descriptor, built here without setquant."""
-    ss = np.random.SeedSequence(entropy=desc["entropy"], spawn_key=tuple(desc.get("spawn_key", ())))
-    return np.random.Generator(np.random.PCG64(ss))
+def reference_stream(seed, ordinal):
+    """numpy's own stream of sample ``ordinal`` of ``seed``, built here without setquant."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(ordinal,))))
 
 
-ENTROPIES = [0, 1, 2**32 - 1, 2**32 + 5, 2**62 + 12345, 2**63 - 2]
-KEYS = [0, 1, 2**31, 2**32 - 1, 2**32 + 7]
-# every descriptor shape the code makes, entropy arrays of 1 to 6 words, in one mixed list
-DESCRIPTORS = ([{"entropy": e} for e in ENTROPIES]
-               + [{"entropy": e, "spawn_key": [k]} for e in ENTROPIES for k in KEYS]
-               + _child_seeds(np.random.default_rng(5), 40)
-               + _child_seeds(2**62 + 9, 30)
-               + [{"entropy": e, "spawn_key": [2**31]} for e in (0, 7, 2**40)])
+# seeds of one and two words, and ordinals of one and two words in one mixed
+# list: entropy arrays of 5 and 6 words
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+ORDINALS = [2**32 + 7, 0, 2**40, 1, 2**31, 2**32 - 1, 9, 2**32, 2**31]
 
 
 def test_bulk_seed_words_equal_seed_sequence():
-    lengths = set()
-    for desc in DESCRIPTORS:
-        words = _assembled_entropy(desc)
-        lengths.add(len(words))
-        ss = np.random.SeedSequence(entropy=desc["entropy"], spawn_key=tuple(desc.get("spawn_key", ())))
-        np.testing.assert_array_equal(_seed_words(np.array([words], dtype=np.uint32))[0],
-                                      ss.generate_state(4, np.uint64))
-    assert lengths == {1, 2, 5, 6}
-    # the longest entropies the hash constants cover: 7 and 8 words
-    for desc in ({"entropy": 2**100 + 3, "spawn_key": [2**64 + 1]}, {"entropy": 2**127, "spawn_key": [2**96 + 5]}):
-        words = _assembled_entropy(desc)
-        ss = np.random.SeedSequence(entropy=desc["entropy"], spawn_key=tuple(desc["spawn_key"]))
-        np.testing.assert_array_equal(_seed_words(np.array([words], dtype=np.uint32))[0],
-                                      ss.generate_state(4, np.uint64))
-    with pytest.raises(ValueError):
-        _seed_words(np.zeros((2, 9), dtype=np.uint32))
+    for seed in SEEDS:
+        want = [np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64) for i in ORDINALS]
+        np.testing.assert_array_equal(_seed_words(seed, ORDINALS), want)
+        np.testing.assert_array_equal(_seed_words(np.uint64(seed), np.array(ORDINALS)), want)
     # many rows at once, as a block computes them
-    block = _child_seeds(101, 600)
     want = [np.random.SeedSequence(101, spawn_key=(i,)).generate_state(4, np.uint64) for i in range(600)]
-    np.testing.assert_array_equal(_seed_words(np.array([_assembled_entropy(d) for d in block], dtype=np.uint32)),
-                                  want)
+    np.testing.assert_array_equal(_seed_words(101, np.arange(600)), want)
+    assert _seed_words(7, []).shape == (0, 4)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            _seed_words(seed, [0])
+        with pytest.raises(ValueError, match="seed"):
+            next(_seeded_streams(seed, [0]))
 
 
 def test_bulk_seeded_streams_equal_seed_sequence_streams():
-    def draw(rng):
-        return rng.bit_generator.state, rng.random(5), rng.integers(7, size=3), rng.bit_generator.state
-
-    for descs in (DESCRIPTORS, DESCRIPTORS[::-1], _child_seeds(3, 300), []):
-        got = child_noise(draw, descs)
-        assert len(got) == len(descs)
-        for desc, (start, values, picks, end) in zip(descs, got):
-            theirs = reference_stream(desc)
+    cases = [(seed, ordinals) for seed in SEEDS for ordinals in (ORDINALS, ORDINALS[::-1])]
+    for seed, ordinals in cases + [(3, np.arange(300)), (3, [])]:
+        got = [(j, rng.bit_generator.state, rng.random(5), rng.integers(7, size=3), rng.bit_generator.state)
+               for j, rng in _seeded_streams(seed, ordinals)]
+        assert [j for j, *_ in got] == list(range(len(ordinals)))
+        for i, (_, start, values, picks, end) in zip(ordinals, got):
+            theirs = reference_stream(seed, int(i))
             assert start == theirs.bit_generator.state
             assert same_bits(values, theirs.random(5))
             assert picks.tolist() == theirs.integers(7, size=3).tolist()
@@ -296,10 +276,9 @@ def test_lock_step_roller_equals_run_scenario(name):
     sys_ = make()
     x0 = x0.reshape(len(x0), sys_.state_box.dim)
     policy = UniformPolicy(sys_.action_box)
-    descs = _child_seeds(11, len(x0))
-    rolls = run_batch(sys_, x0, child_noise(noise_sampler(sys_, policy, horizon - 1), descs))
-    for j, desc in enumerate(descs):
-        want = run_scenario(sys_, x0[j], horizon, policy, reference_stream(desc))
+    rolls = run_batch(sys_, x0, noise_sampler(sys_, policy, horizon - 1).block(11, np.arange(len(x0))))
+    for j in range(len(x0)):
+        want = run_scenario(sys_, x0[j], horizon, policy, reference_stream(11, j))
         got = rolls.trajectory(j)
         assert same_bits(got.states, want.states) and same_bits(got.actions, want.actions)
         assert (got.exit_kind, got.exit_facet) == (want.exit_kind, want.exit_facet)
@@ -329,21 +308,23 @@ def test_one_start_draw_equals_the_per_sample_picks(kind, seed):
     region = BoxRegion([-1.0], [1.0]) if kind.endswith("box") else build_cover(sys_.state_box, 0.125)
     if kind == "failing-box":
         region = BoxRegion([-1.0], [0.9])  # a rollout pushed past 0.9 fails
-    rng = np.random.default_rng(4) if seed == "generator" else seed
     seen = []
     record = lambda i, traj: seen.append(traj.states[0])
-    if kind == "band":
-        band = lambda c: c[0] > 0.3
-        verdict = validate_eps_delta(sys_, region, 3, 0.01, 0.1, sys_.action_box, rng, band=band,
-                                     n_samples=600, record=record)
+    band = (lambda c: c[0] > 0.3) if kind == "band" else None
+    if band is not None:
+        run = lambda rng: validate_eps_delta(sys_, region, 3, 0.01, 0.1, sys_.action_box, rng, band=band,
+                                             n_samples=600, record=record)
         act = np.asarray([i for i in region.active_indices() if band(region.centers[i])])
-    elif kind == "cover":
-        verdict = validate_eps(sys_, region, 3, 0.01, 0.1, sys_.action_box, rng, n_samples=600, record=record)
-        act = region.active_indices()
     else:
-        verdict = validate_eps(sys_, region, 3, 0.01, 0.1, sys_.action_box, rng, n_samples=600, record=record)
-    entropy = _child_seeds(np.random.default_rng(4) if seed == "generator" else seed, 1)[0]["entropy"]
-    pick = reference_stream({"entropy": entropy, "spawn_key": [2**31]})
+        run = lambda rng: validate_eps(sys_, region, 3, 0.01, 0.1, sys_.action_box, rng, n_samples=600,
+                                       record=record)
+        act = None if kind.endswith("box") else region.active_indices()
+    if seed == "generator":  # only an integer seed names the samples' streams
+        with pytest.raises(TypeError, match="integer seed"):
+            run(np.random.default_rng(4))
+        return
+    verdict = run(seed)
+    pick = reference_stream(seed, 2**31)
     if kind.endswith("box"):
         want = [region.sample(pick) for _ in range(len(seen))]
     else:
@@ -370,10 +351,10 @@ def strays(region, states) -> bool:
     return bool(((states < region.lower - 1e-12) | (states > region.upper + 1e-12)).any())
 
 
-def sequential(sys_, starts, horizon, policy, seed_descs, region, record) -> int:
+def sequential(sys_, starts, horizon, policy, seed, region, record) -> int:
     """The loop the block runner replaced: one ``run_scenario`` per sample, in index order."""
     for i in range(len(starts)):
-        traj = run_scenario(sys_, starts[i], horizon, policy, sample_stream(seed_descs[i]))
+        traj = run_scenario(sys_, starts[i], horizon, policy, reference_stream(seed, i))
         record(i, traj)
         if traj.exit_kind == EXIT_UNSAFE or strays(region, traj.states[1:]):
             return i
@@ -396,19 +377,19 @@ RUNS = {
                             lambda s: BoxRegion([1.0], [10.0]), [(0.0,)], 8, 400, 2),
     "horizon-one": (lambda: make_toy_shift(),
                     lambda s: build_cover(s.state_box, 0.5), None, 1, 300, 0),
-    "generator-seeds": (lambda: make_lead_follow(sv="idm"),
-                        lambda s: build_cover(SLAB, 2.0), None, 12, 300, np.random.default_rng(9)),
+    "two-word-seed": (lambda: make_lead_follow(sv="idm"),
+                      lambda s: build_cover(SLAB, 2.0), None, 12, 300, 2**64 - 9),
 }
 
 
-def runs_agree(sys_, starts, horizon, policy, descs, region) -> int:
+def runs_agree(sys_, starts, horizon, policy, seed, region) -> int:
     """The block runner's verdict, once checked against the sequential loop, record by record."""
     mine, theirs = [], []
-    got = _run_samples(sys_, starts, horizon, policy, descs, region, 1,
+    got = _run_samples(sys_, starts, horizon, policy, seed, region, 1,
                        record=lambda i, t: mine.append((i, t)))
-    want = sequential(sys_, starts, horizon, policy, descs, region, lambda i, t: theirs.append((i, t)))
+    want = sequential(sys_, starts, horizon, policy, seed, region, lambda i, t: theirs.append((i, t)))
     assert got == want
-    assert _run_samples(sys_, starts, horizon, policy, descs, region, 2) == want
+    assert _run_samples(sys_, starts, horizon, policy, seed, region, 2) == want
     assert [i for i, _ in mine] == [i for i, _ in theirs]
     for (_, a), (_, b) in zip(mine, theirs):
         assert same_bits(a.states, b.states) and same_bits(a.actions, b.actions)
@@ -427,7 +408,7 @@ def test_block_runner_equals_the_sequential_loop(name):
         starts = [region.centers[int(pick.integers(len(region)))] for _ in range(n)]
     else:
         starts = [region.sample(pick) for _ in range(n)]
-    runs_agree(sys_, starts, horizon, UniformPolicy(acts), _child_seeds(seed, n), region)
+    runs_agree(sys_, starts, horizon, UniformPolicy(acts), seed, region)
 
 
 def flip_cover(sys_):
@@ -460,25 +441,24 @@ def test_block_runner_checks_every_state_of_every_row(name, query_rows, monkeypa
     make, region_of, horizon, special, usual, first_bad = ROWS[name]
     sys_ = make()
     starts = [np.array([special.get(i, usual)]) for i in range(800)]
-    got = runs_agree(sys_, starts, horizon, UniformPolicy(sys_.action_box), _child_seeds(0, 800), region_of(sys_))
+    got = runs_agree(sys_, starts, horizon, UniformPolicy(sys_.action_box), 0, region_of(sys_))
     assert got == first_bad
 
 
 def test_block_runner_raises_at_a_start_outside_the_domain_like_the_loop():
     toy = make_toy_threshold()
     policy = UniformPolicy(toy.action_box)
-    descs = _child_seeds(0, 600)
     starts = [np.array([5.0])] * 600
     starts[530] = np.array([12.0])
     mine, theirs = [], []
     with pytest.raises(ValueError, match="outside the domain"):
-        _run_samples(toy, starts, 4, policy, descs, toy.state_box, 1, record=lambda i, t: mine.append(i))
+        _run_samples(toy, starts, 4, policy, 0, toy.state_box, 1, record=lambda i, t: mine.append(i))
     with pytest.raises(ValueError, match="outside the domain"):
-        sequential(toy, starts, 4, policy, descs, toy.state_box, lambda i, t: theirs.append(i))
+        sequential(toy, starts, 4, policy, 0, toy.state_box, lambda i, t: theirs.append(i))
     assert mine == theirs == list(range(530))
     # a failure before the stray start ends the run first
     starts[300] = np.array([0.5])
-    assert _run_samples(toy, starts, 4, policy, descs, toy.state_box, 1) == 300
+    assert _run_samples(toy, starts, 4, policy, 0, toy.state_box, 1) == 300
 
 
 # ---------------------------------------------------------------------------

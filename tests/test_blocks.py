@@ -16,13 +16,14 @@ from setquant.geometry import MEMBER_TOL, BoxRegion, DeltaCover, build_cover, re
 from setquant.scenario import (
     FiniteActionSet,
     UniformPolicy,
+    _sample_desc,
     make_lead_follow,
     make_three_vehicle,
     noise_sampler,
     run_batch,
     sample_stream,
 )
-from setquant.validation import _child_seeds, validate_eps_delta
+from setquant.validation import validate_eps_delta
 
 
 def same_bits(a, b) -> bool:
@@ -150,8 +151,9 @@ def test_one_bucket_pass_decides_every_member_state_of_a_slab(kind):
 # ---------------------------------------------------------------------------
 
 
-DESCS = (_child_seeds(17, 40) + _child_seeds(np.random.default_rng(4), 25)
-         + [{"entropy": e, "spawn_key": [k]} for e in (0, 2**40) for k in (2**31, 2**32 + 7)])
+# ordinals of one and two words, under seeds of one and two words
+ORDINALS = np.array(list(range(40)) + [2**31, 2**32 + 7, 2**40, 2**32 - 1])
+STREAMS = [(17, ORDINALS), (2**40, ORDINALS[::-1]), (0, ORDINALS[:1]), (5, ORDINALS[:0])]
 
 SAMPLERS = {
     "box": lambda: (make_lead_follow(sv="idm"), None),
@@ -170,23 +172,24 @@ def test_block_noise_equals_the_stacked_per_sample_draws(kind, steps):
     sys_, points = SAMPLERS[kind]()
     acts = sys_.action_box if points is None else FiniteActionSet(points)
     draw = noise_sampler(sys_, UniformPolicy(acts), steps)
-    for descs in (DESCS, DESCS[::-1], DESCS[:1], []):
-        u, w = draw.block(descs)
-        want = [draw(sample_stream(d)) for d in descs]
+    for seed, ordinals in STREAMS:
+        u, w = draw.block(seed, ordinals)
+        want = [draw(sample_stream(_sample_desc(seed, i))) for i in ordinals]  # the per-step draws
         m, k = sys_.action_box.dim, sys_.disturbance_dim
-        assert same_bits(u, np.array([a for a, _ in want]).reshape(len(descs), steps, m))
-        assert same_bits(w, np.array([b for _, b in want]).reshape(len(descs), steps, k))
+        assert same_bits(u, np.array([a for a, _ in want]).reshape(len(ordinals), steps, m))
+        assert same_bits(w, np.array([b for _, b in want]).reshape(len(ordinals), steps, k))
 
 
 def test_run_batch_takes_block_arrays_and_per_row_pairs_alike():
     sys_ = make_three_vehicle(sv="idm", omega_bar=0.3)
     draw = noise_sampler(sys_, UniformPolicy(sys_.action_box), 24)
     rng = np.random.default_rng(2)
-    x0 = rng.uniform(sys_.state_box.lower, sys_.state_box.upper, size=(len(DESCS), sys_.state_box.dim))
-    a = run_batch(sys_, x0, draw.block(DESCS))
-    b = run_batch(sys_, x0, [draw(sample_stream(d)) for d in DESCS])
+    x0 = rng.uniform(sys_.state_box.lower, sys_.state_box.upper, size=(len(ORDINALS), sys_.state_box.dim))
+    a = run_batch(sys_, x0, draw.block(17, ORDINALS))
+    want = [draw(sample_stream(_sample_desc(17, i))) for i in ORDINALS]
+    b = run_batch(sys_, x0, (np.stack([u for u, _ in want]), np.stack([w for _, w in want])))
     assert a.code.tolist() == b.code.tolist() and a.length.tolist() == b.length.tolist()
-    for j in range(len(DESCS)):  # a stopped row's slots past its length are never written
+    for j in range(len(ORDINALS)):  # a stopped row's slots past its length are never written
         ta, tb = a.trajectory(j), b.trajectory(j)
         assert same_bits(ta.states, tb.states) and same_bits(ta.actions, tb.actions)
-    assert 0 < (a.code >= 0).sum() < len(DESCS)
+    assert 0 < (a.code >= 0).sum() < len(ORDINALS)

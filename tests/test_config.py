@@ -59,6 +59,12 @@ def test_comments_blanks_and_bare_words():
         ("algorithm = qnt-spe\nseed = 1\nsystem.name = toy-flip\nsystem.state_box = [[0, Infinity]]\n", "E-DOMAIN"),
         ("algorithm = qnt-spe\nseed = 1\nsystem.name = toy-flip\nsystem.action_box = [[false, true]]\n", "E-DOMAIN"),
         ("algorithm = qnt-spe\nseed = 1\nsystem.name = toy-flip\nsystem.sv_policy = \"brake\"\n", "E-DOMAIN"),
+        # finite bounds whose width or span overflows to inf
+        ("algorithm = val-eps-delta\nseed = 0\nsystem.name = lead-follow\nsystem.action_box = [[-1e308, 1e308]]\n",
+         "E-DOMAIN"),
+        ("algorithm = val-eps-delta\nseed = 0\nsystem.name = lead-follow\nhyper.omega_bar = 1e308\n", "E-DOMAIN"),
+        ("algorithm = val-eps-delta\nseed = 0\nsystem.name = lead-follow\n"
+         "system.state_box = [[-1e308, 1e308], [0, 16], [5.5, 60]]\n", "E-DOMAIN"),
     ],
 )
 def test_rejections_carry_their_diagnostic_code(text, code):

@@ -160,10 +160,9 @@ def test_inputs_that_change_after_every_row_rests_do_not_end_the_block(late):
 def test_a_one_point_block_seeds_no_stream(monkeypatch):
     sys_ = make_lead_follow(sv="brake")
     draw = noise_sampler(sys_, UniformPolicy(FiniteActionSet([(-5.0,)])), 39)
-    descs = [{"entropy": 3, "spawn_key": [i]} for i in range(20)]
-    want = [draw(sample_stream(d)) for d in descs]
+    want = [draw(sample_stream(scenario._sample_desc(3, i))) for i in range(20)]  # the per-step draws
     monkeypatch.setattr(scenario, "_seeded_streams", None)
-    u, w = draw.block(descs)
+    u, w = draw.block(3, np.arange(20))
     assert same_bits(u, np.array([a for a, _ in want])) and same_bits(w, np.array([b for _, b in want]))
 
 

@@ -21,7 +21,6 @@ from setquant.scenario import (
     run_scenario,
 )
 from setquant.validation import (
-    _child_seeds,
     _run_samples,
     replay_counterexample,
     sample_size_probabilistic,
@@ -154,8 +153,7 @@ def test_runner_returns_the_lowest_failure_across_blocks(monkeypatch):
     monkeypatch.setattr(validation, "_BLOCK", 2)
     toy = make_toy_threshold()
     starts = [np.array([0.5 if i in (5, 11, 15) else 5.0]) for i in range(16)]
-    args = (toy, starts, 4, UniformPolicy(toy.action_box), _child_seeds(0, 16),
-            toy.state_box)
+    args = (toy, starts, 4, UniformPolicy(toy.action_box), 0, toy.state_box)
     assert _run_samples(*args, 1) == 5
     assert _run_samples(*args, 2) == 5
 
