@@ -22,7 +22,15 @@ import time
 import numpy as np
 
 from .config import ConfigError, RunConfig, materialize, parse_config, serialize_config
-from .geometry import LATTICE_TOL, BoxRegion, DeltaCover, boundary_band, build_cover, load_cover_csv
+from .geometry import (
+    LATTICE_TOL,
+    BoxRegion,
+    DeltaCover,
+    LatticeSizeError,
+    boundary_band,
+    build_cover,
+    load_cover_csv,
+)
 from .oracle import OracleSet, brute_force_invariant, compare_sets, project_to_grid
 from .quantification import (
     cost,
@@ -164,8 +172,11 @@ def dispatch(cfg: RunConfig, workers: int = 1, output: str | None = None) -> int
         })
 
     t0 = time.perf_counter()
-    payload, success, covers = _RUNNERS[cfg.algorithm](cfg, system, actions, hyper, workers,
-                                                       recorder if emit else None)
+    try:
+        payload, success, covers = _RUNNERS[cfg.algorithm](cfg, system, actions, hyper, workers,
+                                                           recorder if emit else None)
+    except LatticeSizeError as exc:
+        raise ConfigError("E-DOMAIN", str(exc)) from None
     payload["config_digest"] = digest
     write_report_json(os.path.join(out_dir, "report.json"), payload)
     for name, cover in covers.items():

@@ -101,7 +101,13 @@ def _domain(cond: bool, message: str):
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and (isinstance(v, int) or math.isfinite(v))
+    """Whether ``v`` is a JSON number, not a switch, that converts to a finite float."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:  # an integer literal past the float range
+        return False
 
 
 # every options.* key and the algorithms that read it: any other key is refused
@@ -239,7 +245,7 @@ def parse_config(text: str) -> RunConfig:
             if short in ("K", "N"):
                 _domain(isinstance(v, int) and not isinstance(v, bool), f"{key} must be an integer")
             else:
-                _domain(isinstance(v, (int, float)) and not isinstance(v, bool), f"{key} must be numeric")
+                _domain(_is_number(v), f"{key} must be a finite number, got {v!r}")
                 v = float(v)
             defaults[short] = v
     _check_hyper(defaults)

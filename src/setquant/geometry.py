@@ -21,6 +21,7 @@ __all__ = [
     "DeltaCover",
     "signed_distance",
     "build_cover",
+    "LatticeSizeError",
     "nearest_center",
     "refine_cover",
     "boundary_band",
@@ -102,6 +103,10 @@ def signed_distance(point, box: BoxRegion) -> float:
     return float(-slack.min())
 
 
+class LatticeSizeError(ValueError):
+    """A lattice with more centers than an array can hold."""
+
+
 def _lattices(lo: np.ndarray, hi: np.ndarray, delta: float) -> np.ndarray:
     """The ``build_cover`` centers of every box ``[lo[i], hi[i]]``, box after box, as one array.
 
@@ -112,16 +117,24 @@ def _lattices(lo: np.ndarray, hi: np.ndarray, delta: float) -> np.ndarray:
     lattice overshooting it, and an axis narrower than one full cell gets a
     single midpoint.  A box's centers are the product of its axes, the last
     axis varying fastest.
+
+    Raises ``LatticeSizeError`` before allocating an array whose bytes ``np.intp``
+    cannot count.
     """
     k, n = lo.shape
     two = 2.0 * delta
+    limit = np.iinfo(np.intp).max / 8.0  # float64 elements an array can hold
     axes, counts = [], np.empty((k, n), dtype=np.int64)
     rows = np.arange(k)
     for a in range(n):
         low, high = lo[:, a], hi[:, a]
         narrow = high - low < two
         # at most width // two + 1 centers fit, so the last column never does
-        steps = int(np.max((high - low) // two, initial=0.0)) + 2
+        steps = float(np.max((high - low) // two, initial=0.0)) + 2.0
+        if not k * steps < limit:
+            raise LatticeSizeError(f"a lattice at delta {delta!r} needs about {steps:.3g} centers "
+                                   f"along axis {a}, more than an array can hold")
+        steps = int(steps)
         run = np.add.accumulate(np.column_stack([low + delta, np.full((k, steps - 1), two)]), axis=1)
         fit = (run <= (high - delta + MEMBER_TOL)[:, None]).sum(axis=1)
         trail = ~narrow & (run[rows, fit - 1] < high - delta - MEMBER_TOL)
@@ -129,6 +142,9 @@ def _lattices(lo: np.ndarray, hi: np.ndarray, delta: float) -> np.ndarray:
         run[narrow, 0] = 0.5 * (low + high)[narrow]
         axes.append(run)
         counts[:, a] = np.where(narrow, 1, fit + trail)
+    size = np.prod(counts, axis=1, dtype=float).sum()
+    if not size * n < limit:
+        raise LatticeSizeError(f"a lattice at delta {delta!r} has {size:.3g} centers, more than an array can hold")
     total = counts.prod(axis=1)
     owner = np.repeat(rows, total)
     t = np.arange(owner.size) - np.repeat(np.cumsum(total) - total, total)

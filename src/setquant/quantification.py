@@ -351,6 +351,8 @@ def quantify_adaptive(sys: ScenarioSystem, actions, hyper: HyperParams, seed: in
 _SPEC_MIN, _SPEC_MAX = 8, 64
 # buffered trajectories replayed per cover query
 _REPLAY_CHUNK = 64
+# under a held input, the most centers that one pre-roll sends through run_batch
+_PREROLL_ROWS = 4096
 
 
 def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
@@ -385,6 +387,15 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
     block is dropped unseen, so ``record``, ``trace``, the replay buffer and
     the counters see exactly the sequential calls.  The replay pass queries
     the cover once per chunk of buffered trajectories, again after each event.
+
+    Under a held input (the sampler is ``held``: a one-point action set and
+    no disturbance) a rollout is a function of its start alone, so each
+    center is rolled once.  When a block draws a start not rolled yet, one
+    ``run_batch`` call rolls it with every other live, unrolled center that
+    the domain accepts, lowest ordinals first, up to ``_PREROLL_ROWS`` rows,
+    and the block reads its rollouts from that store.  A start whose rollout
+    was last applied with no event is not queried or applied again until an
+    event or a refinement changes the cover: the answer would be the same.
     """
     if min_feature_scale is None:
         warnings.warn("no minimum feature scale declared: whether the initial resolution "
@@ -404,6 +415,9 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
     policy = UniformPolicy(actions)
     steps = hyper.horizon - 1
     draw_noise = noise_sampler(sys, policy, steps)
+    held = draw_noise.held
+    rolled: dict = {}  # held input: start ordinal -> (rollouts, row) of its one rollout
+    checked: set = set()  # held input: starts whose rollout the current cover saw with no event
     buffer = TrajectoryBuffer() if replay else None
     n = 0
     streak = 0
@@ -445,6 +459,15 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
         return [out[e - p.shape[0]:e] for p, e in zip(parts, ends.tolist())]
 
     def apply_trajectory(start_ord: int, states: np.ndarray, exit_kind: str, base_out) -> bool:
+        """Apply one trajectory (``change_cover``); an event unchecks every start, no event checks a held one."""
+        event = change_cover(start_ord, states, exit_kind, base_out)
+        if event:
+            checked.clear()
+        elif held:
+            checked.add(start_ord)
+        return event
+
+    def change_cover(start_ord: int, states: np.ndarray, exit_kind: str, base_out) -> bool:
         """Apply one trajectory; ``base_out`` says which of ``states[1:]`` lie outside the cover.
 
         A state outside the cover is a discovery unless it lies within
@@ -489,6 +512,18 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
             weights_cum = np.cumsum(prioritized_weights(dist_to_pruned[act], weight_power))
         return act[np.minimum(np.searchsorted(weights_cum, draws * weights_cum[-1], side="right"), act.size - 1)]
 
+    def held_rollouts(act: np.ndarray, starts: np.ndarray) -> list:
+        """Each start's held ``(rollouts, row)``; a start not rolled yet first pre-rolls the live centers."""
+        new = [i not in rolled for i in starts.tolist()]
+        if any(new):
+            todo = act[[i not in rolled for i in act.tolist()]]
+            if steps:
+                todo = todo[~outside_domain(sys, cover.centers[todo])]
+            rows = np.union1d(starts[new], todo[:_PREROLL_ROWS - starts.size])
+            rolls = run_batch(sys, cover.centers[rows], draw_noise.block(seed, rows))  # a held block reads no stream
+            rolled.update((i, (rolls, j)) for j, i in enumerate(rows.tolist()))
+        return [rolled[i] for i in starts.tolist()]
+
     def replay_buffer() -> None:
         """Re-apply every buffered trajectory in order, one cover query per chunk and event."""
         nonlocal replayed
@@ -496,13 +531,14 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
         while chunk := list(itertools.islice(records, _REPLAY_CHUNK)):
             j = 0
             while j < len(chunk):
-                live = [k for k in range(j, len(chunk)) if cover.active[chunk[k][0]]]
+                live = [k for k in range(j, len(chunk))
+                        if cover.active[chunk[k][0]] and chunk[k][0] not in checked]
                 outs = dict(zip(live, cover_outside([chunk[k][1][1:] for k in live])))
                 for k in range(j, len(chunk)):
                     start_ord, states, exit_kind = chunk[k]
                     replayed += max(0, states.shape[0] - 1)
                     j = k + 1
-                    if apply_trajectory(start_ord, states, exit_kind, outs.get(k)):
+                    if start_ord not in checked and apply_trajectory(start_ord, states, exit_kind, outs.get(k)):
                         break  # the cover changed: query the rest of the chunk afresh
 
     while True:
@@ -522,17 +558,23 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
             starts = starts[:refused[0]]
             sel.bit_generator.state = before  # keep the kept starts' draws only
             _start_draws(sel, weighted, act.size, starts.size)
-        noise = draw_noise.block(seed, np.arange(n, n + starts.size))
-        rolls = run_batch(sys, cover.centers[starts], noise)
-        outs = cover_outside([rolls.states[j, 1:k] for j, k in enumerate(rolls.length)])
+        if held:
+            rows = held_rollouts(act, starts)
+        else:
+            rolls = run_batch(sys, cover.centers[starts], draw_noise.block(seed, np.arange(n, n + starts.size)))
+            rows = [(rolls, j) for j in range(starts.size)]
+        unchecked = [j for j, idx in enumerate(starts.tolist()) if idx not in checked]
+        outs = dict(zip(unchecked, cover_outside([r.states[k, 1:r.length[k]] for r, k in
+                                                  (rows[j] for j in unchecked)])))
         for j, idx in enumerate(starts.tolist()):
-            traj = rolls.trajectory(j)
+            rolls, k = rows[j]
+            traj = rolls.trajectory(k)
             n += 1
             if record is not None:
                 record(n - 1, traj)
-            if buffer is not None:
-                buffer.append((idx, traj.states, traj.exit_kind))
-            event = apply_trajectory(idx, traj.states, traj.exit_kind, outs[j])
+            if buffer is not None:  # a held rollout is buffered as its row of the store, not as a copy
+                buffer.append((idx, rolls.states[k, :len(traj)] if held else traj.states, traj.exit_kind))
+            event = idx not in checked and apply_trajectory(idx, traj.states, traj.exit_kind, outs[j])
             if trace is not None:
                 trace(n, cover, event)
             streak = 0 if event else streak + 1
@@ -551,6 +593,7 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
             decays += 1
             streak = 0
             weights_cum = None
+            checked.clear()
             if buffer is not None:
                 replay_buffer()
     return _result("qnt-spe", sys, actions, hyper, seed, cover, converged, n, replayed, decays,

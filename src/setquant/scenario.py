@@ -700,7 +700,8 @@ def noise_sampler(sys: ScenarioSystem, policy, steps: int):
     finite set without disturbances with one ``integers`` call; each yields
     the same values, and leaves the generator in the same state, as the
     per-step calls.  A one-point set's ``block`` holds its point and seeds no
-    stream.
+    stream; its sampler is ``held``, so every rollout from one start is the
+    same, whatever its ordinal.
     """
     acts = policy.actions if isinstance(policy, UniformPolicy) else None
     if isinstance(acts, BoxActionSet):
@@ -712,6 +713,8 @@ def noise_sampler(sys: ScenarioSystem, policy, steps: int):
 
 class _StepNoise:
     """The per-step draws of ``run_scenario``: the sampler of any policy the others do not cover."""
+
+    held = False  # whether every draw is the same input at every step, with no disturbance
 
     def __init__(self, sys: ScenarioSystem, policy, steps: int):
         self.sys, self.policy, self.steps = sys, policy, steps
@@ -756,13 +759,16 @@ class _FiniteNoise(_StepNoise):
     def __init__(self, sys: ScenarioSystem, policy, steps: int):
         super().__init__(sys, policy, steps)
         self.points = np.asarray(policy.actions.points, dtype=float).reshape(-1, self.m)
+        self.held = len(self.points) == 1
 
     def block(self, seed: int, ordinals) -> tuple[np.ndarray, np.ndarray]:
-        picks = np.zeros((len(ordinals), self.steps), dtype=np.int64)
-        if len(self.points) > 1:  # integers(1) is always 0, and nothing else reads the stream
-            for j, rng in _seeded_streams(seed, ordinals):
-                picks[j] = rng.integers(len(self.points), size=self.steps)
-        return self.points[picks], np.zeros((len(ordinals), self.steps, self.k))
+        shape = (len(ordinals), self.steps)
+        if self.held:  # integers(1) is always 0, and nothing else reads the stream: read-only views, no copies
+            return np.broadcast_to(self.points[0], shape + (self.m,)), np.broadcast_to(0.0, shape + (self.k,))
+        picks = np.empty(shape, dtype=np.int64)
+        for j, rng in _seeded_streams(seed, ordinals):
+            picks[j] = rng.integers(len(self.points), size=self.steps)
+        return self.points[picks], np.zeros(shape + (self.k,))
 
 
 # ---------------------------------------------------------------------------

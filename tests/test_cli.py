@@ -326,6 +326,18 @@ def test_main_rejects_a_start_region_outside_the_state_box(tmp_path, capsys, alg
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("algorithm", ["val-eps-delta", "qnt-vs", "qnt-dp", "qnt-spe", "oracle"])
+def test_main_rejects_a_lattice_no_array_can_hold(tmp_path, capsys, algorithm):
+    # 8e300 centers along the first axis: refused before anything is allocated
+    cfg = tmp_path / "fine.cfg"
+    cfg.write_text(f"algorithm = {algorithm}\nseed = 0\nsystem.name = lead-follow\nhyper.K = 3\n"
+                   "hyper.delta0 = 1e-300\nhyper.delta_min = 1e-300\n")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "E-DOMAIN: a lattice at delta 1e-300" in err and "more than an array can hold" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("cfg,cost", [
     # every cell of toy-shift is pruned: the emptied cover scores cost(0.0, ...), which is -0.0
     ("algorithm = qnt-spe\nseed = 1\nsystem.name = toy-shift\nhyper.epsilon = 0.05\nhyper.N = 2000\n", "-0.0"),

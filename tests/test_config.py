@@ -65,6 +65,15 @@ def test_comments_blanks_and_bare_words():
         ("algorithm = val-eps-delta\nseed = 0\nsystem.name = lead-follow\nhyper.omega_bar = 1e308\n", "E-DOMAIN"),
         ("algorithm = val-eps-delta\nseed = 0\nsystem.name = lead-follow\n"
          "system.state_box = [[-1e308, 1e308], [0, 16], [5.5, 60]]\n", "E-DOMAIN"),
+        # an integer past the float range, and hyper-parameters that are not finite
+        ("algorithm = val-eps-delta\nseed = 0\nsystem.name = lead-follow\nhyper.omega_bar = 1" + "0" * 400 + "\n",
+         "E-DOMAIN"),
+        ("algorithm = val-eps-delta\nseed = 0\nsystem.name = lead-follow\n"
+         "system.state_box = [[0, 1" + "0" * 400 + "], [0, 16], [5.5, 60]]\n", "E-DOMAIN"),
+        ("algorithm = val-eps-delta\nseed = 0\nsystem.name = lead-follow\nhyper.delta0 = Infinity\n", "E-DOMAIN"),
+        ("algorithm = val-eps-delta\nseed = 0\nsystem.name = lead-follow\nhyper.delta_min = Infinity\n", "E-DOMAIN"),
+        ("algorithm = val-eps-delta\nseed = 0\nsystem.name = lead-follow\nhyper.dt = Infinity\n", "E-DOMAIN"),
+        ("algorithm = val-eps-delta\nseed = 0\nsystem.name = lead-follow\nhyper.dt = NaN\n", "E-DOMAIN"),
     ],
 )
 def test_rejections_carry_their_diagnostic_code(text, code):

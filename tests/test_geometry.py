@@ -12,6 +12,7 @@ from setquant.geometry import (
     MEMBER_TOL,
     BoxRegion,
     DeltaCover,
+    LatticeSizeError,
     boundary_band,
     build_cover,
     compare_grids,
@@ -98,6 +99,15 @@ def test_cover_lattice_is_a_product():
 def test_cover_rejects_nonpositive_delta():
     with pytest.raises(ValueError):
         build_cover(BoxRegion([0.0], [1.0]), 0.0)
+
+
+@pytest.mark.parametrize("dim,delta,what", [
+    (1, 1e-300, "needs about 5e\\+299 centers along axis 0"),  # no axis array can hold its centers
+    (4, 0.5e-5, "has 1e\\+20 centers"),  # each axis can, their product cannot
+])
+def test_cover_refuses_a_lattice_no_array_can_hold(dim, delta, what):
+    with pytest.raises(LatticeSizeError, match=what):
+        build_cover(BoxRegion([0.0] * dim, [1.0] * dim), delta)
 
 
 @given(st.integers(1, 3), st.data())

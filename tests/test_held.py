@@ -4,8 +4,10 @@ A block whose every row holds its input (the same bits at every step) stops
 ``run_batch`` at the first step that leaves every live row where it was; it
 must equal a loop of ``step_batch`` calls over every step.  A one-point
 action set's ``block`` seeds no stream.  ``quantify_spe`` draws a block's
-starts with one call and queries the cover once per distinct state; it must
-equal the one-sample-at-a-time loop of ``test_speculative``.
+starts with one call and queries the cover once per distinct state; under a
+held input it rolls each center once and skips a start that the unchanged
+cover already saw with no event.  It must equal the one-sample-at-a-time
+loop of ``test_speculative``.
 """
 
 import warnings
@@ -15,19 +17,22 @@ import pytest
 
 from setquant import quantification, scenario
 from setquant.geometry import BoxRegion
+from setquant.quantification import HyperParams
 from setquant.scenario import (
     FiniteActionSet,
     UniformPolicy,
     make_lead_follow,
     make_three_vehicle,
     make_toy_flip,
+    make_toy_shift,
+    make_toy_shrink,
     make_toy_threshold,
     noise_sampler,
     run_batch,
     sample_stream,
     step_batch,
 )
-from test_speculative import observed, same_bits, sequential_spe, toy_hyper
+from test_speculative import lf_hyper, observed, same_bits, sequential_spe, toy_hyper
 
 
 def stepped(sys_, x0, acts, omegas):
@@ -221,3 +226,57 @@ def test_a_held_block_cut_short_by_a_refused_start_equals_the_sequential_loop(mo
     assert runs[0] == runs[1]
     assert any(out[1:].count(True) and not out[0] for out in blocks[:-1])  # a block was cut short
     assert blocks[-1][0]  # the last block's first start was refused
+
+
+# name: (system, the one action point, hyper, seed, prioritized, replay)
+HELD_CONFIGS = {
+    # the benchmark's reference setup at a coarser final resolution
+    "lead-follow": (make_lead_follow, (-5.0,), lf_hyper(horizon=40, epsilon=0.01, budget=3000), 0, True, True),
+    # an integer action pair; 61 of the 735 samples prune
+    "three-vehicle-brake": (make_three_vehicle, (-5, -3),
+                            HyperParams(epsilon=0.05, beta=0.1, delta0=2.5, gamma=0.5, delta_min=1.25,
+                                        horizon=30, budget=3000), 0, True, True),
+    # every rollout ends clamped at the upper facet
+    "toy-shrink-truncating": (make_toy_shrink, (0.9,), toy_hyper(delta0=0.25, delta_min=0.0625), 1, False, True),
+    # prunes, refinements and rediscoveries: a start that the cover saw with no
+    # event must be applied again after a prune in the fresh samples, after a
+    # refinement, and after a replayed discovery that brings a dead center back
+    "toy-shift-rediscovers": (make_toy_shift, (0.0,), toy_hyper(epsilon=0.05, horizon=2), 16, True, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HELD_CONFIGS))
+def test_a_held_run_equals_the_sequential_loop(name):
+    make, point, hyper, seed, prioritized, replay = HELD_CONFIGS[name]
+    sys_ = make()
+    (got, traces, records), ((rep, cover, pruned, graph), want_traces, want_records) = both_runs(
+        sys_, FiniteActionSet([point]), hyper, seed, prioritized=prioritized, replay=replay)
+    assert got.report == rep and got.report.converged
+    assert same_bits(got.cover.centers, cover.centers)
+    np.testing.assert_array_equal(got.cover.active, cover.active)
+    dim = sys_.state_box.dim
+    assert same_bits(np.reshape(got.pruned, (-1, dim)), np.reshape(pruned, (-1, dim)))
+    assert got.graph.parents == graph.parents
+    assert traces == want_traces
+    assert [i for i, _ in records] == [i for i, _ in want_records]
+    for (_, a), (_, b) in zip(records, want_records):
+        assert same_bits(a.states, b.states) and same_bits(a.actions, b.actions)
+        assert (a.exit_kind, a.exit_facet) == (b.exit_kind, b.exit_facet)
+
+
+def test_a_held_run_rolls_each_center_once(monkeypatch):
+    rows, inner = [], quantification.run_batch
+
+    def logged(sys_, x0, noise):
+        rows.extend(map(bytes, x0))
+        return inner(sys_, x0, noise)
+
+    monkeypatch.setattr(quantification, "run_batch", logged)
+    make, point, hyper, seed, prioritized, replay = HELD_CONFIGS["lead-follow"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = quantification.quantify_spe(make(), FiniteActionSet([point]), hyper, seed,
+                                          prioritized=prioritized, replay=replay)
+    ordinal = {bytes(c): o for o, c in enumerate(got.cover.centers)}  # distinct centers, ordinals kept
+    rolled = [ordinal[r] for r in rows]
+    assert len(set(rolled)) == len(rolled)
