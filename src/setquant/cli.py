@@ -34,6 +34,7 @@ from .geometry import (
 from .oracle import OracleSet, brute_force_invariant, compare_sets, project_to_grid
 from .quantification import (
     cost,
+    hyper_dict,
     quantify_adaptive,
     quantify_delta_pruning,
     quantify_spe,
@@ -107,11 +108,11 @@ def _validate(cfg, system, actions, hyper, workers, record):
 
 
 def _oracle(cfg, system, actions, hyper, workers, record):
-    """oracle: the lattice fixed point; its report keeps the config's hyper values as given."""
+    """oracle: the lattice fixed point."""
     oracle = brute_force_invariant(system, hyper.delta0, action_samples=default_action_samples(actions),
                                    horizon=cfg.options.get("horizon", 1))
     vol = oracle.volume()
-    rep = RunReport(algorithm="oracle", seed=cfg.seed, hyper={**cfg.hyper}, final_delta=hyper.delta0,
+    rep = RunReport(algorithm="oracle", seed=cfg.seed, hyper=hyper_dict(hyper, system), final_delta=hyper.delta0,
                     cell_count=oracle.count(), volume=vol, cost=cost(vol, actions),
                     converged=oracle.converged)
     view = DeltaCover(oracle.grid.centers, oracle.grid.radius, oracle.grid.domain, active=oracle.mask)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys as _stdsys
 from dataclasses import dataclass, field
 
 from .geometry import DOMAIN_TOL, BoxRegion
@@ -139,6 +140,9 @@ _NUMERIC_OPTIONS = {"horizon": (True, 1), "n_attempts": (True, 1),
 def _check_options(opts: dict, box: BoxRegion, action_dim: int) -> None:
     """Check the option values; a state or a region must lie in ``box`` as far as ``step`` checks."""
     state_dim = box.dim
+    path = opts.get("cells_file")
+    _domain(path is None or (isinstance(path, str) and path),
+            f"options.cells_file must be a non-empty path, got {path!r}")
     for key in _BOOLEAN_OPTIONS:
         v = opts.get(key, False)
         _domain(isinstance(v, bool), f"options.{key} must be true or false, got {v!r}")
@@ -249,6 +253,8 @@ def parse_config(text: str) -> RunConfig:
                 v = float(v)
             defaults[short] = v
     _check_hyper(defaults)
+    _domain(name in _DEFAULT_HYPER or defaults["dt"] == 1.0,
+            f"hyper.dt = {defaults['dt']!r}: system {name!r} steps with dt = 1.0")
 
     options = {k.split(".", 1)[1]: v for k, v in pairs.items() if k.startswith("options.")}
     for key in options:
@@ -311,6 +317,9 @@ def materialize(cfg: RunConfig) -> tuple[ScenarioSystem, object, HyperParams]:
             sys.facets[(d, side)] = label
 
     _check_options(cfg.options, sys.state_box, sys.action_box.dim)
+    width = sys.state_box.dim + sys.action_box.dim + sys.disturbance_dim
+    _domain(cfg.hyper["K"] * width * 8 <= _stdsys.maxsize,
+            f"hyper.K = {cfg.hyper['K']} steps of {width} floats a sample are more than an array can hold")
     if cfg.options.get("adversarial"):
         if sys.adversarial is None:
             raise ConfigError("E-DOMAIN", f"system {sys.name!r} defines no adversarial action set")

@@ -208,7 +208,7 @@ _INDEX_TOL = LATTICE_TOL
 _WIDEN = 1e-9
 # Point-center differences per chunk of a brute-force scan (``scan_distances``, ``_nearest``'s fallback).
 _SCAN_CHUNK = 1 << 20
-# Query points per chunk of ``DeltaCover.distances_within``, ``outside`` and ``_nearest``.
+# Query points per chunk of ``DeltaCover.outside`` and ``_nearest``.
 _QUERY_ROWS = 1 << 11
 # Centers keyed per chunk when a cover builds its dedup map.
 _KEY_ROWS = 1 << 12
@@ -440,52 +440,32 @@ class DeltaCover:
             idx = self._index = _BucketIndex(self.centers, self._anchor - 0.5 * h, h)
         return idx
 
-    def distances_within(self, points, reach: float) -> np.ndarray:
-        """Min sup-norm distance from each row of ``points`` to the active centers, up to ``reach``.
+    def outside(self, points, tol: float = MEMBER_TOL) -> np.ndarray:
+        """Per row of ``points``, whether no live center lies within ``radius + tol`` of it.
 
-        Rows whose nearest active center lies farther than ``reach`` get
-        ``inf``; every other row gets the exact minimum.  Rows go through in
+        A first pass compares each row with the live centers of its own
+        bucket, a second one the rows still undecided with those of every
+        bucket within reach.  A row is inside as soon as one computed sup-norm
+        gap is at most the limit; no minimum is taken.  Rows go through in
         chunks, so transient memory stays bounded whatever their number.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        best = np.full(pts.shape[0], np.inf)
-        if self._n == 0:
-            return best
-        index = self._bucket_index(reach)
-        for lo in range(0, pts.shape[0], _QUERY_ROWS):
-            chunk = pts[lo:lo + _QUERY_ROWS]
-            row, cand = index.candidates(chunk, reach)
-            live = self.active[cand]
-            row, cand = row[live], cand[live]
-            if row.size:
-                first = np.flatnonzero(np.diff(row, prepend=-1))
-                best[lo + row[first]] = np.minimum.reduceat(_sup_gaps(self.centers, cand, chunk, row), first)
-        best[best > reach] = np.inf
-        return best
-
-    def outside(self, points) -> np.ndarray:
-        """Per row of ``points``, whether no live center lies within ``radius + MEMBER_TOL`` of it.
-
-        A row with a live center within that limit in its own bucket is inside;
-        only the rows left undecided go through ``distances_within``, which
-        also visits the neighbouring buckets.  Both compare the same computed
-        distances with the same limit, so the answer is that of the full query.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        reach = self.radius + MEMBER_TOL
+        reach = self.radius + tol
         out = np.ones(pts.shape[0], dtype=bool)
         if self._n == 0:
             return out
         index = self._bucket_index(reach)
-        for lo in range(0, pts.shape[0], _QUERY_ROWS):
-            chunk = pts[lo:lo + _QUERY_ROWS]
-            row, cand = index.own_bucket(chunk)
-            live = self.active[cand]
-            row, cand = row[live], cand[live]
-            out[lo + row[_sup_gaps(self.centers, cand, chunk, row) <= reach]] = False
-        rest = np.flatnonzero(out)
-        if rest.size:
-            out[rest] = self.distances_within(pts[rest], reach) > reach
+        rows = None  # the first pass slices ``pts``; the second gathers the undecided rows
+        for near in (index.own_bucket, lambda chunk: index.candidates(chunk, reach)):
+            sub = pts if rows is None else pts[rows]
+            for lo in range(0, sub.shape[0], _QUERY_ROWS):
+                chunk = sub[lo:lo + _QUERY_ROWS]
+                row, cand = near(chunk)
+                live = self.active[cand]
+                row, cand = row[live], cand[live]
+                hit = lo + row[_sup_gaps(self.centers, cand, chunk, row) <= reach]
+                out[hit if rows is None else rows[hit]] = False
+            rows = np.flatnonzero(out)
         return out
 
     def _nearest(self, points, active_only: bool) -> tuple[np.ndarray, np.ndarray]:

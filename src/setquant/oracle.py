@@ -135,12 +135,11 @@ def brute_force_invariant(sys: ScenarioSystem, delta: float, action_samples=None
 def project_to_grid(cover: DeltaCover, grid: DeltaCover, tol: float = LATTICE_TOL) -> OracleSet:
     """Rasterize an arbitrary cover onto a lattice grid.
 
-    A lattice cell is in iff its center lies within the cover (distance to the
-    nearest active cover center at most the cover radius).  An empty cover
+    A lattice cell is in iff its center lies within the cover (some active
+    cover center within the cover radius plus ``tol``).  An empty cover
     rasterizes to the empty mask.
     """
-    reach = cover.radius + tol
-    return OracleSet(grid=grid, mask=cover.distances_within(grid.centers, reach) <= reach)
+    return OracleSet(grid=grid, mask=~cover.outside(grid.centers, tol))
 
 
 def compare_sets(a: OracleSet, b: OracleSet, tol: float = LATTICE_TOL) -> dict:

@@ -125,9 +125,6 @@ class BoxActionSet:
         """Volume of the box (the size term used by the cost functional)."""
         return self.box.volume
 
-    def contains(self, u, tol: float = DOMAIN_TOL) -> bool:
-        return self.box.contains(np.atleast_1d(u), tol=tol)
-
 
 class FiniteActionSet:
     """Discrete action set, sampled uniformly over its points.
@@ -151,10 +148,6 @@ class FiniteActionSet:
 
     def measure(self) -> float:
         return float(len(self.points))
-
-    def contains(self, u, tol: float = DOMAIN_TOL) -> bool:
-        arr = np.atleast_1d(u)
-        return any(np.abs(np.asarray(p) - arr).max() <= tol for p in self.points)
 
 
 class UniformPolicy:
@@ -189,10 +182,7 @@ class BrakeToStop:
     """
 
     name = "brake"
-
-    def __init__(self, decel: float = 10.0):
-        self.decel = float(decel)
-        self.max_abs_accel = self.decel
+    decel = max_abs_accel = 10.0
 
     def accel(self, v0: float, v_lead: float, gap: float) -> float:
         return -self.decel if v0 > 0.0 else 0.0
@@ -921,15 +911,14 @@ def default_action_samples(actions) -> list:
     return [tuple(p) for p in itertools.product(*axes)]
 
 
-def adversarial_actions(sys: ScenarioSystem, state, facet: Facet, actions=None, candidates=None, tol: float = DOMAIN_TOL) -> list:
+def adversarial_actions(sys: ScenarioSystem, state, facet: Facet) -> list:
     """Candidate actions that most closely approach ``facet`` in one step.
 
-    Evaluates the one-step map from ``state`` (zero disturbance) under a
-    finite candidate set (corners+midpoints of the action box by default) and
-    keeps the actions minimizing the remaining margin to the facet plane.
+    Evaluates the one-step map from ``state`` (zero disturbance) under the
+    corners and midpoints of the action box and keeps the actions whose
+    remaining margin to the facet plane is within ``DOMAIN_TOL`` of the least.
     """
-    acts = actions if actions is not None else sys.action_box
-    cands = candidates if candidates is not None else default_action_samples(acts)
+    cands = default_action_samples(sys.action_box)
     d, side = facet
     bound = float(sys.state_box.lower[d]) if side == "lower" else float(sys.state_box.upper[d])
     omega = sys.zero_disturbance()
@@ -940,7 +929,7 @@ def adversarial_actions(sys: ScenarioSystem, state, facet: Facet, actions=None, 
         m = (raw[d] - bound) if side == "lower" else (bound - raw[d])
         margins.append(m)
     best = min(margins)
-    return [tuple(np.atleast_1d(u)) for u, m in zip(cands, margins) if m <= best + tol]
+    return [tuple(np.atleast_1d(u)) for u, m in zip(cands, margins) if m <= best + DOMAIN_TOL]
 
 
 # ---------------------------------------------------------------------------
@@ -948,16 +937,16 @@ def adversarial_actions(sys: ScenarioSystem, state, facet: Facet, actions=None, 
 # ---------------------------------------------------------------------------
 
 
-def _sv_policy(kind: str, v_des: float, idm_params: IdmParams | None):
+def _sv_policy(kind: str, v_des: float):
     if kind == "brake":
         return BrakeToStop()
     if kind == "idm":
-        return IdmPolicy(idm_params if idm_params is not None else IdmParams(v_des=v_des))
+        return IdmPolicy(IdmParams(v_des=v_des))
     raise ValueError(f"unknown subject-vehicle policy {kind!r}")
 
 
 def make_lead_follow(sv: str = "brake", omega_bar: float = 0.0, dt: float = 0.1,
-                     state_box=None, action_box=None, idm_params: IdmParams | None = None) -> ScenarioSystem:
+                     state_box=None, action_box=None) -> ScenarioSystem:
     """Two-vehicle longitudinal scenario.
 
     State (v0, v1, p10) over [0,16] x [0,16] x [5.5,60]; lead acceleration in
@@ -967,7 +956,7 @@ def make_lead_follow(sv: str = "brake", omega_bar: float = 0.0, dt: float = 0.1,
     """
     sb = state_box if state_box is not None else BoxRegion([0.0, 0.0, 5.5], [16.0, 16.0, 60.0])
     ab = action_box if action_box is not None else BoxActionSet([-5.0], [3.0])
-    policy = _sv_policy(sv, v_des=float(sb.upper[0]), idm_params=idm_params)
+    policy = _sv_policy(sv, v_des=float(sb.upper[0]))
     v_span = float(max(sb.upper[0] - sb.lower[0], sb.upper[1] - sb.lower[1]))
     u_max = float(np.abs([ab.box.lower, ab.box.upper]).max()) if isinstance(ab, BoxActionSet) else 5.0
     # worst one-step move: velocities change by accel*dt, the gap by |v1-v0|*dt
@@ -988,7 +977,7 @@ def make_lead_follow(sv: str = "brake", omega_bar: float = 0.0, dt: float = 0.1,
 
 
 def make_three_vehicle(sv: str = "brake", omega_bar: float = 0.0, dt: float = 0.1,
-                       state_box=None, action_box=None, idm_params: IdmParams | None = None) -> ScenarioSystem:
+                       state_box=None, action_box=None) -> ScenarioSystem:
     """Three-vehicle chain: lead ahead of the subject, tailgater behind.
 
     State (v0, v1, v2, p10, p20) over [0,6]^3 x [5,25] x [-25,-5]; actions
@@ -998,7 +987,7 @@ def make_three_vehicle(sv: str = "brake", omega_bar: float = 0.0, dt: float = 0.
     """
     sb = state_box if state_box is not None else BoxRegion([0.0, 0.0, 0.0, 5.0, -25.0], [6.0, 6.0, 6.0, 25.0, -5.0])
     ab = action_box if action_box is not None else BoxActionSet([-5.0, -7.0], [3.0, -3.0])
-    policy = _sv_policy(sv, v_des=float(sb.upper[0]), idm_params=idm_params)
+    policy = _sv_policy(sv, v_des=float(sb.upper[0]))
     v_span = float(max(sb.upper[d] - sb.lower[d] for d in range(3)))
     u_max = float(np.abs([ab.box.lower, ab.box.upper]).max())
     sigma = max((max(policy.max_abs_accel, u_max) + omega_bar) * dt, v_span * dt)

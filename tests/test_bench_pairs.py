@@ -106,3 +106,17 @@ def test_a_spread_wider_than_the_bound_is_unresolved_unless_the_sides_are_apart(
     assert apart["unresolved"] is False
     narrow = summary["workloads"]["w-nine"]["metrics"]["solve_s"]
     assert narrow["parent_spread"] == 4.5 / 24.5 and narrow["unresolved"] is False
+
+
+def test_a_log_with_two_runs_of_one_seed_and_side_is_refused(tmp_path, monkeypatch):
+    # a series re-run into the same log: the later parent run of seed 1 must not be dropped silently
+    log = tmp_path / "pairs.ndjson"
+    with open(log, "w") as fh:
+        for side, value in (("parent", 0.10), ("change", 0.12), ("parent", 0.50)):
+            fh.write(json.dumps({"workload": "lf-spe", "seed": 1, "seconds": 40.0, "side": side, "first": "parent",
+                                 "commit": side[:3], "correct": True, "attempted": 6, "failed": 0,
+                                 "metrics": {"solve_s": {"value": value}}}) + "\n")
+    monkeypatch.chdir(ROOT)
+    with pytest.raises(SystemExit, match=r"\[\('lf-spe', 1, 'parent'\)\]"):
+        bench_pairs().main(["summarize", "--log", str(log), "--out", str(tmp_path / "BENCH_x.json")])
+    assert not (tmp_path / "BENCH_x.json").exists()

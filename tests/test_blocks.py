@@ -1,7 +1,7 @@
 """The two array paths of a validation block, against the brute-force code they replace.
 
 ``DeltaCover.outside`` answers most rows from the one bucket that holds them
-and sends only the rest through the neighbour-bucket query; it must equal a
+and sends only the rest through the neighbour-bucket pass; it must equal a
 scan over every live center.  A noise sampler's ``block`` draws a whole
 block's actions and disturbances into one array per kind; it must equal the
 stacked per-sample draws bit for bit (``tobytes``).
@@ -39,14 +39,15 @@ def scanned_outside(cover: DeltaCover, pts: np.ndarray) -> np.ndarray:
 
 
 def count_neighbour_rows(cover: DeltaCover) -> list:
-    """Wrap ``cover.distances_within`` to log how many rows each call gets; returns the log."""
-    calls, inner = [], cover.distances_within
+    """Wrap the cover index's ``candidates`` to log how many rows each second-pass call gets; returns the log."""
+    calls, index = [], cover._bucket_index(cover.radius + MEMBER_TOL)
+    inner = index.candidates
 
-    def counted(points, reach):
-        calls.append(len(points))
-        return inner(points, reach)
+    def counted(pts, reach):
+        calls.append(len(pts))
+        return inner(pts, reach)
 
-    cover.distances_within = counted
+    index.candidates = counted
     return calls
 
 
@@ -144,6 +145,7 @@ def test_one_bucket_pass_decides_every_member_state_of_a_slab(kind):
     verdict = validate_eps_delta(lf, cover, 40, 0.01, 0.01, lf.action_box, rng=3)
     assert verdict.result and verdict.n_samples == 459
     assert sum(calls) == 0
+    assert cover.outside([[8.0, 8.0, 5.5]]).all() and calls == [1]  # the wrapped pass is the one in use
 
 
 # ---------------------------------------------------------------------------

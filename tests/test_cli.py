@@ -192,6 +192,13 @@ def test_main_rejects_a_malformed_option(tmp_path, capsys, algorithm, option):
     ("val-eps", "options.region_box = [[0, 1], [0, 1]]"),  # one pair short of the state
     ("val-delta", 'options.fixed_action = "abc"'),
     ("val-delta", "options.fixed_action = [0.5, 0.5]"),  # one number too many
+    # a cells file that is not a path: not the full box, not a list, not a file descriptor
+    ("val-eps-delta", "options.cells_file = 0"),
+    ("val-eps-delta", 'options.cells_file = ""'),
+    ("val-eps-delta", "options.cells_file = false"),
+    ("val-eps-delta", "options.cells_file = [1]"),
+    ("val-eps-delta", "options.cells_file = true"),
+    ("val-eps-delta", "options.cells_file = 5"),
 ])
 def test_main_rejects_a_malformed_candidate_or_action(tmp_path, capsys, algorithm, option):
     cfg = tmp_path / "r.cfg"

@@ -74,6 +74,8 @@ def test_comments_blanks_and_bare_words():
         ("algorithm = val-eps-delta\nseed = 0\nsystem.name = lead-follow\nhyper.delta_min = Infinity\n", "E-DOMAIN"),
         ("algorithm = val-eps-delta\nseed = 0\nsystem.name = lead-follow\nhyper.dt = Infinity\n", "E-DOMAIN"),
         ("algorithm = val-eps-delta\nseed = 0\nsystem.name = lead-follow\nhyper.dt = NaN\n", "E-DOMAIN"),
+        # a toy steps with dt = 1.0 whatever the config says
+        ("algorithm = qnt-dp\nseed = 0\nsystem.name = toy-threshold\nhyper.N = 50\nhyper.dt = 0.5\n", "E-DOMAIN"),
     ],
 )
 def test_rejections_carry_their_diagnostic_code(text, code):
@@ -139,6 +141,15 @@ def test_materialize_adversarial_and_point_actions():
     assert isinstance(acts, FiniteActionSet) and len(acts.points) == 3
     with pytest.raises(ConfigError):
         materialize(parse_config(base + "options.action_points = []\n"))
+
+
+@pytest.mark.parametrize("K", [10**40, 2**62])
+def test_materialize_refuses_a_horizon_no_array_can_hold(K):
+    # K steps of 3 + 1 + 2 floats: refused before anything is allocated
+    cfg = parse_config(f"algorithm = val-eps-delta\nseed = 0\nsystem.name = lead-follow\nhyper.K = {K}\n")
+    with pytest.raises(ConfigError) as err:
+        materialize(cfg)
+    assert err.value.code == "E-DOMAIN" and "more than an array can hold" in str(err.value)
 
 
 def test_materialize_rejects_adversarial_on_systems_without_one():

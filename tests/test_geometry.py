@@ -179,7 +179,8 @@ def test_bucket_kernel_on_bucket_boundaries_equals_the_scan(case, extra, data):
     or less its box would touch a third.
     """
     cover, rng = case
-    reach = cover.radius + 1e-9 + extra
+    tol = 1e-9 + extra
+    reach = cover.radius + tol  # the float ``outside`` computes
     index = cover._bucket_index(reach)
     h, origin, dim = index.h, index.origin, cover.dim
     for _ in range(data.draw(st.integers(1, 6))):
@@ -199,17 +200,17 @@ def test_bucket_kernel_on_bucket_boundaries_equals_the_scan(case, extra, data):
     pts = np.where(jitter, pts + rng.uniform(-1.0, 1.0, size=(60, dim)) * cover.radius, pts)
     act = cover.active_centers()
     d = np.abs(pts[:, None, :] - act[None, :, :]).max(axis=2).min(axis=1, initial=np.inf)
-    np.testing.assert_array_equal(cover.distances_within(pts, reach), np.where(d <= reach, d, np.inf))
+    np.testing.assert_array_equal(cover.outside(pts, tol), d > reach)
     if act.size:
         np.testing.assert_array_equal(cover.batch_distances(pts), d)
     want = np.abs(pts[:, None, :] - cover.centers[None, :, :]).max(axis=2).argmin(axis=1)
     np.testing.assert_array_equal(cover.nearest_all(pts), want)
 
 
-@given(scrambled_covers(), st.booleans())
+@given(scrambled_covers(), st.booleans(), st.sampled_from([MEMBER_TOL, 1e-9, 0.3]))
 @settings(max_examples=100, deadline=None)
-def test_outside_equals_the_brute_force_scan(case, emptied):
-    """``outside`` is ``d > radius + MEMBER_TOL`` for ``d`` the scanned distance to the live centers.
+def test_outside_equals_the_brute_force_scan(case, emptied, tol):
+    """``outside(pts, tol)`` is ``d > radius + tol`` for ``d`` the scanned distance to the live centers.
 
     The queries add far points and points at the member limit of a center,
     dead or alive, on one axis; an emptied cover has every point outside.
@@ -217,7 +218,7 @@ def test_outside_equals_the_brute_force_scan(case, emptied):
     cover, rng = case
     if emptied:
         cover.deactivate(cover.active_indices())
-    limit = cover.radius + MEMBER_TOL
+    limit = cover.radius + tol
     pick = cover.centers[rng.integers(0, len(cover), size=40)]
     axis = rng.integers(0, cover.dim, size=40)
     at_limit = pick.copy()
@@ -225,7 +226,7 @@ def test_outside_equals_the_brute_force_scan(case, emptied):
     far = pick + rng.choice([-1.0, 1.0], size=pick.shape) * rng.uniform(10.0, 1e6, size=pick.shape)
     pts = np.concatenate([query_points(cover, rng), at_limit, far])
     d = np.abs(pts[:, None, :] - cover.active_centers()[None, :, :]).max(axis=2).min(axis=1, initial=np.inf)
-    np.testing.assert_array_equal(cover.outside(pts), d > limit)
+    np.testing.assert_array_equal(cover.outside(pts, tol), d > limit)
 
 
 def test_outside_at_the_member_limit():

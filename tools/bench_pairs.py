@@ -10,8 +10,9 @@ Usage (from the repository root):
 once in each checkout per seed, the parent first for the first seed and
 then alternating, and appends one JSON line per run to the log as soon as
 it ends, so an interrupted series keeps what it measured.  ``summarize``
-groups the logged runs by workload and end-to-end metric and writes, per
-side, the median and quartiles, the pairs the change won (ties count for
+refuses a log with two runs of one workload, seed and side (a series run
+twice into one log), and otherwise groups the logged runs by workload and
+end-to-end metric and writes, per side, the median and quartiles, the pairs the change won (ties count for
 neither side), the change's median over the parent's, and whether that
 ratio is within the metric's ``BENCHMARK.json`` bound (the share of the
 parent's median by which the metric may worsen), and whether the gain rule
@@ -34,6 +35,7 @@ import platform
 import statistics
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -90,12 +92,16 @@ def summarize(args) -> None:
             recs += [json.loads(line) for line in fh if line.strip()]
     with open("BENCHMARK.json") as fh:
         spec = {m["name"]: m for m in json.load(fh)["end_to_end"]}
+    runs = Counter((rec["workload"], rec["seed"], rec["side"]) for rec in recs)
+    dupes = [key for key, n in sorted(runs.items()) if n > 1]
+    if dupes:
+        raise SystemExit(f"summarize: more than one run of (workload, seed, side) {dupes}; "
+                         "log each series once")
     workloads: dict = {}
     commits: dict = {}
     for rec in recs:
         commits[rec["side"]] = rec["commit"]
-        w = workloads.setdefault(rec["workload"], {})
-        w.setdefault((rec["seed"], rec["side"]), rec)
+        workloads.setdefault(rec["workload"], {})[(rec["seed"], rec["side"])] = rec
     out = {"machine": {"platform": platform.platform(), "cpu": _cpu_model(), "cpus": os.cpu_count()},
            "python": platform.python_version(), "numpy": np.__version__,
            "commits": commits, "command": "python3 bench/run.py --workload W --seed N --seconds S --trace 0",
