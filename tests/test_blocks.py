@@ -43,9 +43,9 @@ def count_neighbour_rows(cover: DeltaCover) -> list:
     calls, index = [], cover._bucket_index(cover.radius + MEMBER_TOL)
     inner = index.candidates
 
-    def counted(pts, reach):
-        calls.append(len(pts))
-        return inner(pts, reach)
+    def counted(points, reach):
+        calls.append(len(points))
+        return inner(points, reach)
 
     index.candidates = counted
     return calls
