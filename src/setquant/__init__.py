@@ -7,7 +7,6 @@ from .geometry import (
     boundary_band,
     build_cover,
     load_cover_csv,
-    nearest_center,
     refine_cover,
     save_cover_csv,
     signed_distance,

@@ -175,6 +175,7 @@ def _check_options(opts: dict, box: BoxRegion, action_dim: int) -> None:
 
 def _check_hyper(h: dict) -> None:
     _domain(0.0 < h["epsilon"] <= 1.0, f"epsilon={h['epsilon']} outside (0, 1]")
+    _domain(1.0 - h["epsilon"] < 1.0, f"epsilon={h['epsilon']} is too small: 1 - epsilon rounds to 1")
     _domain(0.0 < h["beta"] < 1.0, f"beta={h['beta']} outside (0, 1)")
     _domain(h["delta0"] > 0.0, f"delta0={h['delta0']} must be positive")
     _domain(0.0 < h["gamma"] < 1.0, f"gamma={h['gamma']} outside (0, 1)")

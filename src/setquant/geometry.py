@@ -22,7 +22,6 @@ __all__ = [
     "signed_distance",
     "build_cover",
     "LatticeSizeError",
-    "nearest_center",
     "refine_cover",
     "boundary_band",
     "BandPredicate",
@@ -206,9 +205,9 @@ _INDEX_TOL = LATTICE_TOL
 # Relative widening of a query's reach, past the rounding of a computed
 # distance that is <= reach.  Bucket widths exceed twice the widened reach.
 _WIDEN = 1e-9
-# Point-center differences per chunk of a brute-force scan (``scan_distances``, ``_nearest``'s fallback).
+# Point-center differences per chunk of a brute-force scan (``scan_distances``).
 _SCAN_CHUNK = 1 << 20
-# Query points per chunk of ``DeltaCover.outside`` and ``_nearest``.
+# Query points per chunk of ``DeltaCover.outside``.
 _QUERY_ROWS = 1 << 11
 # Centers keyed per chunk when a cover builds its dedup map.
 _KEY_ROWS = 1 << 12
@@ -227,8 +226,7 @@ class _BucketIndex:
     mask, the next one.  Candidates that lie beyond the reach, and those of
     distinct buckets whose numbers coincide because the row-major product
     wrapped in int64 on a very sparse cover, only lengthen the candidate
-    list; the exact minimum over the candidates is therefore the global
-    minimum whenever it is within reach.
+    list; every center within reach of a point is therefore a candidate.
     """
 
     def __init__(self, centers: np.ndarray, origin: np.ndarray, h: float):
@@ -339,17 +337,14 @@ class DeltaCover:
     amortised O(1)) with the activity mask beside it, plus the dedup map from
     a center's ``key_round`` coordinates to its ordinal (the last one, when
     the initial centers repeat a key) that makes a repeated append return,
-    and reactivate, the existing ordinal.  Nearest-center queries go through a
-    sup-norm bucket index (``_BucketIndex``) with bucket width a hair over
-    ``2 * (radius + _INDEX_TOL)``, rebuilt lazily once centers were appended:
-    a point is compared only with the centers of the buckets its reach
-    touches, one or two per axis.  The grid is anchored once per cover, when
-    it is first built, at the most common lattice of its centers
+    and reactivate, the existing ordinal.  Membership (``outside``) goes
+    through a sup-norm bucket index (``_BucketIndex``) with bucket width a
+    hair over ``2 * (radius + _INDEX_TOL)``, rebuilt lazily once centers were
+    appended: a point is compared only with the centers of the buckets its
+    reach touches, one or two per axis.  The grid is anchored once per cover,
+    when it is first built, at the most common lattice of its centers
     (``_lattice_anchor``), which sits mid-bucket: one of its centers lies in
     each bucket, and a point within the radius of one shares its bucket.
-    Membership (``outside``) needs nothing more; the nearest-center queries
-    fall back to a full scan for a point with no center within reach, so
-    every answer equals the brute-force one bit for bit.
     """
 
     def __init__(self, centers, radius: float, domain: BoxRegion, active=None):
@@ -468,64 +463,15 @@ class DeltaCover:
             rows = np.flatnonzero(out)
         return out
 
-    def _nearest(self, points, active_only: bool) -> tuple[np.ndarray, np.ndarray]:
-        """(ordinal, distance) of the nearest center to each row of ``points``, the lowest ordinal on ties.
-
-        ``active_only`` searches the live centers only.  Rows go through in
-        chunks; a row with no candidate within reach falls back to a full
-        scan, so every answer is the brute-force one.  Raises ``ValueError``
-        when there is no center to search.
-        """
-        pool = self.active_indices() if active_only else np.arange(self._n)
-        if pool.size == 0:
-            raise ValueError("cover has no active centers" if active_only else "cover has no centers")
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        reach = self.radius + _INDEX_TOL
-        index = self._bucket_index(reach)
-        out = np.zeros(pts.shape[0], dtype=np.int64)
-        best = np.full(pts.shape[0], np.inf)
-        for lo in range(0, pts.shape[0], _QUERY_ROWS):
-            chunk = pts[lo:lo + _QUERY_ROWS]
-            row, cand = index.candidates(chunk, reach)
-            if active_only:
-                live = self.active[cand]
-                row, cand = row[live], cand[live]
-            if row.size:
-                d = _sup_gaps(self.centers, cand, chunk, row)
-                first = np.flatnonzero(np.diff(row, prepend=-1))
-                dmin = np.minimum.reduceat(d, first)
-                tied = d == np.repeat(dmin, np.diff(np.append(first, row.size)))
-                best[lo + row[first]] = dmin
-                out[lo + row[first]] = np.minimum.reduceat(np.where(tied, cand, self._n), first)
-        far = np.flatnonzero(~(best <= reach))
-        rows = max(1, _SCAN_CHUNK // (pool.size * self.dim))
-        for i in range(0, far.size, rows):
-            sel = far[i:i + rows]
-            d = np.abs(pts[sel, None, :] - self.centers[pool][None, :, :]).max(axis=2)
-            out[sel], best[sel] = pool[d.argmin(axis=1)], d.min(axis=1)  # pool ascends: the lowest ordinal
-        return out, best
-
     def batch_distances(self, points) -> np.ndarray:
-        """Min sup-norm distance from each row of ``points`` to the active centers."""
-        return self._nearest(points, True)[1]
+        """Min sup-norm distance from each row of ``points`` to the live centers, by a full scan.
 
-    def nearest(self, point, active_only: bool = True) -> tuple[int, float]:
-        """(ordinal, distance) of the nearest center, the lowest ordinal on ties.
-
-        ``active_only=False`` searches deactivated centers too.  Raises
-        ``ValueError`` when there is no center to search.
+        Raises ``ValueError`` when no center is live.
         """
-        if self._n == 0:
-            raise ValueError("cover has no centers")
-        ords, dists = self._nearest(point, active_only)
-        return int(ords[0]), float(dists[0])
-
-    def nearest_all(self, points) -> np.ndarray:
-        """Ordinal of the nearest center, active or not, to each row of ``points``.
-
-        Row by row equal to ``nearest(p, active_only=False)[0]``.
-        """
-        return self._nearest(points, False)[0]
+        live = self.active_centers()
+        if live.shape[0] == 0:
+            raise ValueError("cover has no active centers")
+        return scan_distances(np.atleast_2d(np.asarray(points, dtype=float)), live)
 
 
 def build_cover(region: BoxRegion, delta: float) -> DeltaCover:
@@ -539,15 +485,6 @@ def build_cover(region: BoxRegion, delta: float) -> DeltaCover:
     if delta <= 0:
         raise ValueError("delta must be positive")
     return DeltaCover(_lattices(region.lower[None], region.upper[None], delta), delta, region)
-
-
-def nearest_center(cover: DeltaCover, point) -> tuple[int, float]:
-    """(ordinal, distance) of the nearest active center; ties pick the lowest ordinal.
-
-    Raises ``ValueError`` on an empty active set rather than returning an
-    infinite distance, so callers cannot mistake emptiness for remoteness.
-    """
-    return cover.nearest(point)
 
 
 def refine_cover(cover: DeltaCover, gamma: float, excluded=None, margin: float = 0.0) -> DeltaCover:

@@ -16,11 +16,12 @@ to "stays put" and the fixed point is meaningless.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import LATTICE_TOL, BoxRegion, DeltaCover, build_cover, compare_grids
+from .geometry import LATTICE_TOL, BoxRegion, DeltaCover, _lattices, build_cover, compare_grids
 from .scenario import ScenarioSystem, default_action_samples, run_held
 
 __all__ = [
@@ -60,8 +61,31 @@ _ROLLOUT_ROWS = 1 << 14
 
 
 def _nearest_all(grid: DeltaCover, points) -> np.ndarray:
-    """Nearest lattice cell of each row of ``points`` over *all* cells, active or not (lowest index on ties)."""
-    return grid.nearest_all(points)
+    """Nearest lattice cell of each row of ``points`` over *all* cells, active or not (lowest index on ties).
+
+    ``grid`` is one ``build_cover`` lattice, the product of one ascending
+    coordinate list per axis with the last axis fastest, so the search runs
+    per axis.  A cell's sup-norm distance is its largest per-axis gap; the
+    smallest distance D is the largest over the axes of each axis's smallest
+    gap, and the lowest cell at D takes on every axis the lowest coordinate
+    within D.  Raises ``ValueError`` for a grid that is no such lattice.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    lo, hi = grid.domain.lower[None], grid.domain.upper[None]
+    axes = [_lattices(lo[:, [a]], hi[:, [a]], grid.radius)[:, 0] for a in range(grid.dim)]
+    if math.prod(c.size for c in axes) != len(grid):
+        raise ValueError("the grid is not one build_cover lattice")
+    best = np.zeros(pts.shape[0])
+    for c, x in zip(axes, pts.T):  # an axis's smallest gap is at a neighbour of the insertion point
+        j = np.searchsorted(c, x)
+        best = np.maximum(best, np.abs(c[np.clip([j - 1, j], 0, c.size - 1)] - x).min(axis=0))
+    out = np.zeros(pts.shape[0], dtype=np.int64)
+    for c, x in zip(axes, pts.T):
+        k = np.minimum(np.searchsorted(c, x - best), c.size - 1)  # off by one at most: x - best is rounded
+        k -= (k > 0) & (np.abs(c[np.maximum(k - 1, 0)] - x) <= best)
+        k += np.abs(c[k] - x) > best
+        out = out * c.size + k
+    return out
 
 
 def _final_cells(sys: ScenarioSystem, grid: DeltaCover, pairs: list, horizon: int):

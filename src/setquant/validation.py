@@ -56,10 +56,13 @@ __all__ = [
 def sample_size_probabilistic(epsilon: float, beta: float) -> int:
     """Samples needed so that P(miss set of measure > epsilon) <= beta.
 
-    N >= ln(beta) / ln(1 - epsilon), rounded up, at least 1.
+    N >= ln(beta) / ln(1 - epsilon), rounded up, at least 1.  Raises
+    ``ValueError`` for an epsilon so small that ``1 - epsilon`` rounds to 1.
     """
     if not (0.0 < epsilon <= 1.0):
         raise ValueError("epsilon must lie in (0, 1]")
+    if 1.0 - epsilon == 1.0:
+        raise ValueError(f"epsilon={epsilon!r} is too small: 1 - epsilon rounds to 1")
     if not (0.0 < beta < 1.0):
         raise ValueError("beta must lie in (0, 1)")
     if epsilon == 1.0:

@@ -5,16 +5,15 @@ array transition and ``step_batch`` with ``step``, the pre-drawn noise with
 the per-step draws of ``run_scenario``, the streams seeded in bulk with
 numpy's own ``SeedSequence``, the lock-step roller with ``run_scenario``, the
 one-call start draws with the per-sample picks, the block runner with the
-sequential sample loop, the oracle's mask update with the per-cell sweep
-loop, and the all-cells nearest query with ``DeltaCover.nearest``.  Equality is bit for bit
-throughout (``tobytes``), so a signed zero or a one-ulp drift fails.
+sequential sample loop, and the oracle's mask update with the per-cell sweep
+loop.  Equality is bit for bit throughout (``tobytes``), so a signed zero or
+a one-ulp drift fails.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import query_points, scrambled_covers
 
 from setquant import geometry
 from setquant.geometry import BoxRegion, DeltaCover, build_cover
@@ -523,28 +522,3 @@ def test_batched_oracle_equals_the_per_cell_loop(name, sv, omega_bar, delta, hor
     mask, sweeps, converged = per_cell_oracle(sys_, delta, actions, noise, horizon, max_sweeps)
     np.testing.assert_array_equal(got.mask, mask)
     assert (got.sweeps, got.converged) == (sweeps, converged)
-
-
-# ---------------------------------------------------------------------------
-# the all-cells nearest query
-# ---------------------------------------------------------------------------
-
-
-@given(scrambled_covers())
-@settings(max_examples=80, deadline=None)
-def test_nearest_all_equals_the_single_point_query(case):
-    cover, rng = case
-    pts = query_points(cover, rng)
-    want = [cover.nearest(p, active_only=False)[0] for p in pts]
-    np.testing.assert_array_equal(cover.nearest_all(pts), want)
-
-
-def test_nearest_all_chunks_and_falls_back_exactly(monkeypatch):
-    monkeypatch.setattr(geometry, "_QUERY_ROWS", 7)
-    monkeypatch.setattr(geometry, "_SCAN_CHUNK", 64)
-    cover = build_cover(BoxRegion([0.0, 0.0], [4.0, 6.0]), 0.5)
-    cover.deactivate([0, 5, 9])
-    rng = np.random.default_rng(3)
-    pts = np.concatenate([rng.uniform(-9.0, 15.0, size=(50, 2)), cover.centers[:20] + 0.5])
-    brute = np.abs(pts[:, None, :] - cover.centers[None, :, :]).max(axis=2).argmin(axis=1)
-    np.testing.assert_array_equal(cover.nearest_all(pts), brute)

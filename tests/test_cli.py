@@ -158,6 +158,16 @@ def test_main_rejects_bad_input(tmp_path, capsys):
     assert main(["run", str(cfg), "--workers", "0"]) == 2
 
 
+@pytest.mark.parametrize("algorithm", ["val-eps-delta", "qnt-spe"])
+def test_main_rejects_an_epsilon_too_small_to_size_a_sample(tmp_path, capsys, algorithm):
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text(f"algorithm = {algorithm}\nseed = 0\nsystem.name = lead-follow\n"
+                   "hyper.epsilon = 1e-17\nhyper.K = 5\n")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    assert "E-DOMAIN: epsilon=1e-17 is too small" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("extra", [
     'options.horizon = "abc"',
     "options.horizon = 0",

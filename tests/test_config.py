@@ -49,6 +49,9 @@ def test_comments_blanks_and_bare_words():
         ("algorithm = qnt-spe\nalgorithm = oracle\nseed = 1\nsystem.name = toy-flip\n", "E-PARSE"),
         ("algorithm = qnt-spe\nseed = 1\nsystem.name = toy-flip\nfrobnicate = 3\n", "E-KEY"),
         ("algorithm = qnt-spe\nseed = 1\nsystem.name = toy-flip\nhyper.epsilon = 2\n", "E-DOMAIN"),
+        # 1 - epsilon rounds to 1, so no sample size follows
+        ("algorithm = val-eps-delta\nseed = 0\nsystem.name = lead-follow\nhyper.epsilon = 1e-17\nhyper.K = 5\n",
+         "E-DOMAIN"),
         ("algorithm = warp\nseed = 1\nsystem.name = toy-flip\n", "E-DOMAIN"),
         ("algorithm = qnt-spe\nseed = 1\nsystem.name = atlantis\n", "E-DOMAIN"),
         ("algorithm = qnt-spe\nsystem.name = toy-flip\n", "E-SEED"),

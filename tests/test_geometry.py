@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setquant import geometry
 from setquant.geometry import (
     KEY_DIGITS,
     MEMBER_TOL,
@@ -18,9 +19,9 @@ from setquant.geometry import (
     compare_grids,
     key_round,
     load_cover_csv,
-    nearest_center,
     refine_cover,
     save_cover_csv,
+    scan_distances,
     signed_distance,
     volume_estimate,
 )
@@ -121,8 +122,7 @@ def test_cover_is_sound(dim, data):
     cv = build_cover(box, delta)
     frac = np.asarray(data.draw(st.lists(st.floats(0, 1), min_size=dim, max_size=dim)))
     point = box.lower + frac * box.widths
-    _, d = nearest_center(cv, point)
-    assert d <= delta + 1e-9
+    assert not cv.outside([point], 1e-9)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +145,7 @@ def test_deactivate_removes_from_queries():
     assert 0 not in cv.active_indices()
     assert cv.n_active() == len(cv) - 1
     # distance queries now ignore the dead center
-    _, d = nearest_center(cv, [1.0])
-    assert d == pytest.approx(2.0)
+    assert cv.batch_distances([[1.0]])[0] == pytest.approx(2.0)
 
 
 @given(scrambled_covers())
@@ -160,12 +159,6 @@ def test_indexed_queries_equal_the_brute_force_scan(case):
     idx = cover.active_indices()
     d = np.abs(pts[:, None, :] - cover.centers[idx][None, :, :]).max(axis=2)
     np.testing.assert_array_equal(cover.batch_distances(pts), d.min(axis=1))
-    every = np.abs(pts[:, None, :] - cover.centers[None, :, :]).max(axis=2)  # dead centers too
-    for p, row, all_row in zip(pts, d, every):
-        k = int(np.argmin(row))  # first minimum: the lowest ordinal wins a tie
-        assert nearest_center(cover, p) == (int(idx[k]), float(row[k]))
-        k = int(np.argmin(all_row))
-        assert cover.nearest(p, active_only=False) == (k, float(all_row[k]))
 
 
 @given(scrambled_covers(), st.sampled_from([0.0, 0.3]), st.data())
@@ -203,8 +196,6 @@ def test_bucket_kernel_on_bucket_boundaries_equals_the_scan(case, extra, data):
     np.testing.assert_array_equal(cover.outside(pts, tol), d > reach)
     if act.size:
         np.testing.assert_array_equal(cover.batch_distances(pts), d)
-    want = np.abs(pts[:, None, :] - cover.centers[None, :, :]).max(axis=2).argmin(axis=1)
-    np.testing.assert_array_equal(cover.nearest_all(pts), want)
 
 
 @given(scrambled_covers(), st.booleans(), st.sampled_from([MEMBER_TOL, 1e-9, 0.3]))
@@ -240,14 +231,6 @@ def test_outside_at_the_member_limit():
     assert cv.outside(pts).all()
 
 
-def test_nearest_center_tie_goes_to_the_lowest_ordinal():
-    cv = DeltaCover(np.array([[3.0], [1.0], [5.0]]), 1.0, BoxRegion([0.0], [6.0]))
-    assert nearest_center(cv, [2.0]) == (0, 1.0)
-    assert nearest_center(cv, [4.0]) == (0, 1.0)
-    cv.deactivate([0])
-    assert nearest_center(cv, [3.0]) == (1, 2.0)  # beyond reach: the full scan decides
-
-
 def test_append_grows_past_the_initial_capacity():
     cv = DeltaCover(np.array([[0.0]]), 0.5, BoxRegion([0.0], [100.0]))
     for x in range(1, 100):
@@ -262,6 +245,18 @@ def test_batch_distances_empty_active_raises():
     cv.deactivate(cv.active_indices())
     with pytest.raises(ValueError):
         cv.batch_distances([[1.0]])
+
+
+@pytest.mark.parametrize("rows,dim,m", [(50, 2, 7), (45, 3, 5), (3, 1, 200), (41, 1, 30)])
+def test_scan_distances_chunks_equal_one_broadcast(monkeypatch, rows, dim, m):
+    """Chunks of at most ``_SCAN_CHUNK`` differences, the last one short, give the one-shot minimum."""
+    monkeypatch.setattr(geometry, "_SCAN_CHUNK", 64)
+    rng = np.random.default_rng(rows * dim + m)
+    pts = rng.uniform(-3.0, 3.0, size=(rows, dim))
+    centers = rng.uniform(-2.0, 2.0, size=(m, dim))
+    assert rows % max(1, 64 // centers.size) or centers.size > 64  # a short last chunk, or a row per chunk
+    want = np.abs(pts[:, None, :] - centers[None, :, :]).max(axis=2).min(axis=1)
+    np.testing.assert_array_equal(scan_distances(pts, centers), want)
 
 
 # ---------------------------------------------------------------------------

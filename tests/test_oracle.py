@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import query_points, scrambled_covers
+from strategies import scrambled_covers
 
 from setquant import oracle
-from setquant.geometry import BoxRegion, DeltaCover, build_cover
+from setquant.geometry import BoxRegion, DeltaCover, build_cover, refine_cover
 from setquant.oracle import _nearest_all, brute_force_invariant, compare_sets, project_to_grid
 from setquant.scenario import (
     default_action_samples,
@@ -78,15 +78,54 @@ def test_project_to_grid_membership_semantics():
 @given(scrambled_covers(), st.sampled_from([0.25, 0.5, 1.0]), st.sampled_from([1e-9, 0.3]))
 @settings(max_examples=60, deadline=None)
 def test_indexed_oracle_queries_equal_the_brute_force_scan(case, grid_delta, tol):
-    cover, rng = case
-    pts = query_points(cover, rng)
-    # all cells, active or not; the first minimum is the lowest index
-    want = np.abs(pts[:, None, :] - cover.centers[None, :, :]).max(axis=2).argmin(axis=1)
-    np.testing.assert_array_equal(_nearest_all(cover, pts), want)
+    cover, _ = case
     grid = build_cover(cover.domain, grid_delta)
     act = cover.active_centers()
     d = np.abs(grid.centers[:, None, :] - act[None, :, :]).max(axis=2).min(axis=1, initial=np.inf)
     np.testing.assert_array_equal(project_to_grid(cover, grid, tol=tol).mask, d <= cover.radius + tol)
+
+
+def argmin_cell(grid, pts):
+    """The brute-force snap: the nearest of every cell in the sup norm, the first (lowest) ordinal on ties."""
+    return np.abs(pts[:, None, :] - grid.centers[None, :, :]).max(axis=2).argmin(axis=1)
+
+
+@st.composite
+def lattices(draw):
+    """A 1-3-D ``build_cover`` lattice on a custom domain, with narrow axes and clamped trailing cells.
+
+    Widths are multiples of 1/4 from below one cell to many, and some radii
+    are not dyadic, so ``x - D`` rounds in the snap's search.
+    """
+    dim = draw(st.integers(1, 3))
+    lo = np.asarray(draw(st.lists(st.integers(-400, 400), min_size=dim, max_size=dim))) / 4.0
+    widths = np.asarray(draw(st.lists(st.integers(1, 30), min_size=dim, max_size=dim))) / 4.0
+    return build_cover(BoxRegion(lo, lo + widths), draw(st.sampled_from([0.25, 0.5, 0.7, 1.0, 1.25, 0.3])))
+
+
+@given(lattices(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_lattice_snap_equals_the_brute_force_argmin(grid, seed):
+    """Points anywhere, on exact ties between cells, on a cell's radius and far outside."""
+    rng = np.random.default_rng(seed)
+    c, r, dim = grid.centers, grid.radius, grid.dim
+    pick = c[rng.integers(0, len(grid), size=(60, 2))]
+    pts = np.concatenate([
+        rng.uniform(grid.domain.lower - 3.0, grid.domain.upper + 3.0, size=(60, dim)),
+        pick[:, 0] + r * rng.integers(-1, 2, size=(60, dim)),  # moved by 0 or +-radius per axis
+        (pick[:, 0] + pick[:, 1]) / 2.0,
+        pick[:, 0] + rng.choice([-1.0, 1.0], size=(60, dim)) * rng.choice([1e6, 1e12, r + 3.0], size=(60, 1)),
+    ])
+    np.testing.assert_array_equal(_nearest_all(grid, pts), argmin_cell(grid, pts))
+
+
+def test_lattice_snap_refuses_a_cover_that_is_not_one_lattice():
+    grid = build_cover(BoxRegion([0.0, 0.0], [4.0, 3.0]), 0.5)
+    with pytest.raises(ValueError, match="not one build_cover lattice"):
+        _nearest_all(refine_cover(grid, 0.5), [[1.0, 1.0]])
+    grid.append([0.7, 0.7])
+    with pytest.raises(ValueError, match="not one build_cover lattice"):
+        _nearest_all(grid, [[1.0, 1.0]])
 
 
 def test_project_empty_cover_is_empty():
@@ -165,7 +204,7 @@ def _reference_final_cells(sys_, grid, pairs, horizon, rows):
                 steps.add(t)
         safe = np.flatnonzero(~unsafe)
         flat = np.zeros(x.shape[0], dtype=np.int64)
-        flat[safe] = grid.nearest_all(x[safe])
+        flat[safe] = argmin_cell(grid, x[safe])
         dest[lo:lo + cells] = flat.reshape(cells, p)
         doomed[lo:lo + cells] = unsafe.reshape(cells, p).any(axis=1)
     return dest, doomed, steps

@@ -47,9 +47,10 @@ def test_sample_size_monotone(eps, beta, bump):
 
 
 def test_sample_size_rejects_garbage():
-    for eps, beta in [(0.0, 0.1), (1.5, 0.1), (0.1, 0.0), (0.1, 1.0)]:
+    for eps, beta in [(0.0, 0.1), (1.5, 0.1), (0.1, 0.0), (0.1, 1.0), (1e-17, 0.1), (2.0**-54, 0.1)]:
         with pytest.raises(ValueError):
             sample_size_probabilistic(eps, beta)
+    assert sample_size_probabilistic(2.0**-53, 0.1) > 10**16  # the smallest epsilon with 1 - epsilon < 1
 
 
 def test_sample_size_resolution_values():
