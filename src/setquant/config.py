@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys as _stdsys
 from dataclasses import dataclass, field
 
 from .geometry import DOMAIN_TOL, BoxRegion
@@ -48,6 +47,13 @@ _DEFAULT_HYPER = {
 }
 _TOY_HYPER = {"epsilon": 0.01, "beta": 0.1, "delta0": 1.0, "gamma": 0.5, "delta_min": 0.25,
               "K": 8, "N": 50_000, "omega_bar": 0.0, "dt": 1.0}
+
+# The most bytes that one array sized by the config may take, checked before
+# anything is allocated: one sample's K steps of state, action and
+# disturbance floats, and the n(epsilon, beta) start draws of the algorithms
+# that draw them all at once.
+_SIZE_CAP = 2**30
+_DRAW_ALL_STARTS = ("val-eps", "val-eps-delta", "qnt-vs")
 
 
 class ConfigError(ValueError):
@@ -319,8 +325,9 @@ def materialize(cfg: RunConfig) -> tuple[ScenarioSystem, object, HyperParams]:
 
     _check_options(cfg.options, sys.state_box, sys.action_box.dim)
     width = sys.state_box.dim + sys.action_box.dim + sys.disturbance_dim
-    _domain(cfg.hyper["K"] * width * 8 <= _stdsys.maxsize,
-            f"hyper.K = {cfg.hyper['K']} steps of {width} floats a sample are more than an array can hold")
+    _domain(cfg.hyper["K"] * width * 8 <= _SIZE_CAP,
+            f"hyper.K = {cfg.hyper['K']} steps of {width} floats a sample take more than the "
+            f"{_SIZE_CAP}-byte size cap")
     if cfg.options.get("adversarial"):
         if sys.adversarial is None:
             raise ConfigError("E-DOMAIN", f"system {sys.name!r} defines no adversarial action set")
@@ -334,4 +341,9 @@ def materialize(cfg: RunConfig) -> tuple[ScenarioSystem, object, HyperParams]:
                         delta0=cfg.hyper["delta0"], gamma=cfg.hyper["gamma"],
                         delta_min=cfg.hyper["delta_min"], horizon=cfg.hyper["K"],
                         budget=cfg.hyper["N"])
+    if cfg.algorithm in _DRAW_ALL_STARTS:
+        n = hyper.stability_window()
+        _domain(n * sys.state_box.dim * 8 <= _SIZE_CAP,
+                f"epsilon={hyper.epsilon}, beta={hyper.beta} ask {n} starts of {sys.state_box.dim} floats: "
+                f"more than the {_SIZE_CAP}-byte size cap")
     return sys, actions, hyper

@@ -34,6 +34,7 @@ from .geometry import (
     MEMBER_TOL,
     BoxRegion,
     DeltaCover,
+    _distinct,
     build_cover,
     refine_cover,
     scan_distances,
@@ -394,8 +395,9 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
     ``run_batch`` call rolls it with every other live, unrolled center that
     the domain accepts, lowest ordinals first, up to ``_PREROLL_ROWS`` rows,
     and the block reads its rollouts from that store.  A start whose rollout
-    was last applied with no event is not queried or applied again until an
-    event or a refinement changes the cover: the answer would be the same.
+    was last applied with no event is not queried or applied again until a
+    prune, a discovery that brings a dead center back, or a refinement
+    changes the cover: the answer would be the same.
     """
     if min_feature_scale is None:
         warnings.warn("no minimum feature scale declared: whether the initial resolution "
@@ -459,11 +461,9 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
         return [out[e - p.shape[0]:e] for p, e in zip(parts, ends.tolist())]
 
     def apply_trajectory(start_ord: int, states: np.ndarray, exit_kind: str, base_out) -> bool:
-        """Apply one trajectory (``change_cover``); an event unchecks every start, no event checks a held one."""
+        """Apply one trajectory (``change_cover``); no event checks a held start."""
         event = change_cover(start_ord, states, exit_kind, base_out)
-        if event:
-            checked.clear()
-        elif held:
+        if held and not event:
             checked.add(start_ord)
         return event
 
@@ -471,7 +471,11 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
         """Apply one trajectory; ``base_out`` says which of ``states[1:]`` lie outside the cover.
 
         A state outside the cover is a discovery unless it lies within
-        ``limit`` of a center this trajectory already added.
+        ``limit`` of a center this trajectory already added.  A prune, or a
+        discovery that brings a dead center back, unchecks every start: a
+        discovery at a new ordinal only adds a live center, which leaves
+        every checked start live, its states inside and its distance to the
+        frontier as they were, so its answer is still no event.
         """
         nonlocal weights_cum
         if not cover.active[start_ord]:
@@ -490,12 +494,16 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
                 live = [v for v in closure if cover.active[v]]
                 cover.deactivate(live)
                 note_pruned(cover.centers[start_ord])
+                checked.clear()
                 event = True
                 weights_cum = None
                 break
             out = bool(base_out[t - 1]) and all(float(np.abs(c - states[t]).max()) > limit for c in new_centers)
             if out and dist_to_pruned[start_ord] > limit:
+                m = len(cover)
                 o = cover.append(states[t])
+                if o < m:  # an existing center: a dead one brought back
+                    checked.clear()
                 extend_dists()
                 graph.add_edge(start_ord, int(o))
                 new_centers.append(np.asarray(states[t], dtype=float))
@@ -519,7 +527,7 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
             todo = act[[i not in rolled for i in act.tolist()]]
             if steps:
                 todo = todo[~outside_domain(sys, cover.centers[todo])]
-            rows = np.union1d(starts[new], todo[:_PREROLL_ROWS - starts.size])
+            rows = _distinct(np.concatenate([starts[new], todo[:_PREROLL_ROWS - starts.size]]))
             rolls = run_batch(sys, cover.centers[rows], draw_noise.block(seed, rows))  # a held block reads no stream
             rolled.update((i, (rolls, j)) for j, i in enumerate(rows.tolist()))
         return [rolled[i] for i in starts.tolist()]

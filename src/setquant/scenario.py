@@ -251,9 +251,12 @@ class IdmPolicy:
 
 
 # ---------------------------------------------------------------------------
-# transition maps: ``__call__`` maps one state tuple, ``batch`` the rows of
-# (B, n) states, (B, m) actions and (B, k) disturbances, with the same
-# floating-point operations in the same order, so both agree bit for bit
+# transition maps: ``__call__`` maps one state tuple, ``batch`` B of them
+# given as coordinate rows, (n, B) states, (m, B) actions and (k, B)
+# disturbances, and returns the (n, B) rows of the next states: every
+# elementwise operation then runs over B values, however small n is.  Both
+# do the same floating-point operations in the same order, so they agree
+# bit for bit.
 # ---------------------------------------------------------------------------
 
 
@@ -284,15 +287,16 @@ class LeadFollowDynamics:
         )
 
     def batch(self, x, u, w) -> np.ndarray:
-        v0, v1, p10 = x.T
+        """The (3, B) rows of the next states of the (3, B) rows ``x`` under (1, B) ``u`` and (2, B) ``w``."""
+        v0, v1, p10 = x
         a0 = self.policy.accel_array(v0, v1, p10)
         dt = self.dt
         out = np.empty(x.shape)
-        nv0 = v0 + (a0 + w[:, 0]) * dt
-        nv1 = v1 + (u[:, 0] + w[:, 1]) * dt
-        out[:, 0] = np.where(nv0 > 0.0, nv0, 0.0)
-        out[:, 1] = np.where(nv1 > 0.0, nv1, 0.0)
-        out[:, 2] = p10 + (v1 - v0) * dt
+        nv0 = v0 + (a0 + w[0]) * dt
+        nv1 = v1 + (u[0] + w[1]) * dt
+        out[0] = np.where(nv0 > 0.0, nv0, 0.0)
+        out[1] = np.where(nv1 > 0.0, nv1, 0.0)
+        out[2] = p10 + (v1 - v0) * dt
         return out
 
 
@@ -324,18 +328,19 @@ class ThreeVehicleDynamics:
         )
 
     def batch(self, x, u, w) -> np.ndarray:
-        v0, v1, v2, p10, p20 = x.T
+        """The (5, B) rows of the next states of the (5, B) rows ``x`` under (2, B) ``u`` and (3, B) ``w``."""
+        v0, v1, v2, p10, p20 = x
         a0 = self.policy.accel_array(v0, v1, p10)
         dt = self.dt
         out = np.empty(x.shape)
-        nv0 = v0 + (a0 + w[:, 0]) * dt
-        nv1 = v1 + (u[:, 0] + w[:, 1]) * dt
-        nv2 = v2 + (u[:, 1] + w[:, 2]) * dt
-        out[:, 0] = np.where(nv0 > 0.0, nv0, 0.0)
-        out[:, 1] = np.where(nv1 > 0.0, nv1, 0.0)
-        out[:, 2] = np.where(nv2 > 0.0, nv2, 0.0)
-        out[:, 3] = p10 + (v1 - v0) * dt
-        out[:, 4] = p20 + (v2 - v0) * dt
+        nv0 = v0 + (a0 + w[0]) * dt
+        nv1 = v1 + (u[0] + w[1]) * dt
+        nv2 = v2 + (u[1] + w[2]) * dt
+        out[0] = np.where(nv0 > 0.0, nv0, 0.0)
+        out[1] = np.where(nv1 > 0.0, nv1, 0.0)
+        out[2] = np.where(nv2 > 0.0, nv2, 0.0)
+        out[3] = p10 + (v1 - v0) * dt
+        out[4] = p20 + (v2 - v0) * dt
         return out
 
 
@@ -371,7 +376,8 @@ class ToyDynamics:
         return (y,)
 
     def batch(self, x, u, w) -> np.ndarray:
-        x = x[:, 0]
+        """The (1, B) row of the next states of the (1, B) row ``x`` under (1, B) ``u`` and ``w``."""
+        x = x[0]
         k = self.kind
         if k == "shift":
             y = x + 1.0
@@ -385,10 +391,10 @@ class ToyDynamics:
             y = -x
         else:
             raise ValueError(f"unknown toy map {k!r}")
-        y = y + w[:, 0]
+        y = y + w[0]
         if self.use_action:
-            y = y + u[:, 0]
-        return y[:, None]
+            y = y + u[0]
+        return y[None]
 
 
 # ---------------------------------------------------------------------------
@@ -512,33 +518,40 @@ def _check_inside(sys: ScenarioSystem, states) -> None:
         raise ValueError(f"state {tuple(states[outside][0].tolist())} outside the domain")
 
 
-def _unsafe_masks(sys: ScenarioSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Per dimension, whether its lower and whether its upper facet is unsafe."""
+def _unsafe_masks(sys: ScenarioSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The columns that ``_advance`` compares coordinate rows with, built once per roll.
+
+    Per dimension, as (n, 1) columns: the lower and the upper bound of the
+    domain, whether its lower and whether its upper facet is unsafe.
+    """
     dims = range(sys.state_box.dim)
-    return (np.array([sys.facets[(d, "lower")] == UNSAFE for d in dims]),
-            np.array([sys.facets[(d, "upper")] == UNSAFE for d in dims]))
+    return (sys.state_box.lower[:, None], sys.state_box.upper[:, None],
+            np.array([[sys.facets[(d, "lower")] == UNSAFE] for d in dims]),
+            np.array([[sys.facets[(d, "upper")] == UNSAFE] for d in dims]))
 
 
 def _advance(sys: ScenarioSystem, states, actions, omegas, masks) -> tuple[np.ndarray, np.ndarray | None]:
     """``step_batch`` without the domain check, for rows known to lie inside.
 
-    ``masks`` is ``_unsafe_masks(sys)``.  The code array is ``None`` when no
-    row went unsafe.
+    ``masks`` is ``_unsafe_masks(sys)``.  The transition map hands back the
+    next states as (n, B) coordinate rows, so the bound checks, the clamp and
+    the reductions over the dimensions (axis 0) each run along all B rows at
+    once; the caller gets the (B, n) ``.T`` view of them.  The code array
+    is ``None`` when no row went unsafe.
     """
-    lo = sys.state_box.lower
-    hi = sys.state_box.upper
-    raw = sys.transition.batch(states, actions, omegas)
+    lo, hi, lower_unsafe, upper_unsafe = masks
+    raw = sys.transition.batch(states.T, actions.T, omegas.T)
     below, above = raw < lo, raw > hi
     if not (below | above).any():
-        return raw, None
+        return raw.T, None
     clamped = np.where(below, lo, np.where(above, hi, raw))
-    hit = (below & masks[0]) | (above & masks[1])
-    unsafe = hit.any(axis=1)
+    hit = (below & lower_unsafe) | (above & upper_unsafe)
+    unsafe = hit.any(axis=0)
     if not unsafe.any():
-        return clamped, None
-    d = hit.argmax(axis=1)
-    code = np.where(unsafe, 2 * d + above[np.arange(d.size), d], -1)
-    return np.where(unsafe[:, None], raw, clamped), code
+        return clamped.T, None
+    d = hit.argmax(axis=0)
+    code = np.where(unsafe, 2 * d + above[d, np.arange(d.size)], -1)
+    return np.where(unsafe, raw, clamped).T, code
 
 
 def run_scenario(sys: ScenarioSystem, start, horizon: int, policy, rng: np.random.Generator) -> Trajectory:
@@ -605,7 +618,9 @@ def run_batch(sys: ScenarioSystem, x0, noise) -> Rollouts:
     keeps the raw offending state as its last and is frozen, so row ``j``
     equals the ``run_scenario`` rollout that makes the same draws.
     Until the first row stops, the steps go through slice views of every
-    row, with no row gather or scatter.
+    row, with no row gather or scatter.  Each step starts from the states
+    the last one returned, whose coordinate rows are contiguous, not from
+    their copy in the block.
 
     When every row holds its input (the same bits at every step), each row
     steps under one fixed map.  Once a step sends no row unsafe and leaves
@@ -624,19 +639,20 @@ def run_batch(sys: ScenarioSystem, x0, noise) -> Rollouts:
     code = np.full(b, -1)
     length = np.full(b, steps + 1)
     live = slice(None)  # every row, then the indices of the rows still live
+    cur = states[:, 0]
     for t in range(steps):
-        cur = states[live, t]
         nxt, ex = _advance(sys, cur, acts[live, t], omegas[live, t], masks)
         states[live, t + 1] = nxt
         if ex is None:
             if held and (_bits(nxt) == _bits(cur)).all():
                 states[live, t + 2:] = nxt[:, None]
                 break
+            cur = nxt
             continue
         rows = np.arange(b) if isinstance(live, slice) else live
         unsafe = ex >= 0
         code[rows[unsafe]], length[rows[unsafe]] = ex[unsafe], t + 2
-        live = rows[~unsafe]
+        live, cur = rows[~unsafe], nxt[~unsafe]
         if live.size == 0:
             break
     return Rollouts(states, acts, code, length)
@@ -660,7 +676,9 @@ def run_held(sys: ScenarioSystem, x0, actions, omegas, steps: int) -> tuple[np.n
     facet, ascending, and their final states, each what ``steps`` calls of
     ``step_batch`` give.  The start rows are checked against the domain once
     (truncation clamps, so a live row stays inside), and the live rows are
-    compacted only on a step where one of them goes unsafe.
+    compacted only on a step where one of them goes unsafe.  Each step starts
+    from the states the last one returned, whose coordinate rows are
+    contiguous.
     """
     if steps:
         _check_inside(sys, x0)

@@ -10,6 +10,8 @@ loop.  Equality is bit for bit throughout (``tobytes``), so a signed zero or
 a one-ulp drift fails.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from setquant.oracle import brute_force_invariant
 from setquant.scenario import (
     BUILTIN_SYSTEMS,
     EXIT_UNSAFE,
+    UNSAFE,
     BoxActionSet,
     FiniteActionSet,
     IdmParams,
@@ -36,6 +39,7 @@ from setquant.scenario import (
     make_toy_threshold,
     noise_sampler,
     run_batch,
+    run_held,
     run_scenario,
     step,
     step_batch,
@@ -98,6 +102,101 @@ def test_batch_step_equals_step_row_by_row(case):
             assert (int(code[r]) // 2, ("lower", "upper")[int(code[r]) % 2]) == out.facet
         else:
             assert code[r] == -1
+
+
+def all_unsafe(sys_):
+    """``sys_`` with every facet unsafe: a row can cross two unsafe facets at once."""
+    return dataclasses.replace(sys_, facets={f: UNSAFE for f in sys_.facets})
+
+
+# (state, action) rows that cross several facets in one step, with the codes
+# that label them under the built-in facets and with every facet unsafe
+CROSSINGS = {
+    # v1 and p10 through their upper facets, both truncating
+    "lead-follow": [([0.0, 16.0, 60.0], [3.0], -1, 3)],
+    # p10 through its lower facet and p20 through its upper one, both unsafe;
+    # then v1 (truncating), p10 (truncating) and p20 (unsafe) through their upper ones
+    "three-vehicle": [([3.0, 0.0, 6.0, 5.0, -5.0], [-5.0, -3.0], 6, 6),
+                      ([0.0, 6.0, 6.0, 25.0, -5.0], [3.0, -3.0], 9, 3)],
+}
+
+
+def mixed_rows(sys_, b, rng):
+    """``b`` rows of states, actions and disturbances for ``step_batch``.
+
+    The states lie inside, exactly on a bound, one ulp either side of one,
+    just outside within the domain check's tolerance, or at -0.0 where the
+    domain allows it; the disturbances include -0.0; about a quarter of the
+    rows of a vehicle system cross several facets at once (``CROSSINGS``).
+    """
+    n, lo, hi = sys_.state_box.dim, sys_.state_box.lower, sys_.state_box.upper
+    pinned = [lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo), lo - 5e-10, hi + 5e-10,
+              np.where(lo == 0.0, -0.0, lo)]
+    x = rng.uniform(lo, hi, size=(b, n))
+    which = rng.integers(0, len(pinned) + 3, size=(b, n))
+    for k, val in enumerate(pinned):
+        x = np.where(which == k, val, x)
+    box = sys_.action_box.box
+    corners = np.asarray(default_action_samples(sys_.action_box))
+    u = np.where(rng.random((b, 1)) < 0.5, rng.uniform(box.lower, box.upper, size=(b, box.dim)),
+                 corners[rng.integers(0, len(corners), size=b)])
+    w = sys_.omega_bar * rng.choice([-1.0, 0.0, -0.0, 1.0, 0.37], size=(b, sys_.disturbance_dim))
+    cases = CROSSINGS.get(sys_.name, [])
+    for r in np.flatnonzero(rng.random(b) < 0.25) if cases else ():
+        x[r], u[r] = cases[r % len(cases)][:2]
+    return x, u, w
+
+
+def layouts(a):
+    """``a`` C-ordered, F-ordered, and as a non-contiguous view into a larger array."""
+    wide = np.full((2 * a.shape[0], a.shape[1] + 2), np.nan)
+    wide[::2, 1:-1] = a
+    return [np.ascontiguousarray(a), np.asfortranarray(a), wide[::2, 1:-1]]
+
+
+def step_code(out) -> int:
+    """``step``'s outcome as a ``step_batch`` code."""
+    return 2 * out.facet[0] + ("lower", "upper").index(out.facet[1]) if out.kind == EXIT_UNSAFE else -1
+
+
+@pytest.mark.parametrize("b", [1, 3, 16, 255, 2500])
+@pytest.mark.parametrize("facets", ["built-in", "all-unsafe"])
+@pytest.mark.parametrize("name,sv", SYSTEMS)
+def test_batch_step_equals_step_in_every_layout(name, sv, facets, b):
+    # numpy picks other inner loops for other widths and layouts; the coordinate rows must not care
+    sys_ = make_system(name, sv, 0.3)
+    if facets == "all-unsafe":
+        sys_ = all_unsafe(sys_)
+    x, u, w = mixed_rows(sys_, b, np.random.default_rng(b))
+    want, codes = [], []
+    for r in range(b):
+        nxt, out = step(sys_, tuple(x[r]), tuple(u[r]), tuple(w[r]))
+        want.append(nxt)
+        codes.append(step_code(out))
+    for lx, lu, lw in zip(layouts(x), layouts(u), layouts(w)):
+        nxt, code = step_batch(sys_, lx, lu, lw)
+        assert same_bits(nxt, want)
+        assert code.tolist() == codes
+
+
+@pytest.mark.parametrize("facets", ["built-in", "all-unsafe"])
+@pytest.mark.parametrize("name,sv", [s for s in SYSTEMS if s[0] in CROSSINGS])
+def test_batch_step_labels_a_several_facet_crossing_by_its_lowest_unsafe_dimension(name, sv, facets):
+    sys_ = make_system(name, sv, 0.0)
+    if facets == "all-unsafe":
+        sys_ = all_unsafe(sys_)
+    lo, hi = sys_.state_box.lower, sys_.state_box.upper
+    for x, u, builtin, every in CROSSINGS[name]:
+        raw = sys_.transition(tuple(x), tuple(u), sys_.zero_disturbance())
+        assert sum(raw[d] < lo[d] or raw[d] > hi[d] for d in range(len(x))) >= 2  # the case this test is for
+        rows = np.tile(x, (4, 1))
+        nxt, code = step_batch(sys_, rows, np.tile(u, (4, 1)), np.zeros((4, sys_.disturbance_dim)))
+        want = builtin if facets == "built-in" else every
+        assert code.tolist() == [want] * 4
+        if want >= 0:  # an unsafe row keeps its raw state, the coordinates of truncating facets unclamped too
+            assert same_bits(nxt, [raw] * 4)
+        else:
+            assert same_bits(nxt, [np.clip(raw, lo, hi)] * 4)
 
 
 @pytest.mark.parametrize("name,sv", SYSTEMS)
@@ -292,6 +391,54 @@ def test_lock_step_roller_equals_run_scenario(name):
         assert n_stopped == 1
     else:
         assert 0 < n_stopped < len(x0) and len(stop_steps) >= 2
+
+
+@pytest.mark.parametrize("b", [1, 7, 300])
+@pytest.mark.parametrize("name,sv", SYSTEMS)
+def test_steps_fed_their_own_rows_equal_run_scenario(name, sv, b):
+    # each step_batch call is fed the (B, n) view of the coordinate rows that the last one returned
+    sys_ = make_system(name, sv, 0.3)
+    horizon = 12
+    x0 = np.clip(mixed_rows(sys_, b, np.random.default_rng(b))[0], sys_.state_box.lower, sys_.state_box.upper)
+    policy = UniformPolicy(sys_.action_box)
+    acts, omegas = noise_sampler(sys_, policy, horizon - 1).block(5, np.arange(b))
+    want = [run_scenario(sys_, x0[j], horizon, policy, reference_stream(5, j)) for j in range(b)]
+    states = [[row] for row in x0]
+    live, x = np.arange(b), x0
+    for t in range(horizon - 1):
+        x, code = step_batch(sys_, x, acts[live, t], omegas[live, t])
+        for k, j in enumerate(live.tolist()):
+            states[j].append(x[k])
+        if (code >= 0).any():
+            live, x = live[code < 0], x[code < 0]
+    rolls = run_batch(sys_, x0, (acts, omegas))
+    for j in range(b):
+        assert same_bits(states[j], want[j].states)
+        got = rolls.trajectory(j)
+        assert same_bits(got.states, want[j].states) and same_bits(got.actions, want[j].actions)
+        assert (got.exit_kind, got.exit_facet) == (want[j].exit_kind, want[j].exit_facet)
+
+
+@pytest.mark.parametrize("b", [1, 7, 300])
+@pytest.mark.parametrize("name,sv", SYSTEMS)
+def test_held_rows_equal_the_scalar_steps(name, sv, b):
+    sys_ = make_system(name, sv, 0.3)
+    steps = 11
+    x0, u, w = mixed_rows(sys_, b, np.random.default_rng(b + 1))
+    x0 = np.clip(x0, sys_.state_box.lower, sys_.state_box.upper)
+    live, final = run_held(sys_, x0, u, w, steps)
+    want_live, want_final = [], []
+    for j in range(b):
+        state = tuple(x0[j])
+        for _ in range(steps):
+            state, out = step(sys_, state, tuple(u[j]), tuple(w[j]))
+            if out.kind == EXIT_UNSAFE:
+                break
+        else:
+            want_live.append(j)
+            want_final.append(state)
+    assert live.tolist() == want_live
+    assert same_bits(final, np.reshape(want_final, (-1, sys_.state_box.dim)))
 
 
 # ---------------------------------------------------------------------------

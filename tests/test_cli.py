@@ -2,6 +2,9 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -380,3 +383,31 @@ def test_compare_reads_a_cells_file_with_no_rows(tmp_path, capsys, empty):
     assert main(["compare", *(str(tmp_path / r) for r in runs), "--force"]) == 0
     metrics = json.loads(capsys.readouterr().out)["metrics"]
     assert metrics[f"{empty}_count"] == 0 and metrics[f"{empty}_volume"] == 0.0
+
+
+# held qnt-spe pre-rolls its centers and sums the volume of a 3-D cover
+FRESH_RUNS = {
+    "qnt-spe-held": ("algorithm = qnt-spe\nseed = 0\nsystem.name = lead-follow\nhyper.delta0 = 4.0\n"
+                     "hyper.delta_min = 2.0\nhyper.K = 10\nhyper.N = 400\nhyper.epsilon = 0.05\n"
+                     "options.action_points = [[-5.0]]\noptions.prioritized = true\noptions.replay = true\n", 0),
+    "oracle": ("algorithm = oracle\nseed = 0\nsystem.name = lead-follow\nhyper.delta0 = 4.0\n"
+               "options.horizon = 5\n", 0),
+    "val-eps-delta": ("algorithm = val-eps-delta\nseed = 0\nsystem.name = lead-follow\nhyper.delta0 = 4.0\n"
+                      "hyper.K = 5\nhyper.epsilon = 0.05\n", 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRESH_RUNS))
+def test_a_run_does_not_import_numpy_ma(name, tmp_path):
+    # np.unique and np.union1d ask np.ma whether their input is masked, which
+    # costs a fresh process the import of numpy.ma: milliseconds and about a megabyte
+    text, want = FRESH_RUNS[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    script = ("import sys\nfrom setquant.cli import main\n"
+              "code = main(['run', sys.argv[1], '--output', sys.argv[2]])\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-W", "ignore", "-c", script, str(cfg), str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == f"{want} False"

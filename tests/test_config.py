@@ -6,6 +6,7 @@ import re
 import pytest
 
 from setquant.config import ALGORITHMS, OPTIONS, ConfigError, materialize, parse_config, serialize_config
+from setquant.config import _SIZE_CAP
 from setquant.quantification import HyperParams
 from setquant.scenario import BoxActionSet, FiniteActionSet
 
@@ -146,13 +147,42 @@ def test_materialize_adversarial_and_point_actions():
         materialize(parse_config(base + "options.action_points = []\n"))
 
 
-@pytest.mark.parametrize("K", [10**40, 2**62])
+@pytest.mark.parametrize("K", [10**40, 2**62, 10**11])
 def test_materialize_refuses_a_horizon_no_array_can_hold(K):
     # K steps of 3 + 1 + 2 floats: refused before anything is allocated
     cfg = parse_config(f"algorithm = val-eps-delta\nseed = 0\nsystem.name = lead-follow\nhyper.K = {K}\n")
     with pytest.raises(ConfigError) as err:
         materialize(cfg)
-    assert err.value.code == "E-DOMAIN" and "more than an array can hold" in str(err.value)
+    assert err.value.code == "E-DOMAIN" and "size cap" in str(err.value)
+
+
+def test_the_size_cap_refuses_one_sample_past_it_and_nothing_below():
+    # materialize only sizes the arrays: neither config is run
+    base = "algorithm = val-eps-delta\nseed = 0\nsystem.name = lead-follow\n"
+    most = _SIZE_CAP // ((3 + 1 + 2) * 8)
+    materialize(parse_config(base + f"hyper.K = {most}\n"))
+    with pytest.raises(ConfigError, match="size cap"):
+        materialize(parse_config(base + f"hyper.K = {most + 1}\n"))
+
+
+@pytest.mark.parametrize("algorithm", ["val-eps", "val-eps-delta", "qnt-vs"])
+@pytest.mark.parametrize("epsilon", [1e-12, 1e-7])
+def test_materialize_refuses_start_draws_past_the_size_cap(algorithm, epsilon):
+    # n(1e-12, 0.01) is about 4.6e12 starts of 3 floats, n(1e-7, 0.01) 46,051,700: 1.1 GB
+    text = f"algorithm = {algorithm}\nseed = 0\nsystem.name = lead-follow\nhyper.K = 5\n" \
+           f"hyper.epsilon = {epsilon}\nhyper.beta = 0.01\n"
+    if algorithm == "val-eps":
+        text += "options.region_box = [[0, 4], [0, 16], [20, 60]]\n"
+    materialize(parse_config(text.replace(str(epsilon), "1e-06")))  # 4,605,168 starts: 110 MB
+    with pytest.raises(ConfigError) as err:
+        materialize(parse_config(text))
+    assert err.value.code == "E-DOMAIN" and "size cap" in str(err.value)
+
+
+def test_a_run_that_draws_no_start_block_is_not_sized_by_epsilon():
+    # qnt-spe reads n(epsilon, beta) as its stability window, a count of samples it never holds at once
+    cfg = parse_config("algorithm = qnt-spe\nseed = 0\nsystem.name = lead-follow\nhyper.epsilon = 1e-12\n")
+    assert materialize(cfg)[2].stability_window() > _SIZE_CAP
 
 
 def test_materialize_rejects_adversarial_on_systems_without_one():

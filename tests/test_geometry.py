@@ -403,6 +403,16 @@ def test_volume_counts_overlap_once():
     assert volume_estimate(cv) == pytest.approx(1.5)
 
 
+def test_distinct_values_equal_np_unique():
+    # the sweep's coordinates and the pre-roll's rows, without np.unique's import of numpy.ma
+    rng = np.random.default_rng(3)
+    for values in (rng.integers(0, 9, size=200), rng.choice([-1.5, 0.0, -0.0, 2.25, 1e300], size=100),
+                   rng.random(50), np.empty(0), np.array([7])):
+        want = np.unique(values)
+        got = geometry._distinct(values)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
 def test_volume_after_refinement_stays_under_domain_volume():
     dom = BoxRegion([0.0, 0.0], [4.0, 4.0])
     cv = build_cover(dom, 1.0)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from setquant import quantification, scenario
-from setquant.geometry import BoxRegion
+from setquant.geometry import BoxRegion, DeltaCover
 from setquant.quantification import HyperParams
 from setquant.scenario import (
     FiniteActionSet,
@@ -247,6 +247,27 @@ HELD_CONFIGS = {
 
 @pytest.mark.parametrize("name", sorted(HELD_CONFIGS))
 def test_a_held_run_equals_the_sequential_loop(name):
+    assert_the_held_run_equals_the_sequential_loop(name)
+
+
+def test_a_discovery_that_brings_a_dead_center_back_unchecks_every_start(monkeypatch):
+    # a discovery at a new ordinal leaves every checked start's answer as it
+    # was; one that reactivates a dead center may not, so it unchecks them all
+    back, inner = [], DeltaCover.append
+
+    def spied(cover, point):
+        m = len(cover)
+        o = inner(cover, point)
+        if o < m:
+            back.append(o)
+        return o
+
+    monkeypatch.setattr(DeltaCover, "append", spied)
+    assert_the_held_run_equals_the_sequential_loop("toy-shift-rediscovers")
+    assert back
+
+
+def assert_the_held_run_equals_the_sequential_loop(name):
     make, point, hyper, seed, prioritized, replay = HELD_CONFIGS[name]
     sys_ = make()
     (got, traces, records), ((rep, cover, pruned, graph), want_traces, want_records) = both_runs(
