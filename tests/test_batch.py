@@ -142,8 +142,9 @@ def mixed_rows(sys_, b, rng):
                  corners[rng.integers(0, len(corners), size=b)])
     w = sys_.omega_bar * rng.choice([-1.0, 0.0, -0.0, 1.0, 0.37], size=(b, sys_.disturbance_dim))
     cases = CROSSINGS.get(sys_.name, [])
-    for r in np.flatnonzero(rng.random(b) < 0.25) if cases else ():
-        x[r], u[r] = cases[r % len(cases)][:2]
+    if cases:
+        for r in np.flatnonzero(rng.random(b) < 0.25):
+            x[r], u[r] = cases[r % len(cases)][:2]
     return x, u, w
 
 
