@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .geometry import DOMAIN_TOL, BoxRegion
+from .geometry import _SIZE_CAP, DOMAIN_TOL, BoxRegion
 from .quantification import HyperParams
 from .scenario import (
     BUILTIN_SYSTEMS,
@@ -48,11 +48,7 @@ _DEFAULT_HYPER = {
 _TOY_HYPER = {"epsilon": 0.01, "beta": 0.1, "delta0": 1.0, "gamma": 0.5, "delta_min": 0.25,
               "K": 8, "N": 50_000, "omega_bar": 0.0, "dt": 1.0}
 
-# The most bytes that one array sized by the config may take, checked before
-# anything is allocated: one sample's K steps of state, action and
-# disturbance floats, and the n(epsilon, beta) start draws of the algorithms
-# that draw them all at once.
-_SIZE_CAP = 2**30
+# The algorithms that draw all their n(epsilon, beta) starts at once, so the draw is checked against the size cap.
 _DRAW_ALL_STARTS = ("val-eps", "val-eps-delta", "qnt-vs")
 
 

@@ -41,6 +41,11 @@ DOMAIN_TOL = 1e-9
 LATTICE_TOL = 1e-9
 # Decimals of the rounded coordinates that identify a center (dedup keys, slice groups).
 KEY_DIGITS = 10
+# The most bytes that one array sized by the config may take, checked before
+# anything is allocated: a lattice's centers here; in ``config``, one
+# sample's K steps of state, action and disturbance floats, and the
+# n(epsilon, beta) start draws of the algorithms that draw them all at once.
+_SIZE_CAP = 2**30
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,7 @@ def signed_distance(point, box: BoxRegion) -> float:
 
 
 class LatticeSizeError(ValueError):
-    """A lattice with more centers than an array can hold."""
+    """A lattice with more centers than an array can hold, or than fit the size cap."""
 
 
 def _lattices(lo: np.ndarray, hi: np.ndarray, delta: float) -> np.ndarray:
@@ -118,7 +123,8 @@ def _lattices(lo: np.ndarray, hi: np.ndarray, delta: float) -> np.ndarray:
     axis varying fastest.
 
     Raises ``LatticeSizeError`` before allocating an array whose bytes ``np.intp``
-    cannot count.
+    cannot count, or one whose floats take more than ``_SIZE_CAP`` bytes: an
+    axis's coordinate runs, or the centers.
     """
     k, n = lo.shape
     two = 2.0 * delta
@@ -133,6 +139,9 @@ def _lattices(lo: np.ndarray, hi: np.ndarray, delta: float) -> np.ndarray:
         if not k * steps < limit:
             raise LatticeSizeError(f"a lattice at delta {delta!r} needs about {steps:.3g} centers "
                                    f"along axis {a}, more than an array can hold")
+        if k * steps * 8 > _SIZE_CAP:  # the axis's coordinate runs, before they are allocated
+            raise LatticeSizeError(f"a lattice at delta {delta!r} needs about {steps:.3g} centers "
+                                   f"along axis {a}: more than the {_SIZE_CAP}-byte size cap")
         steps = int(steps)
         run = np.add.accumulate(np.column_stack([low + delta, np.full((k, steps - 1), two)]), axis=1)
         fit = (run <= (high - delta + MEMBER_TOL)[:, None]).sum(axis=1)
@@ -144,6 +153,9 @@ def _lattices(lo: np.ndarray, hi: np.ndarray, delta: float) -> np.ndarray:
     size = np.prod(counts, axis=1, dtype=float).sum()
     if not size * n < limit:
         raise LatticeSizeError(f"a lattice at delta {delta!r} has {size:.3g} centers, more than an array can hold")
+    if size * n * 8 > _SIZE_CAP:
+        raise LatticeSizeError(f"a lattice at delta {delta!r} has {size:.3g} centers of {n} floats: "
+                               f"more than the {_SIZE_CAP}-byte size cap")
     total = counts.prod(axis=1)
     owner = np.repeat(rows, total)
     t = np.arange(owner.size) - np.repeat(np.cumsum(total) - total, total)
@@ -221,26 +233,31 @@ _INDEX_TOL = LATTICE_TOL
 _WIDEN = 1e-9
 # Point-center differences per chunk of a brute-force scan (``scan_distances``).
 _SCAN_CHUNK = 1 << 20
-# Query points per chunk of ``DeltaCover.outside``.
-_QUERY_ROWS = 1 << 11
+# Bucket probes per chunk of ``DeltaCover.outside``: as many rows in the
+# own-bucket pass, ``_QUERY_ROWS >> n`` (at least one) in the neighbour pass,
+# which probes up to ``2**n`` buckets a row.
+_QUERY_ROWS = 1 << 14
 # Centers keyed per chunk when a cover builds its dedup map.
 _KEY_ROWS = 1 << 12
 
 
 class _BucketIndex:
-    """Uniform sup-norm bucket grid over the first ``n`` centers of a cover, in CSR form.
+    """Uniform sup-norm bucket grid over the first ``n`` centers of a cover, as a dense slot table.
 
-    Center ``c`` lies in bucket ``floor((c - origin) / h)``.  ``order`` lists
-    the ordinals sorted by bucket (ascending within a bucket), ``keys`` the
-    row-major numbers of the non-empty buckets and ``starts`` where each one
-    begins in ``order``.  A query visits every bucket that the sup-norm ball
-    of the widened reach around a point touches.  The cover keeps
-    ``h > 2 * reach * (1 + _WIDEN)``, so that is one bucket or two per axis:
-    the point's base bucket and, on the axes whose bit is set in the point's
-    mask, the next one.  Candidates that lie beyond the reach, and those of
-    distinct buckets whose numbers coincide because the row-major product
-    wrapped in int64 on a very sparse cover, only lengthen the candidate
-    list; every center within reach of a point is therefore a candidate.
+    Center ``c`` lies in bucket ``floor((c - origin) / h)``, whose row-major
+    number ``flat`` (over the grid spanned by the centers) maps to slot
+    ``flat % m``, where ``m`` is the number of buckets in that grid or
+    ``8 * n + 1``, whichever is smaller.  ``order`` lists the ordinals sorted
+    by slot (ascending within a slot) and ``starts`` (length ``m + 1``) where
+    each slot begins in ``order``, so a lookup is two gathers.  A query
+    visits every bucket that the sup-norm ball of the widened reach around a
+    point touches.  The cover keeps ``h > 2 * reach * (1 + _WIDEN)``, so that
+    is one bucket or two per axis: the point's base bucket and, on the axes
+    whose bit is set in the point's mask, the next one.  Candidates that lie
+    beyond the reach, and those of distinct buckets that share a slot (on a
+    sparse grid, or where the row-major number wrapped in int64), only
+    lengthen the candidate list; every center within reach of a point is
+    therefore a candidate.
     """
 
     def __init__(self, centers: np.ndarray, origin: np.ndarray, h: float):
@@ -249,34 +266,34 @@ class _BucketIndex:
         self.kmin, self.kmax = cell.min(axis=0), cell.max(axis=0)
         extent = (self.kmax - self.kmin + 1).astype(np.int64)
         self.strides = np.append(np.cumprod(extent[:0:-1])[::-1], 1)
-        flat = (cell - self.kmin).astype(np.int64) @ self.strides
-        self.order = np.argsort(flat, kind="stable")
-        flat = flat[self.order]
-        first = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
-        self.keys = flat[first]
-        self.starts = np.append(first, self.n)
+        self.m = min(math.prod(extent.tolist()), 8 * self.n + 1)
+        slot = (cell - self.kmin).astype(np.int64) @ self.strides % self.m
+        self.order = np.argsort(slot, kind="stable")
+        self.starts = np.zeros(self.m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(slot, minlength=self.m), out=self.starts[1:])
         # bit a of subset k: axis a takes its second bucket; shifts[k] is the bucket-number offset
         self.subsets = np.arange(1 << centers.shape[1])
         self.shifts = ((self.subsets[:, None] >> np.arange(centers.shape[1])) & 1) @ self.strides
 
-    def _lookup(self, flat: np.ndarray):
-        """Slot in ``keys`` of each bucket number, and whether the bucket is non-empty."""
-        j = np.minimum(np.searchsorted(self.keys, flat), self.keys.shape[0] - 1)
-        return j, self.keys[j] == flat
-
-    def _members(self, j: np.ndarray):
-        """Ordinals of the centers in the buckets at slots ``j``, bucket by bucket, and their counts."""
-        start, count = self.starts[j], self.starts[j + 1] - self.starts[j]
+    def _members(self, rows: np.ndarray, flat: np.ndarray):
+        """(row, ordinal) of every center in the slot of bucket number ``flat[i]``, for row ``rows[i]``."""
+        slot = flat % self.m
+        start = self.starts[slot]
+        count = self.starts[slot + 1] - start
         pos = np.arange(int(count.sum())) + np.repeat(start - (np.cumsum(count) - count), count)
-        return self.order[pos], count
+        return np.repeat(rows, count), self.order[pos]
 
     def own_bucket(self, pts: np.ndarray):
         """(row, ordinal) of every center in the bucket that holds a row of ``pts``, grouped by row."""
-        cell = np.floor((pts - self.origin) / self.h)
-        rows = np.flatnonzero(((cell >= self.kmin) & (cell <= self.kmax)).all(axis=1))  # false for NaN too
-        j, hit = self._lookup((cell[rows] - self.kmin).astype(np.int64) @ self.strides)
-        ords, count = self._members(j[hit])
-        return np.repeat(rows[hit], count), ords
+        flat = np.zeros(pts.shape[0], dtype=np.int64)
+        ok = np.ones(pts.shape[0], dtype=bool)
+        for a in range(pts.shape[1]):
+            k = np.floor((pts[:, a] - self.origin[a]) / self.h)
+            inside = (k >= self.kmin[a]) & (k <= self.kmax[a])  # false for NaN too
+            ok &= inside
+            flat += np.where(inside, k - self.kmin[a], 0.0).astype(np.int64) * self.strides[a]
+        rows = np.flatnonzero(ok)
+        return self._members(rows, flat[rows])
 
     def candidates(self, pts: np.ndarray, reach: float):
         """(row, ordinal) of every center in a bucket within reach of a row of ``pts``, grouped by row."""
@@ -293,9 +310,7 @@ class _BucketIndex:
             mask |= (hi > lo) << a
         rows = np.flatnonzero(ok)
         row, k = np.nonzero((self.subsets & ~mask[rows, None]) == 0)
-        j, hit = self._lookup(base[rows[row]] + self.shifts[k])
-        ords, count = self._members(j[hit])
-        return np.repeat(rows[row[hit]], count), ords
+        return self._members(rows[row], base[rows[row]] + self.shifts[k])
 
 
 def _sup_gaps(centers: np.ndarray, cand: np.ndarray, pts: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -453,10 +468,11 @@ class DeltaCover:
         """Per row of ``points``, whether no live center lies within ``radius + tol`` of it.
 
         A first pass compares each row with the live centers of its own
-        bucket, a second one the rows still undecided with those of every
-        bucket within reach.  A row is inside as soon as one computed sup-norm
-        gap is at most the limit; no minimum is taken.  Rows go through in
-        chunks, so transient memory stays bounded whatever their number.
+        bucket's slot, a second one the rows still undecided with those of
+        every bucket within reach.  A row is inside as soon as one computed
+        sup-norm gap is at most the limit; no minimum is taken.  Rows go
+        through in chunks of at most ``_QUERY_ROWS`` bucket probes, so
+        transient memory stays bounded whatever their number.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         reach = self.radius + tol
@@ -465,10 +481,11 @@ class DeltaCover:
             return out
         index = self._bucket_index(reach)
         rows = None  # the first pass slices ``pts``; the second gathers the undecided rows
-        for near in (index.own_bucket, lambda chunk: index.candidates(chunk, reach)):
+        for near, step in ((index.own_bucket, _QUERY_ROWS),
+                           (lambda chunk: index.candidates(chunk, reach), max(1, _QUERY_ROWS >> pts.shape[1]))):
             sub = pts if rows is None else pts[rows]
-            for lo in range(0, sub.shape[0], _QUERY_ROWS):
-                chunk = sub[lo:lo + _QUERY_ROWS]
+            for lo in range(0, sub.shape[0], step):
+                chunk = sub[lo:lo + step]
                 row, cand = near(chunk)
                 live = self.active[cand]
                 row, cand = row[live], cand[live]
@@ -544,8 +561,20 @@ class BandPredicate:
         self.sigma_bar = float(sigma_bar)
 
     def __call__(self, point) -> bool:
-        d = signed_distance(point, self.box)
-        return -self.sigma_bar <= d <= 0.0
+        return bool(self.mask(np.reshape(np.asarray(point, dtype=float), (1, -1)))[0])
+
+    def mask(self, points: np.ndarray) -> np.ndarray:
+        """Per row of (m, n) ``points``, whether it lies in the band: ``signed_distance`` of each row in one pass.
+
+        A row with a coordinate beyond the box is outside it; any other row's
+        depth is its smallest slack to a facet, and it lies in the band when
+        that slack is at most ``sigma_bar``.  The floats compared are those
+        ``signed_distance`` computes.
+        """
+        lo, hi = self.box.lower, self.box.upper
+        beyond = ((lo - points) > 0.0).any(axis=1) | ((points - hi) > 0.0).any(axis=1)
+        slack = np.minimum(points - lo, hi - points).min(axis=1)
+        return ~beyond & (slack <= self.sigma_bar)
 
 
 def boundary_band(box: BoxRegion, sigma_bar: float) -> BandPredicate:

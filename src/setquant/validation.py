@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DeltaCover
+from .geometry import BandPredicate, DeltaCover
 from .scenario import (
     FiniteActionSet,
     FixedActionPolicy,
@@ -107,10 +107,22 @@ class ValidationVerdict:
 # the batched sample runner
 # ---------------------------------------------------------------------------
 
-# Samples stepped together: enough rows to amortise the per-step numpy
-# overhead and the block's one cover query, few enough that a failing run
-# stops soon after its first failure and a block's states stay small.
+# Samples stepped together in the first block: enough rows to amortise the
+# per-step numpy overhead and the block's one cover query, few enough that a
+# failing run stops soon after its first failure.  Each block after a passing
+# one holds twice as many rows, up to the most rows whose steps of state,
+# action and disturbance floats fit in ``_BLOCK_BYTES``.
 _BLOCK = 256
+_BLOCK_BYTES = 2 << 20
+
+
+def _block_cap(sys, horizon: int) -> int:
+    """The most rows of a block: ``horizon`` steps of a row's state, action and disturbance floats fit the budget.
+
+    Never below 1, however long the horizon.
+    """
+    width = sys.state_box.dim + sys.action_box.dim + sys.disturbance_dim
+    return max(1, _BLOCK_BYTES // (max(horizon, 1) * width * 8))
 
 
 def _run_block(sys, x0, first, draw, seed, region, record) -> int:
@@ -119,7 +131,8 @@ def _run_block(sys, x0, first, draw, seed, region, record) -> int:
     A row stops when it goes unsafe; the others run to the horizon, and a
     row fails when it went unsafe or one of its states after the start lies
     outside the region.  Membership is queried once per block, over every
-    state of the rows that did not go unsafe.
+    state of the rows that did not go unsafe, whatever the block's size.
+    ``record`` sees the rows up to the lowest failing one, in order.
     """
     rolls = run_batch(sys, x0, draw.block(seed, np.arange(first, first + len(x0))))
     failed = rolls.code >= 0
@@ -137,16 +150,17 @@ def _run_block(sys, x0, first, draw, seed, region, record) -> int:
 def _run_samples(sys, starts, horizon, policy, seed, region, workers: int, record=None):
     """Run the samples in index order; returns the earliest failing index or -1.
 
-    The samples go through in blocks of ``_BLOCK``, each rolled in lock-step
-    by ``run_batch`` from actions and disturbances that the ``noise_sampler``
-    draws into one array per block, sample ``i``'s from the stream of ordinal
-    ``i`` of ``seed``, so every trajectory equals the one ``run_scenario``
-    draws; the block's states then go through one ``outside`` query.  The run
-    stops at the first block with a failure and returns its lowest failing
-    index: the verdict of a sequential loop.  ``record(i, traj)`` sees the
-    trajectories of samples 0 up to that index, in order.  A start outside
-    the domain raises the domain check's ``ValueError`` once every sample
-    before it passed.
+    The samples go through in blocks: the first of ``_BLOCK`` rows, each
+    one after a passing block twice as large, up to ``_block_cap`` rows.
+    Each block is rolled in lock-step by ``run_batch`` from actions and
+    disturbances that the ``noise_sampler`` draws into one array per block,
+    sample ``i``'s from the stream of ordinal ``i`` of ``seed``, so every
+    trajectory equals the one ``run_scenario`` draws; the block's states then
+    go through one ``outside`` query.  The run stops at the first block with
+    a failure and returns its lowest failing index: the verdict of a
+    sequential loop.  ``record(i, traj)`` sees the trajectories of samples 0
+    up to that index, in order.  A start outside the domain raises the
+    domain check's ``ValueError`` once every sample before it passed.
     ``workers`` is accepted for compatibility and changes nothing.
     """
     n = len(starts)
@@ -159,10 +173,14 @@ def _run_samples(sys, starts, horizon, policy, seed, region, workers: int, recor
     if steps:
         outside = np.flatnonzero(outside_domain(sys, x0))
         stop = int(outside[0]) if outside.size else n
-    for lo in range(0, stop, _BLOCK):
-        bad = _run_block(sys, x0[lo:min(lo + _BLOCK, stop)], lo, draw, seed, region, record)
+    cap = _block_cap(sys, horizon)
+    lo, size = 0, min(_BLOCK, cap)
+    while lo < stop:
+        hi = min(lo + size, stop)
+        bad = _run_block(sys, x0[lo:hi], lo, draw, seed, region, record)
         if bad >= 0:
             return bad
+        lo, size = hi, min(2 * size, cap)
     _check_inside(sys, x0[stop:stop + 1])  # the refused start, if there is one
     return -1
 
@@ -255,11 +273,15 @@ def validate_eps_delta(sys: ScenarioSystem, cover: DeltaCover, horizon: int, eps
 
     ``band`` (optional predicate) restricts the sampled start centers, e.g.
     to the boundary band of the domain; interior starts are then trusted to
-    be covered by the boundary sweep.  With no eligible center the verdict is
-    vacuously true on zero samples.
+    be covered by the boundary sweep.  A ``BandPredicate`` is evaluated over
+    all active centers in one array pass (``mask``), any other predicate
+    once per center.  With no eligible center the verdict is vacuously true
+    on zero samples.
     """
     act = cover.active_indices()
-    if band is not None:
+    if isinstance(band, BandPredicate):
+        act = act[band.mask(cover.centers[act])]
+    elif band is not None:
         act = np.asarray([i for i in act if band(cover.centers[int(i)])], dtype=int)
     pick_starts = lambda pick, n: cover.centers[act[pick.integers(act.size, size=n)]]
     if band is not None and act.size == 0:

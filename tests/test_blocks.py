@@ -2,10 +2,13 @@
 
 ``DeltaCover.outside`` answers most rows from the one bucket that holds them
 and sends only the rest through the neighbour-bucket pass; it must equal a
-scan over every live center.  A noise sampler's ``block`` draws a whole
+scan over every live center, also where distinct buckets share a slot of
+the index (sparse grids, and bucket numbers that wrap in int64).  A noise sampler's ``block`` draws a whole
 block's actions and disturbances into one array per kind; it must equal the
 stacked per-sample draws bit for bit (``tobytes``).
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -115,7 +118,7 @@ def test_the_bucket_grid_is_anchored_at_the_lattice():
     cover = DeltaCover(slab.centers, 1.0, lf.state_box)
     index = cover._bucket_index(cover.radius + MEMBER_TOL)
     np.testing.assert_array_equal(index.origin, cover.centers[0] - 0.5 * index.h)
-    assert index.keys.size == len(cover)  # one center per bucket
+    assert np.diff(index.starts).max() <= 1  # every slot holds at most one center
     # a refined cover, and the same centers read back from a cells file, are
     # anchored at the finest lattice (1 + 2k, 1 + 2k, 6.5 + 2k), not at the
     # first center (4, 4, 9.5), which sits on its bucket boundaries
@@ -146,6 +149,126 @@ def test_one_bucket_pass_decides_every_member_state_of_a_slab(kind):
     assert verdict.result and verdict.n_samples == 459
     assert sum(calls) == 0
     assert cover.outside([[8.0, 8.0, 5.5]]).all() and calls == [1]  # the wrapped pass is the one in use
+
+
+# ---------------------------------------------------------------------------
+# the slot table on sparse grids
+# ---------------------------------------------------------------------------
+
+
+def probe_rows(cover: DeltaCover, rng) -> np.ndarray:
+    """Rows at the membership limit of live and dead centers, on bucket boundaries, and non-finite rows."""
+    limit = cover.radius + MEMBER_TOL
+    index = cover._bucket_index(limit)
+    n, dim = 40, cover.dim
+    base = cover.centers[rng.integers(0, len(cover), size=n)]
+    at_limit = base.copy()
+    at_limit[np.arange(n), rng.integers(0, dim, size=n)] += rng.choice([-1.0, 1.0], size=n) * rng.choice(
+        [limit, np.nextafter(limit, np.inf), cover.radius], size=n)
+    on_boundary = base.copy()
+    axes = rng.random((n, dim)) < 0.5
+    k = np.floor((base - index.origin) / index.h) + rng.integers(0, 2, size=(n, dim))
+    on_boundary[axes] = (index.origin + index.h * k)[axes]
+    odd = base[:12].copy()  # one non-finite coordinate each
+    odd[np.arange(12), np.arange(12) % dim] = np.tile([np.nan, np.inf, -np.inf], 4)
+    return np.concatenate([at_limit, on_boundary, odd, cover.centers[~cover.active], base,
+                           rng.uniform(cover.domain.lower - 1.0, cover.domain.upper + 1.0, size=(n, dim))])
+
+
+def grid_buckets(index) -> int:
+    """The number of buckets in the grid that the index's centers span, as an exact integer."""
+    return math.prod(int(e) for e in (index.kmax - index.kmin + 1).tolist())
+
+
+def assert_outside_equals_the_scan(cover: DeltaCover, pts: np.ndarray):
+    # no center lies within any distance of a NaN coordinate: such a row is outside
+    want = scanned_outside(cover, pts) | np.isnan(pts).any(axis=1)
+    np.testing.assert_array_equal(cover.outside(pts), want)
+
+
+@st.composite
+def far_clusters(draw):
+    """A 1-5-D cover of two to four small lattices far apart, so the grid holds many buckets per center.
+
+    A quarter of the centers are dead.
+    """
+    dim = draw(st.integers(1, 5))
+    delta = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for _ in range(draw(st.integers(2, 4))):
+        lo = rng.integers(-400, 400, size=dim) * delta
+        parts.append(build_cover(BoxRegion(lo, lo + 2.0 * delta * rng.integers(1, 3, size=dim)), delta).centers)
+    centers = np.concatenate(parts)
+    domain = BoxRegion(centers.min(axis=0) - delta, centers.max(axis=0) + delta)
+    cover = DeltaCover(centers, delta, domain)
+    cover.deactivate(rng.choice(len(cover), size=len(cover) // 4, replace=False))
+    return cover, rng
+
+
+@given(far_clusters())
+@settings(max_examples=120, deadline=None)
+def test_outside_on_a_sparse_grid_equals_the_scan(case):
+    cover, rng = case
+    index = cover._bucket_index(cover.radius + MEMBER_TOL)
+    assert index.m == min(grid_buckets(index), 8 * len(cover) + 1) and index.starts.shape == (index.m + 1,)
+    assert_outside_equals_the_scan(cover, probe_rows(cover, rng))
+
+
+def test_outside_on_a_grid_with_more_than_eight_buckets_a_center_equals_the_scan():
+    # two lattices of 16 centers each, 509 buckets apart on both axes: up to 8 centers share a slot
+    near = build_cover(BoxRegion([0.0, 0.0], [8.0, 8.0]), 1.0).centers
+    cover = DeltaCover(np.concatenate([near, near + 1018.0]), 1.0, BoxRegion([0.0, 0.0], [1026.0, 1026.0]))
+    cover.deactivate([3, 20])
+    index = cover._bucket_index(cover.radius + MEMBER_TOL)
+    assert index.m == 8 * len(cover) + 1 < grid_buckets(index)
+    assert np.diff(index.starts).max() > 1  # some slot holds centers of distinct buckets
+    assert_outside_equals_the_scan(cover, probe_rows(cover, np.random.default_rng(4)))
+
+
+def test_outside_on_a_sparse_five_dimensional_cover_equals_the_scan():
+    rng = np.random.default_rng(11)
+    centers = rng.integers(-50, 50, size=(300, 5)) * 2.0 + 1.0  # lattice points, 300 of 100^5
+    cover = DeltaCover(centers, 1.0, BoxRegion([-100.0] * 5, [100.0] * 5))
+    cover.deactivate(rng.choice(len(cover), size=60, replace=False))
+    index = cover._bucket_index(cover.radius + MEMBER_TOL)
+    assert index.m == 8 * len(cover) + 1
+    pts = probe_rows(cover, rng)
+    assert_outside_equals_the_scan(cover, pts)
+    assert_outside_equals_the_scan(cover, pts[::-1].copy())
+
+
+def test_outside_where_row_major_bucket_numbers_wrap_equals_the_scan():
+    # 10^6 buckets per axis in 4-D: 10^24 buckets, past 2^63, so the bucket numbers wrap in int64
+    rng = np.random.default_rng(5)
+    corner = build_cover(BoxRegion([0.0] * 4, [4.0] * 4), 0.5).centers
+    centers = np.concatenate([corner, corner + 1e6, rng.integers(0, 10**6, size=(20, 4)) + 0.5])
+    cover = DeltaCover(centers, 0.5, BoxRegion([0.0] * 4, [1e6 + 4.0] * 4))
+    cover.deactivate(rng.choice(len(cover), size=len(cover) // 5, replace=False))
+    index = cover._bucket_index(cover.radius + MEMBER_TOL)
+    assert grid_buckets(index) > 2**63
+    assert_outside_equals_the_scan(cover, probe_rows(cover, rng))
+
+
+def test_a_neighbour_bucket_whose_number_wraps_past_2_63_is_searched():
+    # a lattice of 64 centers anchors the grid at (1, 1) - h / 2, and one far center stretches it to
+    # 2^31 x 2^33 buckets; a state in bucket (k0, k1) has its only center within reach in bucket
+    # (k0 + 1, k1), whose row-major number wraps past 2^63 in int64
+    h = 2.0 * (1.0 + 1e-9) * (1.0 + 2e-9)  # the bucket width of a radius-1 cover
+    origin = 1.0 - 0.5 * h
+    k0, k1 = 2**30 - 1, 5
+    lattice = build_cover(BoxRegion([0.0, 0.0], [16.0, 16.0]), 1.0).centers
+    far = origin + h * np.array([[2**31 + 0.5, 2**33 - 0.5]])
+    cover = DeltaCover(np.concatenate([lattice, far]), 1.0, BoxRegion([0.0, 0.0], far[0] + 1.0))
+    index = cover._bucket_index(cover.radius + MEMBER_TOL)
+    assert index.h == h and index.origin.tolist() == [origin, origin]
+    assert index.strides.tolist() == [2**33, 1] and k0 * 2**33 + k1 < 2**63 <= (k0 + 1) * 2**33 + k1
+    center = origin + h * np.array([k0 + 1.0, k1 + 0.5]) + [0.25, 0.0]  # just inside bucket k0 + 1 on axis 0
+    cover.append(center)
+    state = center - [[0.9, 0.0], [1.1, 0.0]]  # in bucket k0: 0.9 and 1.1 from the center
+    assert np.floor((state - origin) / h).tolist() == [[k0, k1], [k0, k1]]
+    assert cover.outside(state).tolist() == [False, True]
+    assert_outside_equals_the_scan(cover, np.concatenate([state, probe_rows(cover, np.random.default_rng(6))]))
 
 
 # ---------------------------------------------------------------------------

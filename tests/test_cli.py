@@ -358,6 +358,23 @@ def test_main_rejects_a_lattice_no_array_can_hold(tmp_path, capsys, algorithm):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("algorithm", ["val-eps-delta", "qnt-dp", "qnt-spe", "oracle"])
+@pytest.mark.parametrize("system,delta0,what", [
+    # 1.74e9 centers: an array can count them, 2^30 bytes cannot hold them
+    ("lead-follow", 0.01, "has 1.74e+09 centers of 3 floats: more than the 1073741824-byte size cap"),
+    # 5e9 coordinates along the one axis, refused before the axis is laid out
+    ("toy-threshold", 1e-9, "needs about 5e+09 centers along axis 0: more than the 1073741824-byte size cap"),
+])
+def test_main_rejects_a_lattice_past_the_size_cap(tmp_path, capsys, algorithm, system, delta0, what):
+    cfg = tmp_path / "fine.cfg"
+    cfg.write_text(f"algorithm = {algorithm}\nseed = 0\nsystem.name = {system}\nhyper.K = 5\n"
+                   f"hyper.delta0 = {delta0}\nhyper.delta_min = {delta0}\n")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"E-DOMAIN: a lattice at delta {delta0}" in err and what in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("cfg,cost", [
     # every cell of toy-shift is pruned: the emptied cover scores cost(0.0, ...), which is -0.0
     ("algorithm = qnt-spe\nseed = 1\nsystem.name = toy-shift\nhyper.epsilon = 0.05\nhyper.N = 2000\n", "-0.0"),

@@ -1,6 +1,7 @@
 """Covering lattice, refinement and volume accounting."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,24 @@ def test_cover_rejects_nonpositive_delta():
 def test_cover_refuses_a_lattice_no_array_can_hold(dim, delta, what):
     with pytest.raises(LatticeSizeError, match=what):
         build_cover(BoxRegion([0.0] * dim, [1.0] * dim), delta)
+
+
+def test_cover_refuses_a_lattice_past_the_size_cap_before_allocating():
+    # lead-follow's state box at delta 0.01: 1.74e9 centers, which an array can count but 2^30 bytes cannot hold
+    box = BoxRegion([0.0, 0.0, 5.5], [16.0, 16.0, 60.0])
+    with pytest.raises(LatticeSizeError, match="has 1.74e\\+09 centers of 3 floats: more than the 1073741824-byte"):
+        build_cover(box, 0.01)
+    # a refinement whose children pass the cap is refused the same way, and the cover is left as it was
+    cover = build_cover(box, 4.0)
+    with pytest.raises(LatticeSizeError, match="centers of 3 floats: more than the 1073741824-byte size cap"):
+        refine_cover(cover, 0.0025)
+    assert len(cover) == 28 and cover.radius == 4.0
+    # the cap itself: 8192 x 8193 centers of 2 floats are one row of centers past 2^30 bytes
+    with pytest.raises(LatticeSizeError, match=re.escape(f"has {8192 * 8193:.3g} centers of 2 floats")):
+        build_cover(BoxRegion([0.0, 0.0], [2.0 * 8192, 2.0 * 8193]), 1.0)
+    # an axis whose coordinate runs alone would pass the cap is refused before they are allocated
+    with pytest.raises(LatticeSizeError, match="needs about 5e\\+09 centers along axis 0: more than the 1073741824"):
+        build_cover(BoxRegion([0.0], [10.0]), 1e-9)
 
 
 @given(st.integers(1, 3), st.data())
@@ -444,6 +463,34 @@ def test_band_keeps_the_shell_drops_the_core():
 def test_band_rejects_negative_width():
     with pytest.raises(ValueError):
         boundary_band(BoxRegion([0.0], [1.0]), -0.1)
+
+
+@given(st.integers(1, 4), st.sampled_from([0.0, 0.1, 0.3, 1.5, 2.0]), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_band_over_rows_equals_the_per_point_signed_distance(dim, sigma, seed):
+    """Rows on a facet, at depth sigma and one ulp either side of it, deeper, outside and non-finite."""
+    rng = np.random.default_rng(seed)
+    lo = rng.integers(-8, 8, size=dim) * 0.75
+    box = BoxRegion(lo, lo + rng.integers(1, 12, size=dim) * 0.5)
+    n = 30
+    base = rng.uniform(box.lower, box.upper, size=(n, dim))
+    axis, rows = rng.integers(0, dim, size=n), np.arange(n)
+    low = rng.random(n) < 0.5
+    facet = np.where(low, box.lower[axis], box.upper[axis])
+    inward = np.where(low, 1.0, -1.0)
+    pts = []
+    for value in (facet, facet + inward * sigma, facet - inward * rng.uniform(0.0, 1.0, size=n)):
+        for ulp in (0, -1, 1):
+            p = base.copy()
+            p[rows, axis] = value if ulp == 0 else np.nextafter(value, value + ulp * np.inf)
+            pts.append(p)
+    odd = base[:9].copy()
+    odd[np.arange(9), np.arange(9) % dim] = np.tile([np.nan, np.inf, -np.inf], 3)
+    pts = np.concatenate(pts + [odd, rng.uniform(box.lower - 1.0, box.upper + 1.0, size=(n, dim))])
+    band = boundary_band(box, sigma)
+    want = [-sigma <= signed_distance(p, box) <= 0.0 for p in pts]  # the per-point predicate it replaces
+    assert band.mask(pts).tolist() == want
+    assert [band(p) for p in pts] == want
 
 
 # ---------------------------------------------------------------------------

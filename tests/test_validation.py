@@ -344,3 +344,123 @@ def test_validate_delta_refuses_a_center_outside_the_state_box_as_the_loop_did(c
     else:
         assert new[:3] == old[:3] == (False, 1, [0.5])
     assert got == want and len(got) == recorded
+
+
+# ---------------------------------------------------------------------------
+# blocks that double after each passing block, up to a byte budget
+# ---------------------------------------------------------------------------
+
+# a budget that caps toy-threshold's 4-step rows (a state, an action and a
+# disturbance float each step) at 1100 rows a block: the blocks then hold
+# 256, 512, 1024, 1100, 1100, ... rows
+CAPPED_BYTES = 1100 * 4 * 3 * 8
+# the first and last sample of each of the first four blocks under that budget
+EDGES = [0, 255, 256, 767, 768, 1791, 1792, 2891, 2892]
+GROWN = 3000
+
+
+def logged_blocks(monkeypatch) -> list:
+    """Wrap ``_run_block`` to log the (first sample, rows) of each block; returns the log."""
+    log, inner = [], validation._run_block
+
+    def logged(sys_, x0, first, *args):
+        log.append((first, len(x0)))
+        return inner(sys_, x0, first, *args)
+
+    monkeypatch.setattr(validation, "_run_block", logged)
+    return log
+
+
+def noisy_rollout(toy, start: float, i: int):
+    """Sample ``i``'s rollout from ``start`` on numpy's own stream of its ordinal under seed 3, 4 steps."""
+    stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3, spawn_key=(i,))))
+    return run_scenario(toy, np.array([start]), 4, UniformPolicy(toy.action_box), stream)
+
+
+@pytest.fixture(scope="module")
+def passing_rollouts():
+    """toy-threshold (disturbed) rolled from 5.0 for every ordinal below ``GROWN``: none of them fails."""
+    toy = make_toy_threshold(omega_bar=0.25)
+    trajs = [noisy_rollout(toy, 5.0, i) for i in range(GROWN)]
+    assert all(t.exit_kind != EXIT_UNSAFE and not toy.state_box.outside(t.states[1:]).any() for t in trajs)
+    return toy, trajs
+
+
+def grown_run(toy, first_bad: int, n: int = GROWN):
+    """``_run_samples`` over ``n`` starts at 5.0 but 0.5 (which falls off the threshold) at ``first_bad``."""
+    starts = np.full((n, 1), 5.0)
+    if first_bad >= 0:
+        starts[first_bad] = 0.5
+    seen = []
+    bad = _run_samples(toy, starts, 4, UniformPolicy(toy.action_box), 3, toy.state_box, 1,
+                       record=lambda i, t: seen.append((i, t)))
+    return bad, seen
+
+
+def assert_as_the_sequential_loop(toy, passing, first_bad, bad, seen, n=GROWN):
+    """The loop records samples 0 .. the first failure (all of them on a pass) and returns that failure."""
+    assert bad == first_bad
+    assert [i for i, _ in seen] == list(range(n if first_bad < 0 else first_bad + 1))
+    for i, got in seen:
+        want = noisy_rollout(toy, 0.5, i) if i == first_bad else passing[i]
+        assert got.states.tobytes() == want.states.tobytes() and got.actions.tobytes() == want.actions.tobytes()
+        assert (got.exit_kind, got.exit_facet) == (want.exit_kind, want.exit_facet)
+
+
+def test_block_rows_double_up_to_the_byte_budget(monkeypatch):
+    assert validation._block_cap(make_lead_follow(sv="brake"), 40) == 1092  # lf-val: 40 steps of 6 floats
+    toy = make_toy_threshold(omega_bar=0.25)
+    assert validation._block_cap(toy, 4) == 2**21 // 96
+    log = logged_blocks(monkeypatch)
+    monkeypatch.setattr(validation, "_BLOCK_BYTES", CAPPED_BYTES)
+    assert validation._block_cap(toy, 4) == 1100
+    assert grown_run(toy, -1)[0] == -1
+    assert log == [(0, 256), (256, 512), (768, 1024), (1792, 1100), (2892, 108)]
+    log.clear()  # a failure ends the run in its block
+    assert grown_run(toy, 300)[0] == 300
+    assert log == [(0, 256), (256, 512)]
+
+
+@pytest.mark.parametrize("first_bad", EDGES + [-1])
+def test_grown_blocks_equal_the_sequential_loop_at_every_block_edge(first_bad, passing_rollouts, monkeypatch):
+    toy, passing = passing_rollouts
+    monkeypatch.setattr(validation, "_BLOCK_BYTES", CAPPED_BYTES)
+    assert_as_the_sequential_loop(toy, passing, first_bad, *grown_run(toy, first_bad))
+    # validate_delta's samples are the active centers in ordinal order: each center from 2 to 9 is a
+    # fixed point, 0.5 fails
+    quiet = make_toy_threshold()
+    centers = np.linspace(2.0, 9.0, GROWN)[:, None]
+    if first_bad >= 0:
+        centers[first_bad] = 0.5
+    recorded = []
+    v = validate_delta(quiet, DeltaCover(centers, 1e-3, quiet.state_box), 4, FixedActionPolicy([0.0]),
+                       record=lambda i, t: recorded.append(i))
+    if first_bad < 0:
+        assert (v.result, v.n_samples, v.counterexample_start) == (True, GROWN, None)
+    else:
+        assert (v.result, v.n_samples, v.counterexample_start) == (False, first_bad + 1, [0.5])
+    assert recorded == list(range(v.n_samples))
+
+
+def test_a_horizon_past_the_budget_still_runs_one_row_blocks(passing_rollouts, monkeypatch):
+    toy, passing = passing_rollouts
+    # the rule alone: a horizon whose single row takes more than the budget gives 1-row blocks
+    assert validation._block_cap(toy, 2**40) == 1
+    assert validation._block_cap(toy, validation._BLOCK_BYTES // 24 + 1) == 1
+    # the runner under 1-row blocks, reached through a 1-byte budget at a 4-step horizon
+    log = logged_blocks(monkeypatch)
+    monkeypatch.setattr(validation, "_BLOCK_BYTES", 1)
+    for first_bad in (0, 1, 5, 11, -1):
+        log.clear()
+        assert_as_the_sequential_loop(toy, passing, first_bad, *grown_run(toy, first_bad, n=12), n=12)
+        assert log == [(i, 1) for i in range(12 if first_bad < 0 else first_bad + 1)]
+
+
+def test_a_band_predicate_picks_the_starts_a_per_center_predicate_picks():
+    lf = make_lead_follow()
+    cover = build_cover(lf.state_box, 2.0)
+    band = boundary_band(lf.state_box, lf.sigma_bar)
+    args = (lf, cover, 10, 0.05, 0.1, lf.action_box)
+    rows = validate_eps_delta(*args, rng=4, band=band)  # one array pass over the centers
+    each = validate_eps_delta(*args, rng=4, band=lambda c: band(c))  # one call per center
+    assert rows.to_json_dict() == each.to_json_dict()
