@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    _SIZE_CAP,
     MEMBER_TOL,
     BoxRegion,
     DeltaCover,
@@ -356,6 +357,15 @@ _REPLAY_CHUNK = 64
 _PREROLL_ROWS = 4096
 
 
+def _preroll_rows(sys: ScenarioSystem, horizon: int) -> int:
+    """The most rows of one held pre-roll: ``_PREROLL_ROWS``, or fewer when they would pass the size cap.
+
+    A row holds ``horizon`` steps of state, action and disturbance floats.
+    """
+    width = sys.state_box.dim + sys.action_box.dim + sys.disturbance_dim
+    return min(_PREROLL_ROWS, _SIZE_CAP // (max(horizon, 1) * width * 8))
+
+
 def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
                  prioritized: bool = False, replay: bool = False, weight_power: float = 1.0,
                  min_feature_scale: float | None = None, domain: BoxRegion | None = None,
@@ -393,8 +403,9 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
     no disturbance) a rollout is a function of its start alone, so each
     center is rolled once.  When a block draws a start not rolled yet, one
     ``run_batch`` call rolls it with every other live, unrolled center that
-    the domain accepts, lowest ordinals first, up to ``_PREROLL_ROWS`` rows,
-    and the block reads its rollouts from that store.  A start whose rollout
+    the domain accepts, lowest ordinals first, up to ``_preroll_rows`` rows
+    (the block's own starts go in even past that), and the block reads its
+    rollouts from that store.  A start whose rollout
     was last applied with no event is not queried or applied again until a
     prune, a discovery that brings a dead center back, or a refinement
     changes the cover: the answer would be the same.
@@ -418,6 +429,7 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
     steps = hyper.horizon - 1
     draw_noise = noise_sampler(sys, policy, steps)
     held = draw_noise.held
+    preroll = _preroll_rows(sys, hyper.horizon)
     rolled: dict = {}  # held input: start ordinal -> (rollouts, row) of its one rollout
     checked: set = set()  # held input: starts whose rollout the current cover saw with no event
     buffer = TrajectoryBuffer() if replay else None
@@ -527,7 +539,7 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
             todo = act[[i not in rolled for i in act.tolist()]]
             if steps:
                 todo = todo[~outside_domain(sys, cover.centers[todo])]
-            rows = _distinct(np.concatenate([starts[new], todo[:_PREROLL_ROWS - starts.size]]))
+            rows = _distinct(np.concatenate([starts[new], todo[:max(preroll - starts.size, 0)]]))
             rolls = run_batch(sys, cover.centers[rows], draw_noise.block(seed, rows))  # a held block reads no stream
             rolled.update((i, (rolls, j)) for j, i in enumerate(rows.tolist()))
         return [rolled[i] for i in starts.tolist()]

@@ -14,6 +14,7 @@ invariant sets used to exercise the validation and quantification machinery.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -743,8 +744,16 @@ class _StepNoise:
         return u, w
 
 
+# the fewest rows whose box noise is drawn by the lane kernel rather than one stream at a time
+_LANE_ROWS = 128
+
+
 class _BoxNoise(_StepNoise):
-    """A uniform policy over a box: ``lower + span * u`` of one ``random`` call per rollout."""
+    """A uniform policy over a box: ``lower + span * u`` of one ``random`` call per rollout.
+
+    A block of at least ``_LANE_ROWS`` rows draws its streams as the lanes of
+    one ``_pcg64_next``; a smaller one sets a ``PCG64`` per row.
+    """
 
     def __init__(self, sys: ScenarioSystem, policy, steps: int):
         super().__init__(sys, policy, steps)
@@ -754,9 +763,12 @@ class _BoxNoise(_StepNoise):
         self.span = np.tile(np.concatenate([box.upper, np.full(self.noisy, w)]), steps) - self.lower
 
     def block(self, seed: int, ordinals) -> tuple[np.ndarray, np.ndarray]:
-        raw = np.empty((len(ordinals), self.lower.size))
-        for j, rng in _seeded_streams(seed, ordinals):
-            rng.random(out=raw[j])
+        if len(ordinals) >= _LANE_ROWS:
+            raw = _doubles(_pcg64_next(*_lanes(seed, ordinals), self.lower.size))
+        else:
+            raw = np.empty((len(ordinals), self.lower.size))
+            for j, rng in _seeded_streams(seed, ordinals):
+                rng.random(out=raw[j])
         u = (self.lower + self.span * raw).reshape(len(ordinals), self.steps, self.m + self.noisy)
         return u[..., :self.m], (u[..., self.m:] if self.noisy else np.zeros(u.shape[:-1] + (self.k,)))
 
@@ -889,25 +901,180 @@ def _seed_words(seed: int, ordinals) -> np.ndarray:
     return out
 
 
+def _set_seq(seed_hi: int, seed_lo: int, seq_hi: int, seq_lo: int) -> tuple[int, int]:
+    """PCG's set-seq seeding of one stream's seed words: its ``(state, inc)`` before the first draw.
+
+    ``inc = (seq << 1) | 1`` and ``state = ((inc + seed) * MULT + inc)``, mod 2**128.
+    """
+    inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _M128
+    return ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _M128, inc
+
+
 def _seeded_streams(seed: int, ordinals):
     """``(j, rng)`` per ordinal, ``rng`` set to the start of ``sample_stream(_sample_desc(seed, ordinals[j]))``.
 
     The seed words of every ordinal come from one vectorised ``SeedSequence``
     computation (``_seed_words``); each sample then sets one reused
-    ``PCG64`` to the state that seeding reaches (PCG's set-seq seeding:
-    ``inc = (seq << 1) | 1``, ``state = ((inc + seed) * MULT + inc)`` mod
-    2**128).  The one generator holds a sample's stream only until the next
-    is yielded.
+    ``PCG64`` to the state that seeding reaches (``_set_seq``).  The one
+    generator holds a sample's stream only until the next is yielded.
     """
     seeds = _seed_words(seed, ordinals).tolist()
     bits = np.random.PCG64(0)
     rng = np.random.Generator(bits)
-    for j, (seed_hi, seed_lo, seq_hi, seq_lo) in enumerate(seeds):
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _M128
-        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _M128
+    for j, words in enumerate(seeds):
+        state, inc = _set_seq(*words)
         bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                       "has_uint32": 0, "uinteger": 0}
         yield j, rng
+
+
+# ---------------------------------------------------------------------------
+# PCG64 in lanes: numpy's PCG64 (O'Neill 2014) stepped over many streams at
+# once, each 128-bit state and increment held as (high, low) uint64 arrays
+# ---------------------------------------------------------------------------
+
+_LO32, _SH32 = np.uint64(_M32), np.uint64(32)
+_M64 = (1 << 64) - 1
+# the most words that one array operation of the lane kernel holds
+_LANE_CELLS = 4096
+# the words per lane when one stream is cut into lanes
+_RUN = 64
+
+
+def _split(values) -> tuple[np.ndarray, np.ndarray]:
+    """The high and the low uint64 words of Python ints below 2**128."""
+    values = list(values)
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & _M64 for v in values], dtype=np.uint64))
+
+
+def _mul128(ah, al, bh, bl):
+    """``a * b`` mod 2**128 of (high, low) uint64 words, over any broadcast shapes.
+
+    The high word of the low words' product is assembled from their 32-bit
+    halves; uint64 array arithmetic wraps without a warning.
+    """
+    a0, a1, b0, b1 = al & _LO32, al >> _SH32, bl & _LO32, bl >> _SH32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> _SH32) + (p01 & _LO32) + (p10 & _LO32)
+    carry = a1 * b1 + (p01 >> _SH32) + (p10 >> _SH32) + (mid >> _SH32)
+    return carry + ah * bl + al * bh, al * bl
+
+
+def _affine(xh, xl, ah, al, bh, bl):
+    """``a * x + b`` mod 2**128 of (high, low) uint64 words."""
+    hi, lo = _mul128(xh, xl, ah, al)
+    low = lo + bl
+    return hi + bh + (low < lo), low
+
+
+@functools.lru_cache(maxsize=16)
+def _jumps(count: int) -> tuple[tuple, tuple]:
+    """``MULT**t`` and ``1 + MULT + ... + MULT**(t-1)``, mod 2**128, for t = 1 .. count.
+
+    The state ``t`` steps after ``s`` is ``MULT**t * s + (1 + ... + MULT**(t-1)) * inc``
+    (Brown 1994, *Random number generation with arbitrary strides*).
+    """
+    a, s, powers, sums = 1, 0, [], []
+    for _ in range(count):
+        a, s = a * _PCG_MULT & _M128, (s * _PCG_MULT + 1) & _M128
+        powers.append(a)
+        sums.append(s)
+    return tuple(powers), tuple(sums)
+
+
+def _pcg64_next(state, inc, count: int) -> np.ndarray:
+    """The next ``count`` words of each lane, as ``PCG64``'s ``next_uint64`` returns them: (lanes, count) uint64.
+
+    ``state`` and ``inc`` are the lanes' ``(high, low)`` uint64 arrays; ``inc``
+    may be one pair for every lane.  A lane's state ``t`` steps on is an
+    affine map of its state now (``_jumps``), so the first ``q`` steps of
+    every lane come at once, one column each, and each later run of ``q``
+    columns from the run before by the one jump of ``q`` steps; ``q``
+    columns hold at most ``_LANE_CELLS`` words, and at least one column
+    runs.  A word is the XSL-RR output of its step's state: the xor of the
+    state's halves, rotated right by its top six bits.
+    """
+    (sh, sl), (ih, il) = state, inc
+    lanes = sh.size
+    q = max(1, min(count, _LANE_CELLS // max(lanes, 1)))
+    powers, sums = _jumps(q)
+    ah, al = (x[:, None] for x in _split(powers))
+    bh, bl = _mul128(ih, il, *(x[:, None] for x in _split(sums)))
+    xh, xl = _affine(sh, sl, ah, al, bh, bl)
+    out = np.empty((-(-count // q) * q, lanes), dtype=np.uint64)
+    for t in range(0, count, q):
+        if t:
+            xh, xl = _affine(xh, xl, ah[-1], al[-1], bh[-1], bl[-1])
+        x, r = xh ^ xl, xh >> np.uint64(58)
+        out[t:t + q] = x >> r | x << ((np.uint64(64) - r) & np.uint64(63))
+    return out[:count].T
+
+
+def _lanes(seed: int, ordinals) -> tuple[tuple, tuple]:
+    """The ``(state, inc)`` that ``_set_seq`` gives each ordinal's sample stream, as (high, low) uint64 arrays."""
+    seed_hi, seed_lo, seq_hi, seq_lo = _seed_words(seed, ordinals).T
+    ih, il = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63), seq_lo << np.uint64(1) | np.uint64(1)
+    lo = il + seed_lo
+    mult = _split([_PCG_MULT])
+    return _affine(ih + seed_hi + (lo < il), lo, *mult, ih, il), (ih, il)
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """``Generator.random``'s doubles of ``next_uint64`` words, ``(w >> 11) * 2**-53``, written over the words."""
+    words >>= np.uint64(11)
+    return np.multiply(words, 2.0**-53, out=words.view(np.float64))
+
+
+class _FreshStream:
+    """What the first call on a fresh ``sample_stream(_sample_desc(seed, ordinal))`` returns, drawn in lanes.
+
+    ``random(size)`` and ``integers(k, size=n)`` each return that first
+    call's values; neither advances the stream, so each reads it from its
+    start.  The stream is cut into runs of ``_RUN`` words, run ``r`` starting
+    at the state ``r * _RUN`` steps on (jumped with Python ints), and the
+    runs are drawn as the lanes of one ``_pcg64_next``.
+    """
+
+    def __init__(self, seed: int, ordinal: int):
+        self.state, self.inc = _set_seq(*_seed_words(seed, [ordinal]).tolist()[0])
+
+    def words(self, count: int) -> np.ndarray:
+        """The stream's first ``count`` words."""
+        powers, sums = _jumps(_RUN)
+        a, b = powers[-1], sums[-1] * self.inc
+        states = [self.state]
+        for _ in range(-(-count // _RUN) - 1):
+            states.append((a * states[-1] + b) & _M128)
+        return _pcg64_next(_split(states), _split([self.inc]), _RUN).reshape(-1)[:count]
+
+    def random(self, size) -> np.ndarray:
+        return _doubles(self.words(int(np.prod(size)))).reshape(size)
+
+    def integers(self, k: int, size: int) -> np.ndarray:
+        """``Generator.integers(k, size=size)`` for ``1 <= k <= 2**32``: int64.
+
+        numpy draws these by Lemire's method over the stream's uint32 halves,
+        low half first: a half ``h`` gives ``h * k >> 32`` unless ``h * k``'s
+        low 32 bits fall below ``2**32 mod k``, when it is skipped.  A skip
+        only moves on to the next half, so the accepted halves, in order, are
+        the picks.  ``k = 1`` reads no word.
+        """
+        k, n = int(k), int(size)
+        if not 1 <= k <= 1 << 32:
+            raise ValueError(f"a lane draw picks among 1 to 2**32 values, not {k}")
+        if k == 1:
+            return np.zeros(n, dtype=np.int64)
+        skip = (1 << 32) % k
+        # the words that n picks take at the mean rate of acceptance; when short, twice as many
+        count = math.ceil(n / (1 - skip / 2**32) / 2)
+        while True:
+            w = self.words(count)
+            m = np.stack([w & _LO32, w >> _SH32], axis=1).reshape(-1) * np.uint64(k)
+            picks = (m >> _SH32)[(m & _LO32) >= np.uint64(skip)]
+            if picks.size >= n:
+                return picks[:n].astype(np.int64)
+            count *= 2
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .scenario import (
     Trajectory,
     UniformPolicy,
     _SELECT,
+    _FreshStream,
     _check_inside,
     _sample_desc,
     noise_sampler,
@@ -125,8 +126,10 @@ def _block_cap(sys, horizon: int) -> int:
     return max(1, _BLOCK_BYTES // (max(horizon, 1) * width * 8))
 
 
-def _run_block(sys, x0, first, draw, seed, region, record) -> int:
-    """Roll samples ``first .. first + len(x0) - 1`` in lock-step; returns the lowest failing index or -1.
+def _run_block(sys, x0, first, draw, seed, region, record):
+    """Roll samples ``first .. first + len(x0) - 1`` in lock-step.
+
+    Returns the lowest failing index and its trajectory, or ``(-1, None)``.
 
     A row stops when it goes unsafe; the others run to the horizon, and a
     row fails when it went unsafe or one of its states after the start lies
@@ -144,10 +147,10 @@ def _run_block(sys, x0, first, draw, seed, region, record) -> int:
     if record is not None:
         for j in range(bad[0] + 1 if bad.size else len(x0)):
             record(first + j, rolls.trajectory(j))
-    return first + int(bad[0]) if bad.size else -1
+    return (first + int(bad[0]), rolls.trajectory(int(bad[0]))) if bad.size else (-1, None)
 
 
-def _run_samples(sys, starts, horizon, policy, seed, region, workers: int, record=None):
+def _run_samples(sys, starts, horizon, policy, seed, region, workers: int, record=None, found=None):
     """Run the samples in index order; returns the earliest failing index or -1.
 
     The samples go through in blocks: the first of ``_BLOCK`` rows, each
@@ -159,8 +162,10 @@ def _run_samples(sys, starts, horizon, policy, seed, region, workers: int, recor
     go through one ``outside`` query.  The run stops at the first block with
     a failure and returns its lowest failing index: the verdict of a
     sequential loop.  ``record(i, traj)`` sees the trajectories of samples 0
-    up to that index, in order.  A start outside the domain raises the
-    domain check's ``ValueError`` once every sample before it passed.
+    up to that index, in order, and the list ``found`` receives that
+    index's trajectory, taken from its block.  A start outside the domain
+    raises the domain check's ``ValueError`` once every sample before it
+    passed.
     ``workers`` is accepted for compatibility and changes nothing.
     """
     n = len(starts)
@@ -177,8 +182,10 @@ def _run_samples(sys, starts, horizon, policy, seed, region, workers: int, recor
     lo, size = 0, min(_BLOCK, cap)
     while lo < stop:
         hi = min(lo + size, stop)
-        bad = _run_block(sys, x0[lo:hi], lo, draw, seed, region, record)
+        bad, traj = _run_block(sys, x0[lo:hi], lo, draw, seed, region, record)
         if bad >= 0:
+            if found is not None:
+                found.append(traj)
             return bad
         lo, size = hi, min(2 * size, cap)
     _check_inside(sys, x0[stop:stop + 1])  # the refused start, if there is one
@@ -200,10 +207,11 @@ def validate_delta(sys: ScenarioSystem, cover: DeltaCover, horizon: int, policy:
     """
     quiet = dataclasses.replace(sys, omega_bar=0.0, facets=dict(sys.facets))
     starts = cover.active_centers()
+    traj = []
     bad = _run_samples(quiet, starts, horizon, UniformPolicy(FiniteActionSet([policy.u])), 0, cover, 1,
-                       record=record)
+                       record=record, found=traj)
     found = {} if bad < 0 else {"counterexample_start": [float(x) for x in starts[bad]],
-                                "counterexample": run_scenario(quiet, starts[bad], horizon, policy, None)}
+                                "counterexample": traj[0]}
     return ValidationVerdict(result=bad < 0, n_samples=len(starts) if bad < 0 else bad + 1,
                              delta=cover.radius, kind="delta", **found)
 
@@ -214,9 +222,10 @@ def _validate_sampled(sys, horizon, epsilon, beta, actions, rng, n_samples, work
 
     Sizes the sample (warning when ``n_samples`` is below the bound), draws
     the ``n`` starts with one ``pick_starts(stream, n)`` call on the stream
-    of ordinal ``_SELECT`` of the integer seed ``rng``, runs sample ``i`` on
-    the stream of ordinal ``i`` and wraps the verdict; a failure carries its
-    start, its stream's descriptor and the trajectory they replay to.
+    of ordinal ``_SELECT`` of the integer seed ``rng`` (a ``_FreshStream``,
+    drawn in lanes), runs sample ``i`` on the stream of ordinal ``i`` and
+    wraps the verdict; a failure carries its start, its stream's descriptor
+    and the trajectory they replay to, as its block rolled it.
     ``pick_starts=None`` means no start is eligible: the verdict is then
     vacuously true on zero samples, and still flagged when ``n_samples`` is
     below the bound.
@@ -234,14 +243,14 @@ def _validate_sampled(sys, horizon, epsilon, beta, actions, rng, n_samples, work
                                  undersampled=undersampled, kind=kind)
     starts = np.empty((0, sys.state_box.dim))
     if n:
-        starts = pick_starts(sample_stream(_sample_desc(rng, _SELECT)), n)
-    policy = UniformPolicy(actions)
-    bad = _run_samples(sys, starts, horizon, policy, rng, region, workers, record=record)
-    desc = _sample_desc(rng, bad)
+        starts = pick_starts(_FreshStream(rng, _SELECT), n)
+    traj = []
+    bad = _run_samples(sys, starts, horizon, UniformPolicy(actions), rng, region, workers, record=record,
+                       found=traj)
     found = {} if bad < 0 else {
         "counterexample_start": [float(x) for x in starts[bad]],
-        "counterexample_seed": desc,
-        "counterexample": run_scenario(sys, starts[bad], horizon, policy, sample_stream(desc))}
+        "counterexample_seed": _sample_desc(rng, bad),
+        "counterexample": traj[0]}
     return ValidationVerdict(result=bad < 0, n_samples=n, epsilon=epsilon, beta=beta, delta=delta,
                              undersampled=undersampled, kind=kind, **found)
 

@@ -428,3 +428,37 @@ def test_a_run_does_not_import_numpy_ma(name, tmp_path):
     out = subprocess.run([sys.executable, "-W", "ignore", "-c", script, str(cfg), str(tmp_path / "out")],
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == f"{want} False"
+
+
+# each draws n = 4603 or 230 starts, past the lane kernel's row crossover: its
+# block noise and its start picks come from the lanes, not from numpy.random
+LANE_RUNS = {
+    "val-eps-delta-pass": ("algorithm = val-eps-delta\nseed = 0\nsystem.name = toy-shrink\n"
+                           "hyper.delta0 = 0.25\nhyper.epsilon = 0.01\n", 0),
+    "val-eps-delta-fail": ("algorithm = val-eps-delta\nseed = 0\nsystem.name = lead-follow\n"
+                           "hyper.delta0 = 1.0\nhyper.K = 40\nhyper.epsilon = 0.001\nhyper.beta = 0.01\n", 1),
+    "val-eps-box": ("algorithm = val-eps\nseed = 0\nsystem.name = toy-shrink\nhyper.epsilon = 0.01\n"
+                    "options.region_box = [[-1.0, 1.0]]\n", 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LANE_RUNS))
+def test_a_validation_run_does_not_import_numpy_random(name, tmp_path):
+    # a fresh process pays milliseconds for numpy.random's import
+    text, want = LANE_RUNS[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    script = ("import sys\nfrom setquant.cli import main\n"
+              "code = main(['run', sys.argv[1], '--output', sys.argv[2]])\n"
+              "print(code, 'numpy.random' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-W", "ignore", "-c", script, str(cfg), str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == f"{want} False"
+
+
+def test_importing_the_cli_does_not_import_numpy_random():
+    script = "import sys\nimport setquant.cli\nprint('numpy.random' in sys.modules)\n"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False"

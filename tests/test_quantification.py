@@ -254,6 +254,34 @@ def test_spe_prioritized_matches_plain_on_final_geometry():
         assert cs.max() == pytest.approx(10.0, abs=2 * HP.delta_min)
 
 
+@pytest.mark.parametrize("cap_rows", [16, 0])
+def test_a_held_pre_roll_stays_within_the_size_cap(monkeypatch, cap_rows):
+    # 200 centers of toy-threshold under one held input: uncapped, the first
+    # pre-roll takes them all; under a cap of cap_rows rows of 8 steps of
+    # (state, action, disturbance) floats, a pre-roll holds no more than that
+    # or the block's own starts, and the answer is the same
+    import setquant.quantification as quantification
+
+    toy = make_toy_threshold()
+    hp = HyperParams(epsilon=0.05, beta=0.1, delta0=0.025, gamma=0.5, delta_min=0.025,
+                     horizon=8, budget=2000)
+    actions = FiniteActionSet([(0.0,)])
+    rows = []
+    roll = quantification.run_batch
+    monkeypatch.setattr(quantification, "run_batch", lambda s, x0, noise: rows.append(len(x0)) or roll(s, x0, noise))
+    free = quantify_spe(toy, actions, hp, 0, min_feature_scale=1.0)
+    assert rows[0] == 200
+    assert quantification._preroll_rows(toy, hp.horizon) == quantification._PREROLL_ROWS
+    rows.clear()
+    monkeypatch.setattr(quantification, "_SIZE_CAP", cap_rows * hp.horizon * 3 * 8)
+    assert quantification._preroll_rows(toy, hp.horizon) == cap_rows
+    capped = quantify_spe(toy, actions, hp, 0, min_feature_scale=1.0)
+    assert len(rows) > 1 and max(rows) <= quantification._SPEC_MAX
+    np.testing.assert_array_equal(free.cover.centers, capped.cover.centers)
+    np.testing.assert_array_equal(free.cover.active, capped.cover.active)
+    assert free.report == capped.report
+
+
 # ---------------------------------------------------------------------------
 # resolution warnings
 # ---------------------------------------------------------------------------

@@ -149,8 +149,8 @@ def test_worker_count_leaves_the_verdict_unchanged():
 
 
 def test_runner_returns_the_lowest_failure_across_blocks(monkeypatch):
-    # 16 samples run as eight blocks of two; the starts below 1 fall off the
-    # threshold, in blocks 2, 5 and 7 (the worker count is ignored)
+    # 16 samples run as blocks of 2, 4, 8 and 2; the starts below 1 fall off
+    # the threshold, in blocks 2, 3 and 4 (the worker count is ignored)
     monkeypatch.setattr(validation, "_BLOCK", 2)
     toy = make_toy_threshold()
     starts = [np.array([0.5 if i in (5, 11, 15) else 5.0]) for i in range(16)]
