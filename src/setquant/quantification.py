@@ -405,10 +405,10 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
     ``run_batch`` call rolls it with every other live, unrolled center that
     the domain accepts, lowest ordinals first, up to ``_preroll_rows`` rows
     (the block's own starts go in even past that), and the block reads its
-    rollouts from that store.  A start whose rollout
-    was last applied with no event is not queried or applied again until a
-    prune, a discovery that brings a dead center back, or a refinement
-    changes the cover: the answer would be the same.
+    rollouts from that store.  A start whose rollout was last applied with
+    no event is not queried or applied again until a prune, a discovery
+    that brings a dead center back, or a refinement changes the cover: the
+    answer would be the same.
     """
     if min_feature_scale is None:
         warnings.warn("no minimum feature scale declared: whether the initial resolution "
