@@ -48,6 +48,7 @@ from .scenario import (
     UniformPolicy,
     _SELECT,
     _check_inside,
+    _rows_within,
     _sample_desc,
     noise_sampler,
     outside_domain,
@@ -362,8 +363,7 @@ def _preroll_rows(sys: ScenarioSystem, horizon: int) -> int:
 
     A row holds ``horizon`` steps of state, action and disturbance floats.
     """
-    width = sys.state_box.dim + sys.action_box.dim + sys.disturbance_dim
-    return min(_PREROLL_ROWS, _SIZE_CAP // (max(horizon, 1) * width * 8))
+    return min(_PREROLL_ROWS, _rows_within(sys, horizon, _SIZE_CAP))
 
 
 def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,

@@ -610,6 +610,12 @@ class Rollouts:
                           exit_facet=(e // 2, ("lower", "upper")[e % 2]) if e >= 0 else None)
 
 
+def _rows_within(sys: ScenarioSystem, horizon: int, nbytes: int) -> int:
+    """The most rows of a block whose ``horizon`` steps of state, action and disturbance floats fit ``nbytes``."""
+    width = sys.state_box.dim + sys.action_box.dim + sys.disturbance_dim
+    return nbytes // (max(horizon, 1) * width * 8)
+
+
 def run_batch(sys: ScenarioSystem, x0, noise) -> Rollouts:
     """Roll the rows of (B, n) ``x0`` in lock-step, row ``j`` under row ``j`` of ``noise``.
 
@@ -744,15 +750,10 @@ class _StepNoise:
         return u, w
 
 
-# the fewest rows whose box noise is drawn by the lane kernel rather than one stream at a time
-_LANE_ROWS = 128
-
-
 class _BoxNoise(_StepNoise):
     """A uniform policy over a box: ``lower + span * u`` of one ``random`` call per rollout.
 
-    A block of at least ``_LANE_ROWS`` rows draws its streams as the lanes of
-    one ``_pcg64_next``; a smaller one sets a ``PCG64`` per row.
+    A block draws its rows' streams as the lanes of one ``_pcg64_next``.
     """
 
     def __init__(self, sys: ScenarioSystem, policy, steps: int):
@@ -763,12 +764,7 @@ class _BoxNoise(_StepNoise):
         self.span = np.tile(np.concatenate([box.upper, np.full(self.noisy, w)]), steps) - self.lower
 
     def block(self, seed: int, ordinals) -> tuple[np.ndarray, np.ndarray]:
-        if len(ordinals) >= _LANE_ROWS:
-            raw = _doubles(_pcg64_next(*_lanes(seed, ordinals), self.lower.size))
-        else:
-            raw = np.empty((len(ordinals), self.lower.size))
-            for j, rng in _seeded_streams(seed, ordinals):
-                rng.random(out=raw[j])
+        raw = _doubles(_pcg64_next(*_lanes(seed, ordinals), self.lower.size))
         u = (self.lower + self.span * raw).reshape(len(ordinals), self.steps, self.m + self.noisy)
         return u[..., :self.m], (u[..., self.m:] if self.noisy else np.zeros(u.shape[:-1] + (self.k,)))
 

@@ -35,6 +35,7 @@ from .scenario import (
     _SELECT,
     _FreshStream,
     _check_inside,
+    _rows_within,
     _sample_desc,
     noise_sampler,
     outside_domain,
@@ -122,8 +123,7 @@ def _block_cap(sys, horizon: int) -> int:
 
     Never below 1, however long the horizon.
     """
-    width = sys.state_box.dim + sys.action_box.dim + sys.disturbance_dim
-    return max(1, _BLOCK_BYTES // (max(horizon, 1) * width * 8))
+    return max(1, _rows_within(sys, horizon, _BLOCK_BYTES))
 
 
 def _run_block(sys, x0, first, draw, seed, region, record):

@@ -430,8 +430,8 @@ def test_a_run_does_not_import_numpy_ma(name, tmp_path):
     assert out.stdout.splitlines()[-1] == f"{want} False"
 
 
-# each draws n = 4603 or 230 starts, past the lane kernel's row crossover: its
-# block noise and its start picks come from the lanes, not from numpy.random
+# each draws n = 4603 or 230 starts: its block noise and its start picks come
+# from the lanes, not from numpy.random
 LANE_RUNS = {
     "val-eps-delta-pass": ("algorithm = val-eps-delta\nseed = 0\nsystem.name = toy-shrink\n"
                            "hyper.delta0 = 0.25\nhyper.epsilon = 0.01\n", 0),

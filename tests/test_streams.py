@@ -1,6 +1,6 @@
 """PCG64 in lanes, against numpy's own generator, bit for bit.
 
-Validation draws a large block's box noise and its start picks from the lane
+Every block of box noise, and validation's start picks, come from the lane
 kernel (``scenario._pcg64_next``) instead of one numpy ``Generator`` per
 stream.  Every word, double and pick must equal what numpy's ``SeedSequence``
 and ``PCG64`` give for the same seed descriptor (``sample_stream``), and a
@@ -55,13 +55,16 @@ def test_lane_words_and_doubles_equal_numpys_pcg64(monkeypatch, seed, ordinals, 
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
-def test_box_noise_blocks_on_both_sides_of_the_crossover_equal_the_per_sample_draws(seed):
+def test_box_noise_blocks_of_any_size_equal_the_per_sample_draws(seed):
+    # 8 to 64 rows are qnt-spe's speculative blocks, 259 past validation's first block
     sys_ = make_lead_follow(omega_bar=0.3)
     draw = noise_sampler(sys_, UniformPolicy(sys_.action_box), 13)
-    for rows in (scenario._LANE_ROWS - 1, scenario._LANE_ROWS, 2 * scenario._LANE_ROWS + 3):
+    acts, omegas = draw.block(seed, [])
+    assert acts.shape == (0, 13, 1) and omegas.shape == (0, 13, sys_.disturbance_dim)
+    for rows in (1, 6, 8, 64, 259):
         ordinals = np.arange(2**32 - 5, 2**32 - 5 + rows)  # both entropy lengths in one block
         acts, omegas = draw.block(seed, ordinals)
-        for j in (0, 4, 5, rows - 1):
+        for j in sorted({0, min(4, rows - 1), min(5, rows - 1), rows - 1}):
             u, w = draw(sample_stream(_sample_desc(seed, int(ordinals[j]))))
             assert same_bits(acts[j], u) and same_bits(omegas[j], w)
 
@@ -111,7 +114,7 @@ FAILURES = {
 @pytest.mark.parametrize("name", sorted(FAILURES))
 def test_the_block_counterexample_equals_its_replay(monkeypatch, name):
     # the first block holds 256 rows; one of 32 puts index 77 in a 64-row
-    # block, below the lane crossover, and 127 and 131 in a 128-row one, at it
+    # block, and 127 and 131 in a 128-row one
     sys_, region, horizon, actions, seed, first_block, index = FAILURES[name]
     if first_block is not None:
         monkeypatch.setattr(validation, "_BLOCK", first_block)
