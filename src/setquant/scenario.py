@@ -753,7 +753,7 @@ class _StepNoise:
 class _BoxNoise(_StepNoise):
     """A uniform policy over a box: ``lower + span * u`` of one ``random`` call per rollout.
 
-    A block draws its rows' streams as the lanes of one ``_pcg64_next``.
+    A block draws its rows' streams as the lanes of one ``_pcg64_next`` (``_stream_words``).
     """
 
     def __init__(self, sys: ScenarioSystem, policy, steps: int):
@@ -764,7 +764,7 @@ class _BoxNoise(_StepNoise):
         self.span = np.tile(np.concatenate([box.upper, np.full(self.noisy, w)]), steps) - self.lower
 
     def block(self, seed: int, ordinals) -> tuple[np.ndarray, np.ndarray]:
-        raw = _doubles(_pcg64_next(*_lanes(seed, ordinals), self.lower.size))
+        raw = _doubles(_stream_words(seed, ordinals, self.lower.size))
         u = (self.lower + self.span * raw).reshape(len(ordinals), self.steps, self.m + self.noisy)
         return u[..., :self.m], (u[..., self.m:] if self.noisy else np.zeros(u.shape[:-1] + (self.k,)))
 
@@ -859,13 +859,27 @@ def _pool_of(head: np.ndarray) -> np.ndarray:
     return pool
 
 
-def _generate_state(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(...).generate_state(4, uint64)`` per row of (n, 5 or 6) assembled entropy words."""
-    pool = _pool_of(entropy[:, :_POOL])
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> np.ndarray:
+    """The (1, 4) pool of ``_pool_of`` for a seed's leading words, which every ordinal of the seed shares.
+
+    They are the seed's low and high words and two zero words (a spawned
+    sequence pads its entropy to the pool).  Read-only: it is cached.
+    """
+    pool = _pool_of(np.array([[seed & _M32, seed >> 32, 0, 0]], dtype=np.uint32))
+    pool.flags.writeable = False
+    return pool
+
+
+def _generate_state(pool: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """``SeedSequence(...).generate_state(4, uint64)`` per row of (n, 1 or 2) entropy words past the pool.
+
+    ``pool`` is the shared pool of the leading words (``_seed_pool``).
+    """
     # the words past the pool mix into every pool word, each step with the next constant
-    for src in range(_POOL, entropy.shape[1]):
-        c = _POOL * src
-        pool = _mix(pool, _hashmix(entropy[:, src:src + 1], _XOR_A[c:c + _POOL], _MUL_A[c:c + _POOL]))
+    for src in range(tail.shape[1]):
+        c = _POOL * (_POOL + src)
+        pool = _mix(pool, _hashmix(tail[:, src:src + 1], _XOR_A[c:c + _POOL], _MUL_A[c:c + _POOL]))
     # generate_state cycles through the pool for 8 words, read as 4 little-endian uint64
     words = _hashmix(np.tile(pool, 2), _XOR_B, _MUL_B)
     return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
@@ -876,8 +890,8 @@ def _seed_words(seed: int, ordinals) -> np.ndarray:
 
     A row's assembled entropy is the seed's low and high words, two zero
     words (a spawned sequence pads its entropy to the pool), then the
-    ordinal's low word, and its high word when it is not zero: one array of
-    5 and one of 6 words.
+    ordinal's low word, and its high word when it is not zero: past the
+    shared pool, one array of 1 and one of 2 words.
     """
     seed = int(seed)
     if not 0 <= seed < 2**64:
@@ -885,15 +899,14 @@ def _seed_words(seed: int, ordinals) -> np.ndarray:
     ordinals = np.asarray(ordinals, dtype=np.uint64)
     out = np.empty((ordinals.size, 4), dtype=np.uint64)
     wide = ordinals > _M32
-    for rows, length in ((~wide, 5), (wide, 6)):
+    for rows, length in ((~wide, 1), (wide, 2)):
         key = ordinals[rows]
         if key.size:
-            entropy = np.zeros((key.size, length), dtype=np.uint32)
-            entropy[:, 0], entropy[:, 1] = seed & _M32, seed >> 32
-            entropy[:, 4] = key & _M32
-            if length == 6:
-                entropy[:, 5] = key >> np.uint64(32)
-            out[rows] = _generate_state(entropy)
+            tail = np.empty((key.size, length), dtype=np.uint32)
+            tail[:, 0] = key & _M32
+            if length == 2:
+                tail[:, 1] = key >> np.uint64(32)
+            out[rows] = _generate_state(_seed_pool(seed), tail)
     return out
 
 
@@ -979,41 +992,55 @@ def _jumps(count: int) -> tuple[tuple, tuple]:
     return tuple(powers), tuple(sums)
 
 
-def _pcg64_next(state, inc, count: int) -> np.ndarray:
-    """The next ``count`` words of each lane, as ``PCG64``'s ``next_uint64`` returns them: (lanes, count) uint64.
+@functools.lru_cache(maxsize=16)
+def _jump_columns(count: int) -> tuple[np.ndarray, ...]:
+    """``_jumps(count)`` as read-only (count, 1) uint64 columns: the powers' high and low words, then the sums'."""
+    powers, sums = _jumps(count)
+    cols = tuple(x[:, None] for x in (*_split(powers), *_split(sums)))
+    for c in cols:
+        c.flags.writeable = False
+    return cols
+
+
+def _pcg64_next(state, inc, count: int, skip: int = 0) -> np.ndarray:
+    """The ``count`` words of each lane after its next ``skip`` steps, as ``PCG64``'s ``next_uint64`` returns them.
 
     ``state`` and ``inc`` are the lanes' ``(high, low)`` uint64 arrays; ``inc``
-    may be one pair for every lane.  A lane's state ``t`` steps on is an
-    affine map of its state now (``_jumps``), so the first ``q`` steps of
-    every lane come at once, one column each, and each later run of ``q``
-    columns from the run before by the one jump of ``q`` steps; ``q``
-    columns hold at most ``_LANE_CELLS`` words, and at least one column
-    runs.  A word is the XSL-RR output of its step's state: the xor of the
-    state's halves, rotated right by its top six bits.
+    may be one pair for every lane.  The result is (lanes, count) uint64.  A
+    lane's state ``t`` steps on is an affine map of its state now
+    (``_jumps``), so the first ``q`` words of every lane come at once, one
+    column each, and each later run of ``q`` columns from the run before by
+    the one jump of ``q`` steps; ``q`` columns hold at most ``_LANE_CELLS``
+    words, and at least one column runs.  A word is the XSL-RR output of its
+    step's state: the xor of the state's halves, rotated right by its top
+    six bits.
     """
     (sh, sl), (ih, il) = state, inc
     lanes = sh.size
     q = max(1, min(count, _LANE_CELLS // max(lanes, 1)))
-    powers, sums = _jumps(q)
-    ah, al = (x[:, None] for x in _split(powers))
-    bh, bl = _mul128(ih, il, *(x[:, None] for x in _split(sums)))
-    xh, xl = _affine(sh, sl, ah, al, bh, bl)
+    ah, al, ch, cl = _jump_columns(skip + q)
+    bh, bl = _mul128(ih, il, ch, cl)  # row t - 1: the increment's share of t steps
+    xh, xl = _affine(sh, sl, ah[skip:], al[skip:], bh[skip:], bl[skip:])
     out = np.empty((-(-count // q) * q, lanes), dtype=np.uint64)
     for t in range(0, count, q):
         if t:
-            xh, xl = _affine(xh, xl, ah[-1], al[-1], bh[-1], bl[-1])
+            xh, xl = _affine(xh, xl, ah[q - 1], al[q - 1], bh[q - 1], bl[q - 1])
         x, r = xh ^ xl, xh >> np.uint64(58)
         out[t:t + q] = x >> r | x << ((np.uint64(64) - r) & np.uint64(63))
     return out[:count].T
 
 
-def _lanes(seed: int, ordinals) -> tuple[tuple, tuple]:
-    """The ``(state, inc)`` that ``_set_seq`` gives each ordinal's sample stream, as (high, low) uint64 arrays."""
+def _stream_words(seed: int, ordinals, count: int) -> np.ndarray:
+    """The first ``count`` words of each ordinal's sample stream, one lane each: (len(ordinals), count) uint64.
+
+    Set-seq seeding (``_set_seq``) puts a stream one step past ``inc + seed``,
+    and its first word is the step after that, so each lane starts at
+    ``inc + seed`` and skips one step.
+    """
     seed_hi, seed_lo, seq_hi, seq_lo = _seed_words(seed, ordinals).T
     ih, il = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63), seq_lo << np.uint64(1) | np.uint64(1)
     lo = il + seed_lo
-    mult = _split([_PCG_MULT])
-    return _affine(ih + seed_hi + (lo < il), lo, *mult, ih, il), (ih, il)
+    return _pcg64_next((ih + seed_hi + (lo < il), lo), (ih, il), count, skip=1)
 
 
 def _doubles(words: np.ndarray) -> np.ndarray:

@@ -19,9 +19,9 @@ from setquant.scenario import (
     UniformPolicy,
     _doubles,
     _FreshStream,
-    _lanes,
     _pcg64_next,
     _sample_desc,
+    _stream_words,
     make_lead_follow,
     make_toy_shrink,
     noise_sampler,
@@ -46,7 +46,7 @@ def same_bits(a, b) -> bool:
 def test_lane_words_and_doubles_equal_numpys_pcg64(monkeypatch, seed, ordinals, count, cells):
     # a small _LANE_CELLS steps a few columns at a time: the jumps between runs are exercised too
     monkeypatch.setattr(scenario, "_LANE_CELLS", cells)
-    words = _pcg64_next(*_lanes(seed, ordinals), count)
+    words = _stream_words(seed, ordinals, count)
     assert words.shape == (len(ordinals), count)
     for j, i in enumerate(ordinals):
         desc = _sample_desc(seed, i)
