@@ -226,8 +226,8 @@ def compare_runs(path_a: str, path_b: str, force: bool = False) -> dict:
 
     The second run is the reference: the first run's active cells are
     rasterized onto its grid (a no-op when both share the lattice).  Radii
-    must match — cross-resolution comparison is refused, as is a digest
-    mismatch without ``force``.
+    must match — cross-resolution comparison is refused, as are runs of
+    different state dimension and a digest mismatch without ``force``.
     """
     rep_a, geom_a, meta_a = _load_run(path_a)
     rep_b, geom_b, meta_b = _load_run(path_b)
@@ -238,6 +238,8 @@ def compare_runs(path_a: str, path_b: str, force: bool = False) -> dict:
         raise ValueError("config digests differ; pass --force to compare anyway")
     cover_a, mask_a = geom_a
     cover_b, mask_b = geom_b
+    if cover_a.dim != cover_b.dim:
+        raise ValueError(f"dimension mismatch: {cover_a.dim} vs {cover_b.dim}")
     if abs(cover_a.radius - cover_b.radius) > LATTICE_TOL:
         raise ValueError(f"resolution mismatch: {cover_a.radius} vs {cover_b.radius}")
     view_a = DeltaCover(cover_a.centers, cover_a.radius, cover_a.domain, active=mask_a)

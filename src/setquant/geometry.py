@@ -668,10 +668,11 @@ def load_cover_csv(path, domain: BoxRegion | None = None):
     array and double as the active mask.  Without ``domain`` the domain is the
     centers' bounds grown by ``delta``, or ``[-delta, delta]^dim`` with no rows.  The rows are parsed ``_KEY_ROWS``
     at a time straight into one float array, with no list per row.  Raises
-    ``ValueError`` for a header other than ``dim,delta``, a ``dim`` below 1,
-    a ``delta`` that is not finite and positive, rows that do not all have
-    ``dim`` fields or all ``dim + 1``, a coordinate that is not finite or a
-    flag other than 0 or 1.
+    ``ValueError`` for a header other than ``dim,delta``, a ``dim`` below 1
+    or whose one row of floats passes ``_SIZE_CAP`` (checked before any
+    allocation), a ``delta`` that is not finite and positive, rows that do
+    not all have ``dim`` fields or all ``dim + 1``, a coordinate that is not
+    finite or a flag other than 0 or 1.
     """
     with open(path, newline="") as fh:
         r = csv.reader(fh)
@@ -682,6 +683,8 @@ def load_cover_csv(path, domain: BoxRegion | None = None):
         dim, delta = int(dim_s), float(delta_s)
         if dim < 1 or not (math.isfinite(delta) and delta > 0.0):
             raise ValueError(f"need dim >= 1 and a finite delta > 0, got dim {dim}, delta {delta}")
+        if dim * 8 > _SIZE_CAP:
+            raise ValueError(f"dim {dim}: one row of floats passes the {_SIZE_CAP}-byte size cap")
         body = filter(None, (line.rstrip("\r\n") for line in fh))  # csv reads an empty line as no row
         fields, chunks = None, []
         while lines := list(itertools.islice(body, _KEY_ROWS)):

@@ -708,15 +708,18 @@ def noise_sampler(sys: ScenarioSystem, policy, steps: int):
     disturbances (steps, k))`` step by step, in the rollout's order (action,
     then disturbance), so that stepping them gives the same trajectory.  Its
     ``block(seed, ordinals)`` draws those of every ordinal's sample stream
-    (``_seeded_streams``) into one ``(B, steps, m)`` and one ``(B, steps,
-    k)`` array, row ``j`` from ``ordinals[j]``'s.  A uniform policy over a
-    box draws a rollout with one ``random`` call scaled to the per-step
-    bounds, which is how ``uniform`` computes its values, and one over a
-    finite set without disturbances with one ``integers`` call; each yields
-    the same values, and leaves the generator in the same state, as the
-    per-step calls.  A one-point set's ``block`` holds its point and seeds no
-    stream; its sampler is ``held``, so every rollout from one start is the
-    same, whatever its ordinal.
+    (``sample_stream(_sample_desc(seed, i))``) into one ``(B, steps, m)``
+    and one ``(B, steps, k)`` array, row ``j`` from ``ordinals[j]``'s.  A
+    uniform policy over a box draws a rollout with one ``random`` call
+    scaled to the per-step bounds, which is how ``uniform`` computes its
+    values, and one over a finite set without disturbances with one
+    ``integers`` call; each yields the same values, and leaves the generator
+    in the same state, as the per-step calls.  Their blocks draw every
+    row's stream as one lane of ``_stream_words``, with no numpy generator.
+    Any other policy, in practice a finite set with disturbances, reads each
+    row's ``sample_stream`` step by step.  A one-point set's ``block`` holds
+    its point and reads no stream; its sampler is ``held``, so every rollout
+    from one start is the same, whatever its ordinal.
     """
     acts = policy.actions if isinstance(policy, UniformPolicy) else None
     if isinstance(acts, BoxActionSet):
@@ -745,8 +748,8 @@ class _StepNoise:
 
     def block(self, seed: int, ordinals) -> tuple[np.ndarray, np.ndarray]:
         u, w = np.empty((len(ordinals), self.steps, self.m)), np.empty((len(ordinals), self.steps, self.k))
-        for j, rng in _seeded_streams(seed, ordinals):
-            u[j], w[j] = self(rng)
+        for j, i in enumerate(ordinals):
+            u[j], w[j] = self(sample_stream(_sample_desc(seed, i)))
         return u, w
 
 
@@ -770,7 +773,10 @@ class _BoxNoise(_StepNoise):
 
 
 class _FiniteNoise(_StepNoise):
-    """A uniform policy over a finite set, no disturbances: ``points`` at one ``integers`` call per rollout."""
+    """A uniform policy over a finite set, no disturbances: ``points`` at one ``integers`` call per rollout.
+
+    A block draws its rows' picks from the lanes of ``_stream_words`` (``_lemire_picks``).
+    """
 
     def __init__(self, sys: ScenarioSystem, policy, steps: int):
         super().__init__(sys, policy, steps)
@@ -781,9 +787,7 @@ class _FiniteNoise(_StepNoise):
         shape = (len(ordinals), self.steps)
         if self.held:  # integers(1) is always 0, and nothing else reads the stream: read-only views, no copies
             return np.broadcast_to(self.points[0], shape + (self.m,)), np.broadcast_to(0.0, shape + (self.k,))
-        picks = np.empty(shape, dtype=np.int64)
-        for j, rng in _seeded_streams(seed, ordinals):
-            picks[j] = rng.integers(len(self.points), size=self.steps)
+        picks = _lemire_picks(lambda count: _stream_words(seed, ordinals, count), len(self.points), self.steps)
         return self.points[picks], np.zeros(shape + (self.k,))
 
 
@@ -910,33 +914,6 @@ def _seed_words(seed: int, ordinals) -> np.ndarray:
     return out
 
 
-def _set_seq(seed_hi: int, seed_lo: int, seq_hi: int, seq_lo: int) -> tuple[int, int]:
-    """PCG's set-seq seeding of one stream's seed words: its ``(state, inc)`` before the first draw.
-
-    ``inc = (seq << 1) | 1`` and ``state = ((inc + seed) * MULT + inc)``, mod 2**128.
-    """
-    inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _M128
-    return ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _M128, inc
-
-
-def _seeded_streams(seed: int, ordinals):
-    """``(j, rng)`` per ordinal, ``rng`` set to the start of ``sample_stream(_sample_desc(seed, ordinals[j]))``.
-
-    The seed words of every ordinal come from one vectorised ``SeedSequence``
-    computation (``_seed_words``); each sample then sets one reused
-    ``PCG64`` to the state that seeding reaches (``_set_seq``).  The one
-    generator holds a sample's stream only until the next is yielded.
-    """
-    seeds = _seed_words(seed, ordinals).tolist()
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
-    for j, words in enumerate(seeds):
-        state, inc = _set_seq(*words)
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        yield j, rng
-
-
 # ---------------------------------------------------------------------------
 # PCG64 in lanes: numpy's PCG64 (O'Neill 2014) stepped over many streams at
 # once, each 128-bit state and increment held as (high, low) uint64 arrays
@@ -1033,9 +1010,9 @@ def _pcg64_next(state, inc, count: int, skip: int = 0) -> np.ndarray:
 def _stream_words(seed: int, ordinals, count: int) -> np.ndarray:
     """The first ``count`` words of each ordinal's sample stream, one lane each: (len(ordinals), count) uint64.
 
-    Set-seq seeding (``_set_seq``) puts a stream one step past ``inc + seed``,
-    and its first word is the step after that, so each lane starts at
-    ``inc + seed`` and skips one step.
+    PCG's set-seq seeding of a stream's seed words gives ``inc = (seq << 1) | 1``
+    and puts its state one step past ``inc + seed``; its first word is the
+    step after that, so each lane starts at ``inc + seed`` and skips one step.
     """
     seed_hi, seed_lo, seq_hi, seq_lo = _seed_words(seed, ordinals).T
     ih, il = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63), seq_lo << np.uint64(1) | np.uint64(1)
@@ -1060,7 +1037,10 @@ class _FreshStream:
     """
 
     def __init__(self, seed: int, ordinal: int):
-        self.state, self.inc = _set_seq(*_seed_words(seed, [ordinal]).tolist()[0])
+        seed_hi, seed_lo, seq_hi, seq_lo = _seed_words(seed, [ordinal]).tolist()[0]
+        # PCG's set-seq seeding: the state one step past ``inc + seed``
+        self.inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _M128
+        self.state = ((self.inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + self.inc) & _M128
 
     def words(self, count: int) -> np.ndarray:
         """The stream's first ``count`` words."""
@@ -1075,29 +1055,35 @@ class _FreshStream:
         return _doubles(self.words(int(np.prod(size)))).reshape(size)
 
     def integers(self, k: int, size: int) -> np.ndarray:
-        """``Generator.integers(k, size=size)`` for ``1 <= k <= 2**32``: int64.
+        """``Generator.integers(k, size=size)`` for ``1 <= k <= 2**32``: int64 (``_lemire_picks``)."""
+        return _lemire_picks(lambda count: self.words(count)[None], k, size)[0]
 
-        numpy draws these by Lemire's method over the stream's uint32 halves,
-        low half first: a half ``h`` gives ``h * k >> 32`` unless ``h * k``'s
-        low 32 bits fall below ``2**32 mod k``, when it is skipped.  A skip
-        only moves on to the next half, so the accepted halves, in order, are
-        the picks.  ``k = 1`` reads no word.
-        """
-        k, n = int(k), int(size)
-        if not 1 <= k <= 1 << 32:
-            raise ValueError(f"a lane draw picks among 1 to 2**32 values, not {k}")
-        if k == 1:
-            return np.zeros(n, dtype=np.int64)
-        skip = (1 << 32) % k
-        # the words that n picks take at the mean rate of acceptance; when short, twice as many
-        count = math.ceil(n / (1 - skip / 2**32) / 2)
-        while True:
-            w = self.words(count)
-            m = np.stack([w & _LO32, w >> _SH32], axis=1).reshape(-1) * np.uint64(k)
-            picks = (m >> _SH32)[(m & _LO32) >= np.uint64(skip)]
-            if picks.size >= n:
-                return picks[:n].astype(np.int64)
-            count *= 2
+
+def _lemire_picks(words, k: int, n: int) -> np.ndarray:
+    """``Generator.integers(k, size=n)`` of each lane of ``words(count)``, (lanes, count) uint64: (lanes, n) int64.
+
+    numpy draws these, for ``1 <= k <= 2**32``, by Lemire's method over the
+    stream's uint32 halves, low half first: a half ``h`` gives ``h * k >> 32``
+    unless ``h * k``'s low 32 bits fall below ``2**32 mod k``, when it is
+    skipped.  A skip only moves on to the next half, so a lane's accepted
+    halves, in order, are its picks.  Each lane draws the words that ``n``
+    picks take at the mean rate of acceptance, and all draw again from the
+    start, twice as many, while any lane is short.  ``k = 1`` always picks 0.
+    """
+    k, n = int(k), int(n)
+    if not 1 <= k <= 1 << 32:
+        raise ValueError(f"a lane draw picks among 1 to 2**32 values, not {k}")
+    if k == 1:
+        return np.zeros((len(words(0)), n), dtype=np.int64)
+    skip = (1 << 32) % k
+    count = math.ceil(n / (1 - skip / 2**32) / 2)
+    while True:
+        w = words(count)
+        m = np.stack([w & _LO32, w >> _SH32], axis=2).reshape(len(w), 2 * count) * np.uint64(k)
+        ok = (m & _LO32) >= np.uint64(skip)
+        if (ok.sum(axis=1) >= n).all():
+            return (m[ok & (ok.cumsum(axis=1) <= n)] >> _SH32).astype(np.int64).reshape(len(w), n)
+        count *= 2
 
 
 # ---------------------------------------------------------------------------

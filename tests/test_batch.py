@@ -44,7 +44,7 @@ from setquant.scenario import (
     step,
     step_batch,
 )
-from setquant.scenario import _seed_words, _seeded_streams
+from setquant.scenario import _seed_words, _stream_words
 from setquant.validation import _run_samples, validate_eps, validate_eps_delta
 
 VEHICLES = ("lead-follow", "three-vehicle")
@@ -328,21 +328,7 @@ def test_bulk_seed_words_equal_seed_sequence():
         with pytest.raises(ValueError, match="seed"):
             _seed_words(seed, [0])
         with pytest.raises(ValueError, match="seed"):
-            next(_seeded_streams(seed, [0]))
-
-
-def test_bulk_seeded_streams_equal_seed_sequence_streams():
-    cases = [(seed, ordinals) for seed in SEEDS for ordinals in (ORDINALS, ORDINALS[::-1])]
-    for seed, ordinals in cases + [(3, np.arange(300)), (3, [])]:
-        got = [(j, rng.bit_generator.state, rng.random(5), rng.integers(7, size=3), rng.bit_generator.state)
-               for j, rng in _seeded_streams(seed, ordinals)]
-        assert [j for j, *_ in got] == list(range(len(ordinals)))
-        for i, (_, start, values, picks, end) in zip(ordinals, got):
-            theirs = reference_stream(seed, int(i))
-            assert start == theirs.bit_generator.state
-            assert same_bits(values, theirs.random(5))
-            assert picks.tolist() == theirs.integers(7, size=3).tolist()
-            assert end == theirs.bit_generator.state
+            _stream_words(seed, [0], 1)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,31 @@ class TestCompare:
             compare_runs(str(tmp_path / "a"), str(tmp_path / "b"), force=True)
 
 
+def test_main_compare_refuses_runs_of_different_dimension(tmp_path, capsys):
+    # a 1-D toy cover against a 3-D lead-follow one, with the digest check forced past
+    oracle = "algorithm = oracle\nseed = 0\nhyper.delta0 = 1.0\nsystem.name = "
+    run_into(oracle + "toy-threshold\n", tmp_path / "a")
+    run_into(oracle + "lead-follow\n", tmp_path / "b")
+    with pytest.raises(ValueError, match="dimension mismatch: 1 vs 3"):
+        compare_runs(str(tmp_path / "a"), str(tmp_path / "b"), force=True)
+    capsys.readouterr()
+    assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b"), "--force"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("compare: dimension mismatch") and "Traceback" not in err
+
+
+def test_main_compare_refuses_a_cells_header_too_wide_to_hold(tmp_path, capsys):
+    # a header-only file whose one row of 10**18 floats no machine could allocate
+    run_into(ORACLE_CFG, tmp_path / "a")
+    (tmp_path / "b").mkdir()
+    (tmp_path / "b" / "report.json").write_bytes((tmp_path / "a" / "report.json").read_bytes())
+    (tmp_path / "b" / "cells.csv").write_text(f"dim,delta\n{10**18},1\n")
+    capsys.readouterr()
+    assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b"), "--force"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("compare: dim 1000000000000000000") and "size cap" in err
+
+
 def test_main_run_roundtrip(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(ORACLE_CFG)
@@ -439,6 +464,10 @@ LANE_RUNS = {
                            "hyper.delta0 = 1.0\nhyper.K = 40\nhyper.epsilon = 0.001\nhyper.beta = 0.01\n", 1),
     "val-eps-box": ("algorithm = val-eps\nseed = 0\nsystem.name = toy-shrink\nhyper.epsilon = 0.01\n"
                     "options.region_box = [[-1.0, 1.0]]\n", 0),
+    # a finite action set: its picks come from the lanes too
+    "val-eps-delta-three-points": ("algorithm = val-eps-delta\nseed = 0\nsystem.name = lead-follow\n"
+                                   "hyper.delta0 = 1.0\nhyper.K = 40\nhyper.epsilon = 0.001\n"
+                                   "hyper.beta = 0.01\noptions.action_points = [[-5.0], [-1.0], [3.0]]\n", 1),
 }
 
 

@@ -573,6 +573,18 @@ def test_load_cover_rejects_a_malformed_body(tmp_path, text, message):
         load_cover_csv(p)
 
 
+def test_load_cover_refuses_a_dim_past_the_size_cap_before_allocating(tmp_path, monkeypatch):
+    # with the cap at two floats a row, dim 2 still loads and dim 3 is refused
+    monkeypatch.setattr(geometry, "_SIZE_CAP", 16)
+    p = tmp_path / "cells.csv"
+    p.write_text("dim,delta\n2,1\n")
+    assert load_cover_csv(p)[0].dim == 2
+    for dim in (3, 10**18):
+        p.write_text(f"dim,delta\n{dim},1\n")
+        with pytest.raises(ValueError, match="size cap"):
+            load_cover_csv(p)
+
+
 def test_load_cover_rejects_foreign_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("x,y\n1,2\n")

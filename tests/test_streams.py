@@ -1,11 +1,12 @@
 """PCG64 in lanes, against numpy's own generator, bit for bit.
 
-Every block of box noise, and validation's start picks, come from the lane
-kernel (``scenario._pcg64_next``) instead of one numpy ``Generator`` per
-stream.  Every word, double and pick must equal what numpy's ``SeedSequence``
-and ``PCG64`` give for the same seed descriptor (``sample_stream``), and a
-failed verdict's counterexample, taken from the block that found it, must
-equal the one ``replay_counterexample`` rolls from the descriptor alone.
+Every block of box noise and of a finite set's picks, and validation's start
+picks, come from the lane kernel (``scenario._pcg64_next``) instead of one
+numpy ``Generator`` per stream.  Every word, double and pick must equal what
+numpy's ``SeedSequence`` and ``PCG64`` give for the same seed descriptor
+(``sample_stream``), and a failed verdict's counterexample, taken from the
+block that found it, must equal the one ``replay_counterexample`` rolls from
+the descriptor alone.
 """
 
 import numpy as np
@@ -16,9 +17,11 @@ from setquant.geometry import BoxRegion, build_cover
 from setquant.scenario import (
     _SELECT,
     BoxActionSet,
+    FiniteActionSet,
     UniformPolicy,
     _doubles,
     _FreshStream,
+    _lemire_picks,
     _pcg64_next,
     _sample_desc,
     _stream_words,
@@ -67,6 +70,41 @@ def test_box_noise_blocks_of_any_size_equal_the_per_sample_draws(seed):
         for j in sorted({0, min(4, rows - 1), min(5, rows - 1), rows - 1}):
             u, w = draw(sample_stream(_sample_desc(seed, int(ordinals[j]))))
             assert same_bits(acts[j], u) and same_bits(omegas[j], w)
+
+
+@pytest.mark.parametrize("points", [2, 3, 5])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_finite_set_blocks_equal_the_per_sample_draws(seed, points):
+    sys_ = make_lead_follow()
+    actions = FiniteActionSet([(-5.0 + 2.0 * p,) for p in range(points)])
+    draw = noise_sampler(sys_, UniformPolicy(actions), 39)
+    for rows in (0, 1, 8, 300):
+        ordinals = np.arange(2**32 - rows // 2, 2**32 - rows // 2 + rows)  # both entropy lengths in one block
+        acts, omegas = draw.block(seed, ordinals)
+        assert acts.shape == (rows, 39, 1) and omegas.shape == (rows, 39, sys_.disturbance_dim)
+        for j, i in enumerate(ordinals):
+            u, w = draw(sample_stream(_sample_desc(seed, int(i))))
+            assert same_bits(acts[j], u) and same_bits(omegas[j], w)
+
+
+@pytest.mark.parametrize("k", [2**31 + 1, 3 * 10**9])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lane_picks_equal_numpys_integers_per_lane(seed, k):
+    # these k reject about half and a third of the halves: at the mean rate,
+    # some of 40 lanes fall short, and every lane draws again
+    ordinals = np.arange(2**32 - 20, 2**32 + 20)
+    counts = []
+
+    def words(count):
+        counts.append(count)
+        return _stream_words(seed, ordinals, count)
+
+    for n in (1, 7, 100):
+        counts.clear()
+        picks = _lemire_picks(words, k, n)
+        assert picks.shape == (len(ordinals), n) and len(counts) > 1
+        for j, i in enumerate(ordinals):
+            assert same_bits(picks[j], sample_stream(_sample_desc(seed, int(i))).integers(k, size=n))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 2**31 + 1, 3 * 10**9, 2**32 - 1, 2**32])
