@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .geometry import _SIZE_CAP, DOMAIN_TOL, BoxRegion
+from .geometry import _SIZE_CAP, DOMAIN_TOL, BoxRegion, _bucket_width
 from .quantification import HyperParams
 from .scenario import (
     BUILTIN_SYSTEMS,
@@ -180,6 +180,8 @@ def _check_hyper(h: dict) -> None:
     _domain(1.0 - h["epsilon"] < 1.0, f"epsilon={h['epsilon']} is too small: 1 - epsilon rounds to 1")
     _domain(0.0 < h["beta"] < 1.0, f"beta={h['beta']} outside (0, 1)")
     _domain(h["delta0"] > 0.0, f"delta0={h['delta0']} must be positive")
+    _domain(math.isfinite(_bucket_width(h["delta0"])),
+            f"delta0={h['delta0']} is too large: a cover's bucket width 2 * delta0 * (1 + 2e-9) is not finite")
     _domain(0.0 < h["gamma"] < 1.0, f"gamma={h['gamma']} outside (0, 1)")
     _domain(h["delta_min"] > 0.0, f"delta_min={h['delta_min']} must be positive")
     _domain(isinstance(h["K"], int) and h["K"] >= 1, f"K={h['K']} must be an integer >= 1")

@@ -143,7 +143,8 @@ def _lattices(lo: np.ndarray, hi: np.ndarray, delta: float) -> np.ndarray:
             raise LatticeSizeError(f"a lattice at delta {delta!r} needs about {steps:.3g} centers "
                                    f"along axis {a}: more than the {_SIZE_CAP}-byte size cap")
         steps = int(steps)
-        run = np.add.accumulate(np.column_stack([low + delta, np.full((k, steps - 1), two)]), axis=1)
+        with np.errstate(over="ignore"):  # past the float range only in the last column, which never fits
+            run = np.add.accumulate(np.column_stack([low + delta, np.full((k, steps - 1), two)]), axis=1)
         fit = (run <= (high - delta + MEMBER_TOL)[:, None]).sum(axis=1)
         trail = ~narrow & (run[rows, fit - 1] < high - delta - MEMBER_TOL)
         run[rows[trail], fit[trail]] = (high - delta)[trail]
@@ -239,6 +240,11 @@ _SCAN_CHUNK = 1 << 20
 _QUERY_ROWS = 1 << 14
 # Centers keyed per chunk when a cover builds its dedup map.
 _KEY_ROWS = 1 << 12
+
+
+def _bucket_width(reach: float) -> float:
+    """The bucket width of an index that answers queries of ``reach``: a hair over twice the widened reach."""
+    return 2.0 * reach * (1.0 + 2.0 * _WIDEN)
 
 
 class _BucketIndex:
@@ -458,7 +464,7 @@ class DeltaCover:
         """The bucket index over every center, rebuilt when one was appended or ``reach`` outgrew it."""
         idx = self._index
         if idx is None or idx.n != self._n or idx.h <= 2.0 * reach * (1.0 + _WIDEN):
-            h = 2.0 * max(reach, self.radius + _INDEX_TOL) * (1.0 + 2.0 * _WIDEN)
+            h = _bucket_width(max(reach, self.radius + _INDEX_TOL))
             if self._anchor is None:
                 self._anchor = _lattice_anchor(self.centers, 2.0 * self.radius)
             idx = self._index = _BucketIndex(self.centers, self._anchor - 0.5 * h, h)
@@ -670,7 +676,8 @@ def load_cover_csv(path, domain: BoxRegion | None = None):
     at a time straight into one float array, with no list per row.  Raises
     ``ValueError`` for a header other than ``dim,delta``, a ``dim`` below 1
     or whose one row of floats passes ``_SIZE_CAP`` (checked before any
-    allocation), a ``delta`` that is not finite and positive, rows that do
+    allocation), a ``delta`` that is not positive or whose bucket width
+    (``_bucket_width``) is not finite, rows that do
     not all have ``dim`` fields or all ``dim + 1``, a coordinate that is not
     finite or a flag other than 0 or 1.
     """
@@ -681,8 +688,9 @@ def load_cover_csv(path, domain: BoxRegion | None = None):
             raise ValueError(f"unexpected cover header: {header!r}")
         dim_s, delta_s = next(r, ("", ""))
         dim, delta = int(dim_s), float(delta_s)
-        if dim < 1 or not (math.isfinite(delta) and delta > 0.0):
-            raise ValueError(f"need dim >= 1 and a finite delta > 0, got dim {dim}, delta {delta}")
+        if dim < 1 or not (delta > 0.0 and math.isfinite(_bucket_width(delta))):
+            raise ValueError(f"need dim >= 1 and a finite delta > 0 with a finite bucket width "
+                             f"2 * delta * (1 + 2e-9), got dim {dim}, delta {delta}")
         if dim * 8 > _SIZE_CAP:
             raise ValueError(f"dim {dim}: one row of floats passes the {_SIZE_CAP}-byte size cap")
         body = filter(None, (line.rstrip("\r\n") for line in fh))  # csv reads an empty line as no row

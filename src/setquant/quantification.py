@@ -25,6 +25,7 @@ from its ordinal alone.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -48,6 +49,7 @@ from .scenario import (
     UniformPolicy,
     _SELECT,
     _check_inside,
+    _FreshStream,
     _rows_within,
     _sample_desc,
     noise_sampler,
@@ -197,11 +199,12 @@ class TrajectoryBuffer(list):
     """
 
 
-def _start_draws(sel: np.random.Generator, weighted: bool, k: int, count: int) -> np.ndarray:
+def _start_draws(sel: _FreshStream, weighted: bool, k: int, count: int) -> np.ndarray:
     """``count`` start draws with one call: uniforms in [0, 1) when ``weighted``, else integers below ``k``.
 
-    Each equals ``count`` scalar calls of its kind, in values and in the
-    state it leaves ``sel`` in.
+    ``sel`` is the selection stream.  A call gives the values of ``count``
+    scalar calls of its kind on numpy's ``Generator`` of that stream, and
+    moves ``sel``'s ``position`` as they move the generator's state.
     """
     return sel.random(count) if weighted else sel.integers(k, size=count)
 
@@ -393,10 +396,14 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
     The result is that of one sample at a time, but the samples run
     speculatively in blocks: the next starts are drawn from the unchanged
     cover, rolled in lock-step by ``run_batch`` and checked against the cover
-    with one query, then applied in order.  At the first event the start
-    stream is rewound to just after that sample's draw and the rest of the
-    block is dropped unseen, so ``record``, ``trace``, the replay buffer and
-    the counters see exactly the sequential calls.  The replay pass queries
+    with one query, then applied in order.  The starts come from the
+    selection stream, a ``_FreshStream`` of ordinal ``_SELECT``, which gives
+    what numpy's generator of that stream would.  At the first event, or at
+    a start the domain refuses, its ``position`` is set back to where the
+    block began and the kept starts are drawn again, which leaves it just
+    after the last kept start's draw; the rest of the block is dropped
+    unseen, so ``record``, ``trace``, the replay buffer and the counters see
+    exactly the sequential calls.  The replay pass queries
     the cover once per chunk of buffered trajectories, again after each event.
 
     Under a held input (the sampler is ``held``: a one-point action set and
@@ -413,7 +420,8 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
     if min_feature_scale is None:
         warnings.warn("no minimum feature scale declared: whether the initial resolution "
                       "can see every part of the target set is unverifiable")
-    elif (hyper.delta0 / 2.0) ** sys.state_box.dim > min_feature_scale + MEMBER_TOL:
+    # the product is inf past the float range, where a float power raises OverflowError
+    elif math.prod([hyper.delta0 / 2.0] * sys.state_box.dim) > min_feature_scale + MEMBER_TOL:
         warnings.warn(f"initial cell scale ({hyper.delta0}/2)^{sys.state_box.dim} exceeds "
                       f"the declared minimum feature scale {min_feature_scale}")
     if hyper.horizon < 1:
@@ -424,7 +432,7 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
     graph = ReachGraph()
     pruned_pts: list = []
     dist_to_pruned = np.full(len(cover), np.inf)
-    sel = sample_stream(_sample_desc(seed, _SELECT))
+    sel = _FreshStream(seed, _SELECT)
     policy = UniformPolicy(actions)
     steps = hyper.horizon - 1
     draw_noise = noise_sampler(sys, policy, steps)
@@ -570,13 +578,13 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
         size = min(max(streak, _SPEC_MIN), _SPEC_MAX, hyper.budget - n, n_eps - streak)
         act = cover.active_indices()
         weighted = prioritized and bool(pruned_pts)
-        before = sel.bit_generator.state
+        before = sel.position
         starts = start_ordinals(act, _start_draws(sel, weighted, act.size, size), weighted)
         refused = np.flatnonzero(outside_domain(sys, cover.centers[starts])) if steps else ()
         if len(refused):  # end the block before the refused start
             _check_inside(sys, cover.centers[starts[:1]])  # raises when that is the first
             starts = starts[:refused[0]]
-            sel.bit_generator.state = before  # keep the kept starts' draws only
+            sel.position = before  # keep the kept starts' draws only
             _start_draws(sel, weighted, act.size, starts.size)
         if held:
             rows = held_rollouts(act, starts)
@@ -599,7 +607,7 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
                 trace(n, cover, event)
             streak = 0 if event else streak + 1
             if event:
-                sel.bit_generator.state = before  # undo the dropped draws: redraw the kept ones as the block did
+                sel.position = before  # undo the dropped draws: redraw the kept ones as the block did
                 _start_draws(sel, weighted, act.size, j + 1)
                 break
         if streak >= n_eps:

@@ -787,7 +787,7 @@ class _FiniteNoise(_StepNoise):
         shape = (len(ordinals), self.steps)
         if self.held:  # integers(1) is always 0, and nothing else reads the stream: read-only views, no copies
             return np.broadcast_to(self.points[0], shape + (self.m,)), np.broadcast_to(0.0, shape + (self.k,))
-        picks = _lemire_picks(lambda count: _stream_words(seed, ordinals, count), len(self.points), self.steps)
+        picks, _ = _lemire_picks(lambda count: _stream_words(seed, ordinals, count), len(self.points), self.steps)
         return self.points[picks], np.zeros(shape + (self.k,))
 
 
@@ -1026,14 +1026,39 @@ def _doubles(words: np.ndarray) -> np.ndarray:
     return np.multiply(words, 2.0**-53, out=words.view(np.float64))
 
 
-class _FreshStream:
-    """What the first call on a fresh ``sample_stream(_sample_desc(seed, ordinal))`` returns, drawn in lanes.
+def _jump(t: int) -> tuple[int, int]:
+    """``MULT**t`` and ``1 + MULT + ... + MULT**(t-1)``, mod 2**128, by O(log t) squarings.
 
-    ``random(size)`` and ``integers(k, size=n)`` each return that first
-    call's values; neither advances the stream, so each reads it from its
-    start.  The stream is cut into runs of ``_RUN`` words, run ``r`` starting
-    at the state ``r * _RUN`` steps on (jumped with Python ints), and the
-    runs are drawn as the lanes of one ``_pcg64_next``.
+    The state ``t`` steps after ``s`` is the first times ``s`` plus the second
+    times ``inc`` (Brown 1994): the maps of 1, 2, 4, ... steps compose by the
+    bits of ``t``.
+    """
+    a, s, mult, plus = 1, 0, _PCG_MULT, 1
+    while t:
+        if t & 1:
+            a, s = a * mult & _M128, (s * mult + plus) & _M128
+        mult, plus = mult * mult & _M128, (mult + 1) * plus & _M128
+        t >>= 1
+    return a, s
+
+
+class _FreshStream:
+    """The stream of ``sample_stream(_sample_desc(seed, ordinal))``, drawn in lanes, as numpy's ``Generator`` draws it.
+
+    ``random(size)`` and ``integers(k, size=n)`` return the values of the
+    same calls on that generator, and advance the stream as they do.
+    ``position`` is where the stream stands: the words read, and numpy's
+    pending 32-bit half (``has_uint32``/``uinteger``, the high half of the
+    word whose low half an ``integers`` call took last) or None.  Setting a
+    saved ``position`` back rewinds the stream.  ``random`` reads whole words
+    (``_doubles``) and leaves the pending half alone; ``integers`` takes the
+    pending half first, then the halves of the next words (``_lemire_picks``).
+
+    Words are read from a window of at least ``_LANE_CELLS`` words.  A read
+    outside it refills it from the read's start: the state that many steps
+    on is one ``_jump``, the window is cut into runs of ``_RUN`` words, each
+    run's state a jump of ``_RUN`` steps from the one before, and the runs
+    are drawn as the lanes of one ``_pcg64_next``.
     """
 
     def __init__(self, seed: int, ordinal: int):
@@ -1041,48 +1066,75 @@ class _FreshStream:
         # PCG's set-seq seeding: the state one step past ``inc + seed``
         self.inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _M128
         self.state = ((self.inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + self.inc) & _M128
+        self.position = (0, None)
+        self._start, self._window = 0, np.empty(0, dtype=np.uint64)
 
-    def words(self, count: int) -> np.ndarray:
-        """The stream's first ``count`` words."""
-        powers, sums = _jumps(_RUN)
-        a, b = powers[-1], sums[-1] * self.inc
-        states = [self.state]
-        for _ in range(-(-count // _RUN) - 1):
-            states.append((a * states[-1] + b) & _M128)
-        return _pcg64_next(_split(states), _split([self.inc]), _RUN).reshape(-1)[:count]
+    def _read(self, at: int, count: int) -> np.ndarray:
+        """Words ``at`` to ``at + count - 1`` of the stream: a view of the window."""
+        lo = at - self._start
+        if lo < 0 or lo + count > self._window.size:
+            a, s = _jump(at)
+            run_a, run_s = _jump(_RUN)
+            states = [(a * self.state + s * self.inc) & _M128]
+            for _ in range(-(-max(count, _LANE_CELLS) // _RUN) - 1):
+                states.append((run_a * states[-1] + run_s * self.inc) & _M128)
+            self._start, lo = at, 0
+            self._window = _pcg64_next(_split(states), _split([self.inc]), _RUN).reshape(-1)
+        return self._window[lo:lo + count]
 
     def random(self, size) -> np.ndarray:
-        return _doubles(self.words(int(np.prod(size)))).reshape(size)
+        """``Generator.random(size)``: float64."""
+        at, half = self.position
+        count = int(np.prod(size))
+        self.position = (at + count, half)
+        return _doubles(self._read(at, count).copy()).reshape(size)
 
     def integers(self, k: int, size: int) -> np.ndarray:
-        """``Generator.integers(k, size=size)`` for ``1 <= k <= 2**32``: int64 (``_lemire_picks``)."""
-        return _lemire_picks(lambda count: self.words(count)[None], k, size)[0]
+        """``Generator.integers(k, size=size)`` for ``1 <= k <= 2**32``: int64."""
+        at, half = self.position
+        head = None if half is None else np.array([[half]], dtype=np.uint64)
+        picks, used = _lemire_picks(lambda count: self._read(at, count)[None], k, size, head)
+        used = int(used[0])
+        if used:
+            taken = used - (head is not None)  # halves of words past the position
+            last = int(self._read(at + taken // 2, 1)[0]) >> 32 if taken % 2 else None
+            self.position = (at + (taken + 1) // 2, last)
+        return picks[0]
 
 
-def _lemire_picks(words, k: int, n: int) -> np.ndarray:
-    """``Generator.integers(k, size=n)`` of each lane of ``words(count)``, (lanes, count) uint64: (lanes, n) int64.
+def _lemire_picks(words, k: int, n: int, head=None) -> tuple[np.ndarray, np.ndarray]:
+    """``Generator.integers(k, size=n)`` of each lane of ``words(count)``, (lanes, count) uint64.
 
     numpy draws these, for ``1 <= k <= 2**32``, by Lemire's method over the
     stream's uint32 halves, low half first: a half ``h`` gives ``h * k >> 32``
     unless ``h * k``'s low 32 bits fall below ``2**32 mod k``, when it is
     skipped.  A skip only moves on to the next half, so a lane's accepted
-    halves, in order, are its picks.  Each lane draws the words that ``n``
-    picks take at the mean rate of acceptance, and all draw again from the
-    start, twice as many, while any lane is short.  ``k = 1`` always picks 0.
+    halves, in order, are its picks.  ``head``, (lanes, 1) uint64 halves,
+    goes before each lane's: a stream's pending half.  Each lane draws the
+    words that ``n`` picks take at the mean rate of acceptance, and all draw
+    again from the start, twice as many, while any lane is short.  ``k = 1``
+    always picks 0 and reads nothing.  Returns the (lanes, n) int64 picks
+    and the (lanes,) number of halves each lane read, ``head`` included.
     """
     k, n = int(k), int(n)
     if not 1 <= k <= 1 << 32:
         raise ValueError(f"a lane draw picks among 1 to 2**32 values, not {k}")
     if k == 1:
-        return np.zeros((len(words(0)), n), dtype=np.int64)
+        lanes = len(words(0))
+        return np.zeros((lanes, n), dtype=np.int64), np.zeros(lanes, dtype=np.int64)
     skip = (1 << 32) % k
     count = math.ceil(n / (1 - skip / 2**32) / 2)
     while True:
         w = words(count)
-        m = np.stack([w & _LO32, w >> _SH32], axis=2).reshape(len(w), 2 * count) * np.uint64(k)
+        halves = np.stack([w & _LO32, w >> _SH32], axis=2).reshape(len(w), 2 * count)
+        if head is not None:
+            halves = np.concatenate([head, halves], axis=1)
+        m = halves * np.uint64(k)
         ok = (m & _LO32) >= np.uint64(skip)
         if (ok.sum(axis=1) >= n).all():
-            return (m[ok & (ok.cumsum(axis=1) <= n)] >> _SH32).astype(np.int64).reshape(len(w), n)
+            seen = ok.cumsum(axis=1)
+            used = (seen < n).sum(axis=1) + (n > 0)
+            return (m[ok & (seen <= n)] >> _SH32).astype(np.int64).reshape(len(w), n), used
         count *= 2
 
 
@@ -1131,6 +1183,13 @@ def adversarial_actions(sys: ScenarioSystem, state, facet: Facet) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _check_dims(name: str, state_box: BoxRegion, actions, n: int, m: int) -> None:
+    """Refuse boxes of other widths than the dynamics of ``name`` read: ``n`` state coordinates, ``m`` inputs."""
+    if (state_box.dim, actions.dim) != (n, m):
+        raise ValueError(f"{name} has {n} state and {m} action coordinates: its state and action boxes need "
+                         f"{n} and {m} [lower, upper] pairs, not {state_box.dim} and {actions.dim}")
+
+
 def _sv_policy(kind: str, v_des: float):
     if kind == "brake":
         return BrakeToStop()
@@ -1150,6 +1209,7 @@ def make_lead_follow(sv: str = "brake", omega_bar: float = 0.0, dt: float = 0.1,
     """
     sb = state_box if state_box is not None else BoxRegion([0.0, 0.0, 5.5], [16.0, 16.0, 60.0])
     ab = action_box if action_box is not None else BoxActionSet([-5.0], [3.0])
+    _check_dims("lead-follow", sb, ab, 3, 1)
     policy = _sv_policy(sv, v_des=float(sb.upper[0]))
     v_span = float(max(sb.upper[0] - sb.lower[0], sb.upper[1] - sb.lower[1]))
     u_max = float(np.abs([ab.box.lower, ab.box.upper]).max()) if isinstance(ab, BoxActionSet) else 5.0
@@ -1181,6 +1241,7 @@ def make_three_vehicle(sv: str = "brake", omega_bar: float = 0.0, dt: float = 0.
     """
     sb = state_box if state_box is not None else BoxRegion([0.0, 0.0, 0.0, 5.0, -25.0], [6.0, 6.0, 6.0, 25.0, -5.0])
     ab = action_box if action_box is not None else BoxActionSet([-5.0, -7.0], [3.0, -3.0])
+    _check_dims("three-vehicle", sb, ab, 5, 2)
     policy = _sv_policy(sv, v_des=float(sb.upper[0]))
     v_span = float(max(sb.upper[d] - sb.lower[d] for d in range(3)))
     u_max = float(np.abs([ab.box.lower, ab.box.upper]).max())
@@ -1204,6 +1265,7 @@ def make_three_vehicle(sv: str = "brake", omega_bar: float = 0.0, dt: float = 0.
 def _make_toy(kind: str, state_box: BoxRegion, facets: dict, use_action: bool,
               action_lo: float, action_hi: float, omega_bar: float, action_box=None) -> ScenarioSystem:
     ab = action_box if action_box is not None else BoxActionSet([action_lo], [action_hi])
+    _check_dims(f"toy-{kind}", state_box, ab, 1, 1)
     # worst one-step move of the base map over the box, probed on a fine grid
     dyn = ToyDynamics(kind, use_action)
     xs = np.linspace(state_box.lower[0], state_box.upper[0], 2001)

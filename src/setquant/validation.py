@@ -221,11 +221,13 @@ def _validate_sampled(sys, horizon, epsilon, beta, actions, rng, n_samples, work
     """The shared body of ``validate_eps`` and ``validate_eps_delta``.
 
     Sizes the sample (warning when ``n_samples`` is below the bound), draws
-    the ``n`` starts with one ``pick_starts(stream, n)`` call on the stream
-    of ordinal ``_SELECT`` of the integer seed ``rng`` (a ``_FreshStream``,
-    drawn in lanes), runs sample ``i`` on the stream of ordinal ``i`` and
-    wraps the verdict; a failure carries its start, its stream's descriptor
-    and the trajectory they replay to, as its block rolled it.
+    the ``n`` starts with one ``pick_starts(stream, n)`` call on a fresh
+    selection stream, ordinal ``_SELECT`` of the integer seed ``rng`` (a
+    ``_FreshStream``, drawn in lanes: the values of the first call on
+    numpy's generator of that stream), runs sample ``i`` on the stream of
+    ordinal ``i`` and wraps the verdict; a failure carries its start, its
+    stream's descriptor and the trajectory they replay to, as its block
+    rolled it.
     ``pick_starts=None`` means no start is eligible: the verdict is then
     vacuously true on zero samples, and still flagged when ``n_samples`` is
     below the bound.

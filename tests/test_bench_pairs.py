@@ -120,3 +120,19 @@ def test_a_log_with_two_runs_of_one_seed_and_side_is_refused(tmp_path, monkeypat
     with pytest.raises(SystemExit, match=r"\[\('lf-spe', 1, 'parent'\)\]"):
         bench_pairs().main(["summarize", "--log", str(log), "--out", str(tmp_path / "BENCH_x.json")])
     assert not (tmp_path / "BENCH_x.json").exists()
+
+
+FAKE_RUN = """import json, sys
+print("bench: CHECK FAILED: lf-spe cell_count matches the active rows of cells.csv", file=sys.stderr)
+print(json.dumps({"correct": %s, "attempted": 6, "failed": %d, "metrics": {"solve_s": {"value": 0.1}}}))
+"""
+
+
+@pytest.mark.parametrize("correct,failed,kept", [("False", 0, True), ("True", 1, True), ("True", 0, False)])
+def test_a_failed_check_keeps_its_message_when_run_exits_zero(tmp_path, correct, failed, kept):
+    # a fake checkout whose bench/run.py exits 0 but reports a failed check, or a failed job
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(FAKE_RUN % (correct, failed))
+    res = bench_pairs()._bench(str(tmp_path), "lf-spe", 1, 0.0)
+    assert res["metrics"] == {"solve_s": {"value": 0.1}} and res["failed"] == failed
+    assert ("CHECK FAILED: lf-spe cell_count" in res.get("error", "")) is kept

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line: dispatch, artifact sets, compare."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -298,8 +299,9 @@ SLAB_ROWS = "1,1,21,1\n1,1,23,1\n"
     "dim,delta\n3,1\n1,nan,21,1\n1,1,23,1\n",  # a coordinate that is not finite
     "dim,delta\n3,nan\n" + SLAB_ROWS,
     "dim,delta\n3,-1\n" + SLAB_ROWS,
+    "dim,delta\n3,1e308\n" + SLAB_ROWS,  # a bucket width 2 * delta * (1 + 2e-9) past the float range
     "dim,delta\n3,1\n1,1,21,2\n1,1,23,1\n",  # a flag other than 0 or 1
-], ids=["flag-then-none", "none-then-flag", "nan-coordinate", "nan-delta", "negative-delta", "flag-2"])
+], ids=["flag-then-none", "none-then-flag", "nan-coordinate", "nan-delta", "negative-delta", "huge-delta", "flag-2"])
 def test_main_rejects_a_malformed_cells_file(tmp_path, capsys, cells):
     (tmp_path / "cells.csv").write_text(cells)
     cfg = tmp_path / "v.cfg"
@@ -400,6 +402,51 @@ def test_main_rejects_a_lattice_past_the_size_cap(tmp_path, capsys, algorithm, s
     assert "Traceback" not in err
 
 
+# the largest delta0 whose bucket width 2 * delta0 * (1 + 2e-9) is finite, and the next float up
+WIDEST_DELTA0 = 8.988465656334648e+307
+
+
+@pytest.mark.parametrize("delta0", ["1e308", repr(math.nextafter(WIDEST_DELTA0, math.inf))])
+def test_main_rejects_a_delta0_whose_bucket_width_overflows(tmp_path, capsys, delta0):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(f"algorithm = qnt-dp\nseed = 0\nsystem.name = lead-follow\nhyper.K = 5\nhyper.N = 10\n"
+                   f"hyper.delta0 = {delta0}\n")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"E-DOMAIN: delta0={float(delta0)!r} is too large" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_widest_accepted_delta0_runs(tmp_path, capsys):
+    # one cell covers the whole box, and no rollout from its center leaves it
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(f"algorithm = qnt-dp\nseed = 0\nsystem.name = lead-follow\nhyper.K = 5\nhyper.N = 10\n"
+                   f"hyper.delta0 = {WIDEST_DELTA0!r}\n")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["cell_count"] == 1 and report["final_delta"] == WIDEST_DELTA0
+
+
+@pytest.mark.parametrize("system,box,got", [
+    ("lead-follow", "system.state_box = [[0, 16]]", "1 and 1"),
+    ("lead-follow", "system.state_box = [[0, 16], [0, 16], [5.5, 60], [0, 1]]", "4 and 1"),
+    ("lead-follow", "system.action_box = [[-5, 3], [-5, 3]]", "3 and 2"),
+    ("three-vehicle", "system.action_box = [[-5, 3]]", "5 and 1"),
+    ("three-vehicle", "system.state_box = [[0, 6], [0, 6], [0, 6], [5, 25]]", "4 and 2"),
+    ("toy-shrink", "system.action_box = [[-0.5, 0.5], [-0.5, 0.5]]", "1 and 2"),
+])
+def test_main_rejects_a_box_of_the_wrong_width(tmp_path, capsys, system, box, got):
+    # a short state box used to end in an IndexError, and a wide action box ran on its first axis alone
+    want = {"lead-follow": (3, 1), "three-vehicle": (5, 2), "toy-shrink": (1, 1)}[system]
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text(f"algorithm = val-eps\nseed = 0\nsystem.name = {system}\nhyper.K = 5\nhyper.epsilon = 0.2\n{box}\n")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"E-DOMAIN: system construction failed: {system} has {want[0]} state and {want[1]} action" in err
+    assert f"not {got}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("cfg,cost", [
     # every cell of toy-shift is pruned: the emptied cover scores cost(0.0, ...), which is -0.0
     ("algorithm = qnt-spe\nseed = 1\nsystem.name = toy-shift\nhyper.epsilon = 0.05\nhyper.N = 2000\n", "-0.0"),
@@ -455,8 +502,9 @@ def test_a_run_does_not_import_numpy_ma(name, tmp_path):
     assert out.stdout.splitlines()[-1] == f"{want} False"
 
 
-# each draws n = 4603 or 230 starts: its block noise and its start picks come
-# from the lanes, not from numpy.random
+# each validation run draws n = 4603 or 230 starts, and each qnt-spe run its
+# starts block by block: their noise and their start picks come from the
+# lanes, not from numpy.random
 LANE_RUNS = {
     "val-eps-delta-pass": ("algorithm = val-eps-delta\nseed = 0\nsystem.name = toy-shrink\n"
                            "hyper.delta0 = 0.25\nhyper.epsilon = 0.01\n", 0),
@@ -468,11 +516,20 @@ LANE_RUNS = {
     "val-eps-delta-three-points": ("algorithm = val-eps-delta\nseed = 0\nsystem.name = lead-follow\n"
                                    "hyper.delta0 = 1.0\nhyper.K = 40\nhyper.epsilon = 0.001\n"
                                    "hyper.beta = 0.01\noptions.action_points = [[-5.0], [-1.0], [3.0]]\n", 1),
+    # the acceptance reference config: a held input, prioritized starts and replay
+    "qnt-spe-reference": ("algorithm = qnt-spe\nseed = 0\nsystem.name = lead-follow\nhyper.delta0 = 4.0\n"
+                          "hyper.delta_min = 1.0\nhyper.K = 40\nhyper.N = 200000\nhyper.epsilon = 0.01\n"
+                          "hyper.beta = 0.1\noptions.action_points = [[-5.0]]\noptions.prioritized = true\n"
+                          "options.replay = true\n", 0),
+    # box actions: lane noise blocks, and uniform start draws once a start is pruned
+    "qnt-spe-box-prioritized": ("algorithm = qnt-spe\nseed = 0\nsystem.name = lead-follow\nhyper.delta0 = 4.0\n"
+                                "hyper.delta_min = 2.0\nhyper.K = 10\nhyper.N = 3000\nhyper.epsilon = 0.05\n"
+                                "options.prioritized = true\n", 0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LANE_RUNS))
-def test_a_validation_run_does_not_import_numpy_random(name, tmp_path):
+def test_a_lane_run_does_not_import_numpy_random(name, tmp_path):
     # a fresh process pays milliseconds for numpy.random's import
     text, want = LANE_RUNS[name]
     cfg = tmp_path / "run.cfg"

@@ -23,6 +23,7 @@ from setquant.quantification import (
 from setquant.scenario import (
     BoxActionSet,
     FiniteActionSet,
+    make_lead_follow,
     make_toy_shrink,
     make_toy_threshold,
     make_toy_two_basins,
@@ -297,6 +298,14 @@ def test_spe_warns_when_cells_outsize_the_feature_scale():
     toy = make_toy_shrink()
     with pytest.warns(UserWarning, match="feature scale"):
         quantify_spe(toy, toy.action_box, HP, 0, min_feature_scale=0.1)
+
+
+def test_spe_warns_when_the_cell_scale_passes_the_float_range():
+    # (1e200 / 2) ** 3 overflows: the scale is wider than any declared one, not an OverflowError
+    lf = make_lead_follow()
+    hp = HyperParams(epsilon=0.05, beta=0.1, delta0=1e200, gamma=0.5, delta_min=1e200, horizon=3, budget=20)
+    with pytest.warns(UserWarning, match="feature scale"):
+        quantify_spe(lf, lf.action_box, hp, 0, min_feature_scale=1.0)
 
 
 def test_spe_quiet_when_resolution_suffices():

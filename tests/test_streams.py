@@ -21,6 +21,8 @@ from setquant.scenario import (
     UniformPolicy,
     _doubles,
     _FreshStream,
+    _jump,
+    _jumps,
     _lemire_picks,
     _pcg64_next,
     _sample_desc,
@@ -101,20 +103,24 @@ def test_lane_picks_equal_numpys_integers_per_lane(seed, k):
 
     for n in (1, 7, 100):
         counts.clear()
-        picks = _lemire_picks(words, k, n)
+        picks, used = _lemire_picks(words, k, n)
         assert picks.shape == (len(ordinals), n) and len(counts) > 1
         for j, i in enumerate(ordinals):
-            assert same_bits(picks[j], sample_stream(_sample_desc(seed, int(i))).integers(k, size=n))
+            stream = sample_stream(_sample_desc(seed, int(i)))
+            assert same_bits(picks[j], stream.integers(k, size=n))
+            # numpy read the same halves: its next word follows them, and an odd count leaves a half pending
+            read = -(-int(used[j]) // 2)
+            assert stream.bit_generator.state["has_uint32"] == used[j] % 2
+            assert stream.bit_generator.random_raw() == words(read + 1)[j, read]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 2**31 + 1, 3 * 10**9, 2**32 - 1, 2**32])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_start_picks_equal_numpys_integers(seed, k):
     # k = 2**31 + 1 and 3e9 reject about half and a third of the halves
-    stream = _FreshStream(seed, _SELECT)
     for n in (0, 1, 2, 7, 1001):
         want = sample_stream(_sample_desc(seed, _SELECT)).integers(k, size=n)
-        assert same_bits(stream.integers(k, size=n), want)
+        assert same_bits(_FreshStream(seed, _SELECT).integers(k, size=n), want)
 
 
 def test_start_picks_refuse_more_than_two_to_the_32_values():
@@ -127,6 +133,62 @@ def test_start_picks_refuse_more_than_two_to_the_32_values():
 def test_box_starts_equal_numpys_random(seed, shape):
     want = sample_stream(_sample_desc(seed, _SELECT)).random(shape)
     assert same_bits(_FreshStream(seed, _SELECT).random(shape), want)
+
+
+def assert_same_place(mine, theirs):
+    """The lane stream stands where numpy's generator does: the words read and the pending half."""
+    at, half = mine.position
+    a, s = _jump(at)
+    state = theirs.bit_generator.state
+    assert state["state"]["state"] == (a * mine.state + s * mine.inc) % 2**128
+    assert state["has_uint32"] == (half is not None) and (half is None or state["uinteger"] == half)
+
+
+@pytest.mark.parametrize("cells", [scenario._LANE_CELLS, 8, 1])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_the_stateful_stream_equals_one_numpy_generator(monkeypatch, seed, cells):
+    # one stream, many calls: a small _LANE_CELLS refills the window often, at jumped positions
+    monkeypatch.setattr(scenario, "_LANE_CELLS", cells)
+    theirs, mine = sample_stream(_sample_desc(seed, _SELECT)), _FreshStream(seed, _SELECT)
+    plan = np.random.default_rng(seed % 1000 + cells)
+    saved = []
+    for _ in range(600):
+        op, n = int(plan.integers(5)), int(plan.integers(0, 12))
+        if op == 0:
+            assert same_bits(mine.random(n), theirs.random(n))
+        elif op in (1, 2):
+            k = int(plan.choice([1, 2, 3, 7, 2**31 + 1, 2**32]))
+            assert same_bits(mine.integers(k, size=n), theirs.integers(k, size=n))
+        elif op == 3:
+            saved.append((mine.position, theirs.bit_generator.state))
+        elif saved:
+            mine.position, theirs.bit_generator.state = saved[int(plan.integers(len(saved)))]
+        assert_same_place(mine, theirs)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_after_an_odd_number_of_halves_keeps_the_pending_half(seed):
+    # k = 2 accepts every half: three picks read one word and a half, and the high half waits
+    theirs, mine = sample_stream(_sample_desc(seed, _SELECT)), _FreshStream(seed, _SELECT)
+    assert same_bits(mine.integers(2, size=3), theirs.integers(2, size=3))
+    assert mine.position[0] == 2 and mine.position[1] is not None
+    for draw in (lambda g: g.random(4), lambda g: g.random(0),
+                 lambda g: g.integers(3, size=0), lambda g: g.integers(1, size=5), lambda g: g.integers(2**32, size=1),
+                 lambda g: g.random((2, 3)), lambda g: g.integers(2**31 + 1, size=9)):
+        assert same_bits(draw(mine), draw(theirs))
+        assert_same_place(mine, theirs)
+
+
+def test_a_position_far_along_the_stream_is_one_jump():
+    # 10**12 and 2**70 words on: the window starts there, with no stepping from word 0
+    for at in (10**12, 2**70 + 3):
+        theirs, mine = sample_stream(_sample_desc(5, _SELECT)), _FreshStream(5, _SELECT)
+        theirs.bit_generator.advance(at)
+        mine.position = (at, None)
+        assert same_bits(mine.integers(2**31 + 1, size=50), theirs.integers(2**31 + 1, size=50))
+        assert same_bits(mine.random(7), theirs.random(7))
+        assert_same_place(mine, theirs)
+    assert all(_jump(t) == (powers[-1], sums[-1]) for t in (1, 2, 63, 64, 100) for powers, sums in [_jumps(t)])
 
 
 LF, SHRINK = make_lead_follow(), make_toy_shrink()

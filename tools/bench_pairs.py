@@ -61,7 +61,10 @@ def _bench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines:
         return {"correct": False, "attempted": 0, "failed": 1, "metrics": {}, "error": out.stderr[-2000:]}
-    return json.loads(lines[-1])
+    res = json.loads(lines[-1])
+    if res.get("correct") is not True or res.get("failed", 0) > 0:  # run.py names the failed check on stderr
+        res["error"] = out.stderr[-2000:]
+    return res
 
 
 def run(args) -> None:
