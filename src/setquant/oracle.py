@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import LATTICE_TOL, BoxRegion, DeltaCover, _lattices, build_cover, compare_grids
+from .geometry import LATTICE_TOL, DeltaCover, _lattices, build_cover, compare_grids
 from .scenario import ScenarioSystem, default_action_samples, run_held
 
 __all__ = [
@@ -120,7 +120,7 @@ def _final_cells(sys: ScenarioSystem, grid: DeltaCover, pairs: list, horizon: in
 
 def brute_force_invariant(sys: ScenarioSystem, delta: float, action_samples=None,
                           disturbance_samples=None, horizon: int = 1,
-                          max_sweeps: int = 200, domain: BoxRegion | None = None) -> OracleSet:
+                          max_sweeps: int = 200) -> OracleSet:
     """Fixed point of iterated cell removal on a delta-lattice.
 
     Per sweep, each live cell is tested from its center under every sampled
@@ -131,7 +131,7 @@ def brute_force_invariant(sys: ScenarioSystem, delta: float, action_samples=None
     Removals apply synchronously at the end of the sweep, so each sweep is
     one mask update over the rollouts' end cells, which are computed once.
     """
-    grid = build_cover(domain if domain is not None else sys.state_box, delta)
+    grid = build_cover(sys.state_box, delta)
     if action_samples is None:
         action_samples = default_action_samples(sys.action_box)
     if disturbance_samples is None:

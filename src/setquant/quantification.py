@@ -48,17 +48,14 @@ from .scenario import (
     ScenarioSystem,
     UniformPolicy,
     _SELECT,
-    _check_inside,
     _FreshStream,
     _rows_within,
     _sample_desc,
     noise_sampler,
-    outside_domain,
     run_batch,
-    run_scenario,
     sample_stream,
 )
-from .validation import sample_size_probabilistic, validate_eps_delta
+from .validation import _run_block, sample_size_probabilistic, validate_eps_delta
 
 __all__ = [
     "HyperParams",
@@ -215,15 +212,14 @@ def _start_draws(sel: _FreshStream, weighted: bool, k: int, count: int) -> np.nd
 
 
 def quantify_vanilla(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int,
-                     n_attempts: int = 10, domain: BoxRegion | None = None,
-                     record=None) -> QuantifyResult:
-    """Sample random sub-boxes of the domain until one validates.
+                     n_attempts: int = 10, record=None) -> QuantifyResult:
+    """Sample random sub-boxes of the state box until one validates.
 
     Each attempt draws two uniform corner points, covers the spanned box at
     ``hyper.delta0`` and runs the probabilistic cover validation on it.  The
     first validated box wins; ``n_attempts`` misses end the run empty-handed.
     """
-    dom = domain if domain is not None else sys.state_box
+    dom = sys.state_box
     stream = sample_stream(_sample_desc(seed, _SELECT))
     fresh = 0
     for attempt in range(int(n_attempts)):
@@ -252,34 +248,58 @@ def quantify_vanilla(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int
 # ---------------------------------------------------------------------------
 
 
+# qnt-dp, qnt-ae and qnt-spe run fresh samples in speculative blocks of clamp(streak, 8, 64), streak
+# counting the samples since the last event: a long event-free streak predicts more, and after an
+# event short blocks waste few rollouts.  Longer blocks add memory and, on event-dense runs, rework.
+_SPEC_MIN, _SPEC_MAX = 8, 64
+
+
+def _fresh_block(sys: ScenarioSystem, draw, seed: int, sel: _FreshStream, cover: DeltaCover,
+                 first: int, size: int, record) -> tuple:
+    """Roll samples ``first .. first + size - 1`` from one ``sel`` pick each over the live centers.
+
+    ``validation._run_block`` tests them against ``cover``.  Returns the samples run, up to the first
+    failure, with its start and trajectory or ``-1, None``; ``sel`` ends past the last pick run.
+    """
+    act = cover.active_indices()
+    before = sel.position
+    starts = act[sel.integers(act.size, size=size)]
+    bad, traj = _run_block(sys, cover.centers[starts], first, draw, seed, cover, record)
+    if bad < 0:
+        return first + size, -1, None
+    sel.position = before
+    sel.integers(act.size, size=bad - first + 1)
+    return bad + 1, int(starts[bad - first]), traj
+
+
 def quantify_delta_pruning(sys: ScenarioSystem, actions, delta: float, n_samples: int,
-                           horizon: int, seed: int, domain: BoxRegion | None = None,
-                           hyper: HyperParams | None = None, record=None) -> QuantifyResult:
-    """Cover the domain once and prune start centers that misbehave.
+                           horizon: int, seed: int, hyper: HyperParams | None = None,
+                           record=None) -> QuantifyResult:
+    """Cover the state box once and prune start centers that misbehave.
 
     A start center dies when its rollout exits unsafely or any visited state
     falls farther than delta from the remaining live cover.  Deliberately
     blunt: one bad point condemns the whole cell, so the result can lose
     volume that a finer method would keep.
+
+    The result is that of one sample at a time, run in ``_fresh_block``s
+    that end at their first prune.
     """
-    dom = domain if domain is not None else sys.state_box
-    cover = build_cover(dom, delta)
-    sel = sample_stream(_sample_desc(seed, _SELECT))
-    n = 0
-    for i in range(int(n_samples)):
-        act = cover.active_indices()
-        if act.size == 0:
-            break
-        idx = int(act[int(sel.integers(act.size))])
-        traj = run_scenario(sys, cover.centers[idx], horizon, UniformPolicy(actions),
-                            sample_stream(_sample_desc(seed, i)))
-        n += 1
-        if record is not None:
-            record(i, traj)
-        if traj.exit_kind == EXIT_UNSAFE or cover.outside(traj.states[1:]).any():
+    n_samples = int(n_samples)
+    cover = build_cover(sys.state_box, delta)
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    sel = _FreshStream(seed, _SELECT)
+    draw = noise_sampler(sys, UniformPolicy(actions), horizon - 1)
+    n = streak = 0
+    while n < n_samples and cover.n_active():
+        size = min(max(streak, _SPEC_MIN), _SPEC_MAX, n_samples - n)
+        n, idx, traj = _fresh_block(sys, draw, seed, sel, cover, n, size, record)
+        streak = streak + size if traj is None else 0
+        if traj is not None:
             cover.deactivate([idx])
     hy = hyper if hyper is not None else HyperParams(delta0=delta, delta_min=delta,
-                                                    horizon=horizon, budget=int(n_samples))
+                                                    horizon=horizon, budget=n_samples)
     return _result("qnt-dp", sys, actions, hy, seed, cover, cover.n_active() > 0, n)
 
 
@@ -289,8 +309,7 @@ def quantify_delta_pruning(sys: ScenarioSystem, actions, delta: float, n_samples
 
 
 def quantify_adaptive(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int,
-                      initial_state=None, domain: BoxRegion | None = None,
-                      record=None) -> QuantifyResult:
+                      initial_state=None, record=None) -> QuantifyResult:
     """Grow a ball cloud from one seed point; restart fresh on any unsafe exit.
 
     Discovered out-of-cover states join the cloud; after a full stability
@@ -298,39 +317,35 @@ def quantify_adaptive(sys: ScenarioSystem, actions, hyper: HyperParams, seed: in
     it would undershoot ``delta_min``.  If the budget runs out while restarts
     are still happening, there is no evidence any invariant subset exists and
     the run reports an empty cover, not converged.
+
+    The result is that of one sample at a time, run in ``_fresh_block``s
+    that end at their first event and never pass a stability window.
     """
-    dom = domain if domain is not None else sys.state_box
+    dom = sys.state_box
     n_eps = hyper.stability_window()
-    sel = sample_stream(_sample_desc(seed, _SELECT))
-    seed_pt = np.asarray(initial_state, dtype=float) if initial_state is not None else dom.sample(sel)
-    cover = DeltaCover(np.asarray([seed_pt]), hyper.delta0, dom)
-    n = 0
-    streak = 0
-    decays = 0
-    restarts = 0
+    if hyper.horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    sel = _FreshStream(seed, _SELECT)
+    draw = noise_sampler(sys, UniformPolicy(actions), hyper.horizon - 1)
+    uniform = lambda: dom.lower + dom.widths * sel.random(dom.dim)  # numpy's uniform over the box
+    cover = DeltaCover(np.asarray([uniform() if initial_state is None else initial_state], dtype=float),
+                       hyper.delta0, dom)
+    n = streak = decays = restarts = 0
     last_restart_n = -(10 * n_eps)
     converged = False
     while n < hyper.budget:
-        act = cover.active_indices()
-        idx = int(act[int(sel.integers(act.size))])
-        traj = run_scenario(sys, cover.centers[idx], hyper.horizon, UniformPolicy(actions),
-                            sample_stream(_sample_desc(seed, n)))
-        n += 1
-        if record is not None:
-            record(n - 1, traj)
-        event = False
-        states = traj.states
-        for t in range(1, states.shape[0]):
-            if traj.exit_kind == EXIT_UNSAFE and t == states.shape[0] - 1:
-                cover = DeltaCover(np.asarray([dom.sample(sel)]), cover.radius, dom)
-                restarts += 1
-                last_restart_n = n
-                event = True
-                break
-            if cover.outside(states[t])[0]:
-                cover.append(states[t])
-                event = True
-        streak = 0 if event else streak + 1
+        size = min(max(streak, _SPEC_MIN), _SPEC_MAX, hyper.budget - n, n_eps - streak)
+        n, _, traj = _fresh_block(sys, draw, seed, sel, cover, n, size, record)
+        streak = streak + size if traj is None else 0
+        if traj is not None:
+            for t in range(1, len(traj)):
+                if traj.exit_kind == EXIT_UNSAFE and t == len(traj) - 1:
+                    cover = DeltaCover(np.asarray([uniform()]), cover.radius, dom)
+                    restarts += 1
+                    last_restart_n = n
+                    break
+                if cover.outside(traj.states[t])[0]:
+                    cover.append(traj.states[t])
         if streak >= n_eps:
             if hyper.decay_undershoots(cover.radius):
                 converged = True
@@ -350,11 +365,6 @@ def quantify_adaptive(sys: ScenarioSystem, actions, hyper: HyperParams, seed: in
 # ---------------------------------------------------------------------------
 
 
-# Fresh samples go through in speculative blocks of clamp(streak, 8, 64): a
-# long event-free streak predicts that the next samples will not change the
-# cover either, while after an event short blocks waste few discarded
-# rollouts.  Longer blocks add memory and, on event-dense runs, rework.
-_SPEC_MIN, _SPEC_MAX = 8, 64
 # buffered trajectories replayed per cover query
 _REPLAY_CHUNK = 64
 # under a held input, the most centers that one pre-roll sends through run_batch
@@ -371,11 +381,10 @@ def _preroll_rows(sys: ScenarioSystem, horizon: int) -> int:
 
 def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
                  prioritized: bool = False, replay: bool = False, weight_power: float = 1.0,
-                 min_feature_scale: float | None = None, domain: BoxRegion | None = None,
-                 trace=None, record=None) -> QuantifyResult:
+                 min_feature_scale: float | None = None, trace=None, record=None) -> QuantifyResult:
     """Shrinking-cover quantification with ancestor pruning and discovery.
 
-    Starts from a full-domain cover at ``delta0``.  Every sample rolls out
+    Starts from a cover of the state box at ``delta0``.  Every sample rolls out
     from a live center under iid uniform actions.  An unsafe exit prunes the
     start together with every center that has a discovered path to it, and
     records the start in the pruned frontier.  A visited state farther than
@@ -398,21 +407,21 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
     cover, rolled in lock-step by ``run_batch`` and checked against the cover
     with one query, then applied in order.  The starts come from the
     selection stream, a ``_FreshStream`` of ordinal ``_SELECT``, which gives
-    what numpy's generator of that stream would.  At the first event, or at
-    a start the domain refuses, its ``position`` is set back to where the
-    block began and the kept starts are drawn again, which leaves it just
-    after the last kept start's draw; the rest of the block is dropped
-    unseen, so ``record``, ``trace``, the replay buffer and the counters see
-    exactly the sequential calls.  The replay pass queries
-    the cover once per chunk of buffered trajectories, again after each event.
+    what numpy's generator of that stream would.  At the first event its
+    ``position`` is set back to where the block began and the kept starts
+    are drawn again, which leaves it just after the last kept start's draw;
+    the rest of the block is dropped unseen, so ``record``, ``trace``, the
+    replay buffer and the counters see exactly the sequential calls.  The
+    replay pass queries the cover once per chunk of buffered trajectories,
+    again after each event.
 
     Under a held input (the sampler is ``held``: a one-point action set and
     no disturbance) a rollout is a function of its start alone, so each
     center is rolled once.  When a block draws a start not rolled yet, one
-    ``run_batch`` call rolls it with every other live, unrolled center that
-    the domain accepts, lowest ordinals first, up to ``_preroll_rows`` rows
-    (the block's own starts go in even past that), and the block reads its
-    rollouts from that store.  A start whose rollout was last applied with
+    ``run_batch`` call rolls it with every other live, unrolled center,
+    lowest ordinals first, up to ``_preroll_rows`` rows (the block's own
+    starts go in even past that), and the block reads its rollouts from that
+    store.  A start whose rollout was last applied with
     no event is not queried or applied again until a prune, a discovery
     that brings a dead center back, or a refinement changes the cover: the
     answer would be the same.
@@ -426,16 +435,13 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
                       f"the declared minimum feature scale {min_feature_scale}")
     if hyper.horizon < 1:
         raise ValueError("horizon must be at least 1")
-    dom = domain if domain is not None else sys.state_box
     n_eps = hyper.stability_window()
-    cover = build_cover(dom, hyper.delta0)
+    cover = build_cover(sys.state_box, hyper.delta0)
     graph = ReachGraph()
     pruned_pts: list = []
     dist_to_pruned = np.full(len(cover), np.inf)
     sel = _FreshStream(seed, _SELECT)
-    policy = UniformPolicy(actions)
-    steps = hyper.horizon - 1
-    draw_noise = noise_sampler(sys, policy, steps)
+    draw_noise = noise_sampler(sys, UniformPolicy(actions), hyper.horizon - 1)
     held = draw_noise.held
     preroll = _preroll_rows(sys, hyper.horizon)
     rolled: dict = {}  # held input: start ordinal -> (rollouts, row) of its one rollout
@@ -545,8 +551,6 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
         new = [i not in rolled for i in starts.tolist()]
         if any(new):
             todo = act[[i not in rolled for i in act.tolist()]]
-            if steps:
-                todo = todo[~outside_domain(sys, cover.centers[todo])]
             rows = _distinct(np.concatenate([starts[new], todo[:max(preroll - starts.size, 0)]]))
             rolls = run_batch(sys, cover.centers[rows], draw_noise.block(seed, rows))  # a held block reads no stream
             rolled.update((i, (rolls, j)) for j, i in enumerate(rows.tolist()))
@@ -580,12 +584,6 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
         weighted = prioritized and bool(pruned_pts)
         before = sel.position
         starts = start_ordinals(act, _start_draws(sel, weighted, act.size, size), weighted)
-        refused = np.flatnonzero(outside_domain(sys, cover.centers[starts])) if steps else ()
-        if len(refused):  # end the block before the refused start
-            _check_inside(sys, cover.centers[starts[:1]])  # raises when that is the first
-            starts = starts[:refused[0]]
-            sel.position = before  # keep the kept starts' draws only
-            _start_draws(sel, weighted, act.size, starts.size)
         if held:
             rows = held_rollouts(act, starts)
         else:

@@ -525,6 +525,15 @@ LANE_RUNS = {
     "qnt-spe-box-prioritized": ("algorithm = qnt-spe\nseed = 0\nsystem.name = lead-follow\nhyper.delta0 = 4.0\n"
                                 "hyper.delta_min = 2.0\nhyper.K = 10\nhyper.N = 3000\nhyper.epsilon = 0.05\n"
                                 "options.prioritized = true\n", 0),
+    # qnt-dp and qnt-ae pick their starts from the lane selection stream, and qnt-ae its seed points
+    "qnt-dp-box": ("algorithm = qnt-dp\nseed = 1\nsystem.name = toy-threshold\nhyper.delta0 = 0.5\n"
+                   "hyper.N = 300\n", 0),
+    "qnt-dp-three-points": ("algorithm = qnt-dp\nseed = 0\nsystem.name = toy-threshold\nhyper.delta0 = 0.5\n"
+                            "hyper.K = 5\nhyper.N = 3000\noptions.action_points = [[-1.0], [0.0], [1.0]]\n", 0),
+    "qnt-ae-box": ("algorithm = qnt-ae\nseed = 2\nsystem.name = toy-threshold\nhyper.epsilon = 0.05\n"
+                   "hyper.N = 20000\n", 0),
+    "qnt-ae-three-points": ("algorithm = qnt-ae\nseed = 1\nsystem.name = toy-threshold\nhyper.epsilon = 0.05\n"
+                            "options.action_points = [[-1.0], [0.0], [1.0]]\n", 0),
 }
 
 

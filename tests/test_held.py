@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from setquant import quantification, scenario
-from setquant.geometry import BoxRegion, DeltaCover
+from setquant.geometry import DeltaCover
 from setquant.quantification import HyperParams
 from setquant.scenario import (
     FiniteActionSet,
@@ -202,31 +202,6 @@ def test_a_held_run_whose_first_prune_switches_the_draw_kind_equals_the_sequenti
     assert len(records) == len(want_records)
     for (i, a), (k, b) in zip(records, want_records):
         assert i == k and same_bits(a.states, b.states) and a.exit_kind == b.exit_kind
-
-
-def test_a_held_block_cut_short_by_a_refused_start_equals_the_sequential_loop(monkeypatch):
-    sys_ = make_toy_threshold()
-    wide = BoxRegion([0.0], [12.0])  # the cells at 10.5 and 11.5 lie outside the system's box
-    blocks = []
-
-    def spied(sys_, states):
-        out = scenario.outside_domain(sys_, states)
-        blocks.append(out.tolist())
-        return out
-
-    monkeypatch.setattr(quantification, "outside_domain", spied)
-    runs = []
-    for quantify in (quantification.quantify_spe, sequential_spe):
-        calls = []
-        with pytest.raises(ValueError, match="outside the domain"), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            quantify(sys_, FiniteActionSet([(0.0,)]), toy_hyper(delta0=0.5), 0, domain=wide,
-                     prioritized=True, trace=lambda n, cover, event: calls.append((n, event, cover.n_active())),
-                     record=lambda i, traj: calls.append((i, traj.states.tobytes())))
-        runs.append(calls)
-    assert runs[0] == runs[1]
-    assert any(out[1:].count(True) and not out[0] for out in blocks[:-1])  # a block was cut short
-    assert blocks[-1][0]  # the last block's first start was refused
 
 
 # name: (system, the one action point, hyper, seed, prioritized, replay)

@@ -233,10 +233,3 @@ def test_final_cells_equal_the_per_step_loop(monkeypatch, factory, delta, horizo
     assert np.array_equal(dest, want_dest) and np.array_equal(doomed, want_doomed)
     if horizon > 1:
         assert len(steps) > 1  # rollouts go unsafe at different steps
-
-
-def test_oracle_refuses_a_lattice_outside_the_state_box():
-    sys_ = make_toy_threshold()
-    wide = BoxRegion(sys_.state_box.lower - 1.0, sys_.state_box.upper)
-    with pytest.raises(ValueError, match="outside the domain"):
-        brute_force_invariant(sys_, 0.5, horizon=2, domain=wide)

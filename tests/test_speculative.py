@@ -244,19 +244,3 @@ def test_speculative_blocks_equal_the_sequential_loop(name):
     for (_, a), (_, b) in zip(records, want_records):
         assert same_bits(a.states, b.states) and same_bits(a.actions, b.actions)
         assert (a.exit_kind, a.exit_facet) == (b.exit_kind, b.exit_facet)
-
-
-def test_a_start_outside_the_system_box_raises_after_the_same_samples():
-    # a domain wider than the system's box yields starts that run_scenario refuses
-    toy = make_toy_two_basins()
-    wide = BoxRegion([-10.0], [12.0])  # the cell centered at 11 lies outside
-    runs = []
-    for quantify in (quantify_spe, sequential_spe):
-        calls = []
-        with pytest.raises(ValueError, match="outside the domain"), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            quantify(toy, toy.action_box, toy_hyper(), 2, domain=wide,
-                     trace=lambda n, cover, event: calls.append((n, event, cover.n_active())),
-                     record=lambda i, traj: calls.append((i, traj.states.tobytes())))
-        runs.append(calls)
-    assert runs[0] == runs[1] and len(runs[0]) == 40  # 20 samples traced and recorded
