@@ -337,15 +337,18 @@ def quantify_adaptive(sys: ScenarioSystem, actions, hyper: HyperParams, seed: in
         size = min(max(streak, _SPEC_MIN), _SPEC_MAX, hyper.budget - n, n_eps - streak)
         n, _, traj = _fresh_block(sys, draw, seed, sel, cover, n, size, record)
         streak = streak + size if traj is None else 0
-        if traj is not None:
-            for t in range(1, len(traj)):
-                if traj.exit_kind == EXIT_UNSAFE and t == len(traj) - 1:
-                    cover = DeltaCover(np.asarray([uniform()]), cover.radius, dom)
-                    restarts += 1
-                    last_restart_n = n
-                    break
-                if cover.outside(traj.states[t])[0]:
-                    cover.append(traj.states[t])
+        if traj is not None and traj.exit_kind == EXIT_UNSAFE:
+            cover = DeltaCover(np.asarray([uniform()]), cover.radius, dom)
+            restarts += 1
+            last_restart_n = n
+        elif traj is not None:
+            # each state outside the cover joins it, unless within reach of a center this trajectory
+            # added: the cover only grows, so one query against it as it was before suffices
+            m, limit = len(cover), cover.radius + MEMBER_TOL
+            states = traj.states[1:]
+            for t in np.flatnonzero(cover.outside(states)).tolist():
+                if not (np.abs(cover.centers[m:] - states[t]).max(axis=1) <= limit).any():
+                    cover.append(states[t])
         if streak >= n_eps:
             if hyper.decay_undershoots(cover.radius):
                 converged = True

@@ -9,7 +9,6 @@ produced it, so downstream comparisons can refuse apples-to-oranges input.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import platform
 from dataclasses import dataclass
@@ -17,6 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DeltaCover, _fmt_values, _write_csv, key_round, save_cover_csv
+
+# CPython's built-in SHA-256, hashlib's own fallback: hashlib loads OpenSSL's libcrypto, about 3.5 MB resident
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "RunReport",
@@ -63,7 +71,7 @@ def config_digest(config_text: str) -> str:
     """Stable hex digest of a configuration document (whitespace-insensitive lines)."""
     lines = [ln.strip() for ln in config_text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
     body = "\n".join(sorted(lines))
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return sha256(body.encode("utf-8")).hexdigest()
 
 
 def write_report_json(path, payload: dict) -> None:

@@ -557,3 +557,28 @@ def test_importing_the_cli_does_not_import_numpy_random():
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("name", sorted(FRESH_RUNS) + sorted(LANE_RUNS))
+def test_a_run_does_not_import_openssl(name, tmp_path):
+    # hashlib's sha256 loads OpenSSL's libcrypto, about 3.5 MB of a fresh process's peak memory
+    text, want = {**FRESH_RUNS, **LANE_RUNS}[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    script = ("import sys\nfrom setquant.cli import main\n"
+              "code = main(['run', sys.argv[1], '--output', sys.argv[2]])\n"
+              "print(code, '_hashlib' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-W", "ignore", "-c", script, str(cfg), str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True)
+    # the run did compute its digest
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["config_digest"] == config_digest((tmp_path / "out" / "config.txt").read_text())
+    assert out.stdout.splitlines()[-1] == f"{want} False"
+
+
+def test_importing_the_cli_does_not_import_openssl():
+    script = "import sys\nimport setquant.cli\nprint('_hashlib' in sys.modules)\n"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False"

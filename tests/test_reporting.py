@@ -1,13 +1,14 @@
-"""The cover artifact writers against the row-by-row writers they replaced, byte for byte."""
+"""The cover artifact writers against the row-by-row writers they replaced, byte for byte, and the config digest."""
 
 import csv
+import hashlib
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setquant.geometry import KEY_DIGITS, BoxRegion, DeltaCover, _fmt, build_cover, refine_cover, save_cover_csv
-from setquant.reporting import write_slices_csv
+from setquant.reporting import config_digest, write_slices_csv
 
 
 def _reference_save_cover_csv(cover, path, flags=None):
@@ -90,3 +91,32 @@ def test_cover_writers_on_signed_zeros_refined_and_emptied_covers(tmp_path):
     _check_writers(tmp_path, one)
     cover.deactivate(cover.active_indices())
     _check_writers(tmp_path, cover)
+
+
+# text within one line: no line boundary of str.splitlines, and no surrogate, which UTF-8 refuses
+_in_line = st.text(st.characters(blacklist_categories=("Cs",),
+                                 blacklist_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+_pad = st.text(" \t", max_size=3)
+# a setting starts with a letter, so once stripped it is neither blank nor a comment
+_setting = st.tuples(st.sampled_from(["algorithm", "hyper.δ0", "système.name", "options.方", "Ω"]),
+                     st.sampled_from([" = ", "=", " =\t"]), _in_line).map(lambda t: "".join(t).strip())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_setting, max_size=8),
+       st.lists(st.one_of(st.tuples(_pad, _in_line).map(lambda t: t[0] + "#" + t[1]), _pad), max_size=4), st.data())
+def test_the_config_digest_is_hashlib_sha256_of_the_canonical_body(settings_, others, data):
+    # the body is the stripped settings, sorted, joined by newlines, in UTF-8; comments and blank lines drop out
+    want = hashlib.sha256("\n".join(sorted(settings_)).encode("utf-8")).hexdigest()
+    lines = [data.draw(_pad) + ln + data.draw(_pad) for ln in settings_]
+    lines = data.draw(st.permutations(lines + others))
+    text = data.draw(st.sampled_from(["\n", "\r\n"])).join(lines) + data.draw(st.sampled_from(["", "\n"]))
+    assert config_digest(text) == want
+
+
+def test_the_digest_of_a_fixed_config_is_pinned():
+    text = ("# the acceptance reference config, δ ≤ 4\n"
+            "algorithm = qnt-spe\nseed = 0\nsystem.name = lead-follow\n\nhyper.delta0 = 4.0\n"
+            "  hyper.delta_min = 1.0   \nhyper.K = 40\nhyper.N = 200000\nhyper.epsilon = 0.01\nhyper.beta = 0.1\n"
+            "options.action_points = [[-5.0]]\noptions.prioritized = true\noptions.replay = true\n")
+    assert config_digest(text) == "553c2350a4aed3fd44e1740afdd4203cdb521125a3698fe0e84661af0e2207d9"
