@@ -236,8 +236,11 @@ _WIDEN = 1e-9
 _SCAN_CHUNK = 1 << 20
 # Bucket probes per chunk of ``DeltaCover.outside``: as many rows in the
 # own-bucket pass, ``_QUERY_ROWS >> n`` (at least one) in the neighbour pass,
-# which probes up to ``2**n`` buckets a row.
-_QUERY_ROWS = 1 << 14
+# which probes up to ``2**n`` buckets a row: 4096 states, then 512 in 3-D.
+# A chunk's index temporaries, about 100 bytes a probe, stay near 0.4 MB,
+# cache-sized; the validation blocks and ``qnt-dp`` on lead-follow ran as
+# fast at 2**12 as at 2**13 or 2**14, and slower at 2**11.
+_QUERY_ROWS = 1 << 12
 # Centers keyed per chunk when a cover builds its dedup map.
 _KEY_ROWS = 1 << 12
 

@@ -594,7 +594,10 @@ class Rollouts:
 
     ``states`` is (B, steps + 1, n) and ``actions`` (B, steps, m); row ``j``
     holds ``length[j]`` states, and ``code[j]`` is the ``step_batch`` code of
-    the unsafe facet that stopped it, or -1 when it ran to the horizon.
+    the unsafe facet that stopped it, or -1 when it ran to the horizon.  A
+    row that stopped repeats its last (raw exit) state through the end of
+    ``states``, so every float of it is written and one query may read the
+    whole tensor.
     """
 
     states: np.ndarray
@@ -622,8 +625,9 @@ def run_batch(sys: ScenarioSystem, x0, noise) -> Rollouts:
     ``noise`` is the tuple ``(actions (B, steps, m), disturbances (B, steps,
     k))`` that a ``noise_sampler``'s ``block`` draws.  Every step moves the
     live rows through ``step_batch``; a row that crosses an unsafe facet
-    keeps the raw offending state as its last and is frozen, so row ``j``
-    equals the ``run_scenario`` rollout that makes the same draws.
+    keeps the raw offending state as its last and is frozen, its later slots
+    filled with that state, so row ``j`` equals the ``run_scenario`` rollout
+    that makes the same draws.
     Until the first row stops, the steps go through slice views of every
     row, with no row gather or scatter.  Each step starts from the states
     the last one returned, whose coordinate rows are contiguous, not from
@@ -658,7 +662,9 @@ def run_batch(sys: ScenarioSystem, x0, noise) -> Rollouts:
             continue
         rows = np.arange(b) if isinstance(live, slice) else live
         unsafe = ex >= 0
-        code[rows[unsafe]], length[rows[unsafe]] = ex[unsafe], t + 2
+        stop = rows[unsafe]
+        code[stop], length[stop] = ex[unsafe], t + 2
+        states[stop, t + 2:] = nxt[unsafe][:, None]
         live, cur = rows[~unsafe], nxt[~unsafe]
         if live.size == 0:
             break
@@ -756,7 +762,9 @@ class _StepNoise:
 class _BoxNoise(_StepNoise):
     """A uniform policy over a box: ``lower + span * u`` of one ``random`` call per rollout.
 
-    A block draws its rows' streams as the lanes of one ``_pcg64_next`` (``_stream_words``).
+    A block draws its rows' streams as the lanes of one ``_pcg64_next`` (``_stream_words``)
+    and scales their doubles in place.  With no disturbance (``omega_bar`` 0) its
+    disturbances are a read-only ``np.broadcast_to`` view of 0.0, not a zero-filled block.
     """
 
     def __init__(self, sys: ScenarioSystem, policy, steps: int):
@@ -767,15 +775,18 @@ class _BoxNoise(_StepNoise):
         self.span = np.tile(np.concatenate([box.upper, np.full(self.noisy, w)]), steps) - self.lower
 
     def block(self, seed: int, ordinals) -> tuple[np.ndarray, np.ndarray]:
-        raw = _doubles(_stream_words(seed, ordinals, self.lower.size))
-        u = (self.lower + self.span * raw).reshape(len(ordinals), self.steps, self.m + self.noisy)
-        return u[..., :self.m], (u[..., self.m:] if self.noisy else np.zeros(u.shape[:-1] + (self.k,)))
+        u = _doubles(_stream_words(seed, ordinals, self.lower.size))
+        u *= self.span  # raw * span, then + lower: the products and sums of lower + span * raw
+        u += self.lower
+        u = u.reshape(len(ordinals), self.steps, self.m + self.noisy)
+        return u[..., :self.m], (u[..., self.m:] if self.noisy else np.broadcast_to(0.0, u.shape[:-1] + (self.k,)))
 
 
 class _FiniteNoise(_StepNoise):
     """A uniform policy over a finite set, no disturbances: ``points`` at one ``integers`` call per rollout.
 
-    A block draws its rows' picks from the lanes of ``_stream_words`` (``_lemire_picks``).
+    A block draws its rows' picks from the lanes of ``_stream_words`` (``_lemire_picks``);
+    its disturbances are a read-only ``np.broadcast_to`` view of 0.0.
     """
 
     def __init__(self, sys: ScenarioSystem, policy, steps: int):
@@ -788,7 +799,7 @@ class _FiniteNoise(_StepNoise):
         if self.held:  # integers(1) is always 0, and nothing else reads the stream: read-only views, no copies
             return np.broadcast_to(self.points[0], shape + (self.m,)), np.broadcast_to(0.0, shape + (self.k,))
         picks, _ = _lemire_picks(lambda count: _stream_words(seed, ordinals, count), len(self.points), self.steps)
-        return self.points[picks], np.zeros(shape + (self.k,))
+        return self.points[picks], np.broadcast_to(0.0, shape + (self.k,))
 
 
 # ---------------------------------------------------------------------------

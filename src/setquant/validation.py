@@ -113,7 +113,11 @@ class ValidationVerdict:
 # per-step numpy overhead and the block's one cover query, few enough that a
 # failing run stops soon after its first failure.  Each block after a passing
 # one holds twice as many rows, up to the most rows whose steps of state,
-# action and disturbance floats fit in ``_BLOCK_BYTES``.
+# action and disturbance floats fit in ``_BLOCK_BYTES``.  The budget still
+# counts disturbance floats where the block holds only a read-only zero view
+# of them, so every block's size, and the path to each verdict, stay as they
+# were; what a block holds is its state and action arrays and the chunks of
+# its one query.
 _BLOCK = 256
 _BLOCK_BYTES = 2 << 20
 
@@ -133,17 +137,16 @@ def _run_block(sys, x0, first, draw, seed, region, record):
 
     A row stops when it goes unsafe; the others run to the horizon, and a
     row fails when it went unsafe or one of its states after the start lies
-    outside the region.  Membership is queried once per block, over every
-    state of the rows that did not go unsafe, whatever the block's size.
-    ``record`` sees the rows up to the lowest failing one, in order.
+    outside the region.  Membership is queried once per block, in place over
+    the whole (B, K, n) state tensor, starts and the repeated tails of the
+    rows that stopped included (``Rollouts`` fills every slot); only the
+    answers past each start count, and a stopped row fails whatever they
+    are.  ``record`` sees the rows up to the lowest failing one, in order.
     """
     rolls = run_batch(sys, x0, draw.block(seed, np.arange(first, first + len(x0))))
-    failed = rolls.code >= 0
-    safe = np.flatnonzero(~failed)
-    steps = rolls.states.shape[1] - 1
-    states = rolls.states[safe, 1:].reshape(-1, x0.shape[1])
-    failed[safe] = region.outside(states).reshape(safe.size, steps).any(axis=1)
-    bad = np.flatnonzero(failed)
+    b, k, n = rolls.states.shape
+    out = region.outside(rolls.states.reshape(-1, n)).reshape(b, k)
+    bad = np.flatnonzero((rolls.code >= 0) | out[:, 1:].any(axis=1))
     if record is not None:
         for j in range(bad[0] + 1 if bad.size else len(x0)):
             record(first + j, rolls.trajectory(j))

@@ -1,32 +1,44 @@
-"""The two array paths of a validation block, against the brute-force code they replace.
+"""The array paths of a validation block, against the brute-force code they replace.
 
 ``DeltaCover.outside`` answers most rows from the one bucket that holds them
 and sends only the rest through the neighbour-bucket pass; it must equal a
 scan over every live center, also where distinct buckets share a slot of
 the index (sparse grids, and bucket numbers that wrap in int64).  A noise sampler's ``block`` draws a whole
 block's actions and disturbances into one array per kind; it must equal the
-stacked per-sample draws bit for bit (``tobytes``).
+stacked per-sample draws bit for bit (``tobytes``).  The block runner queries
+its whole state tensor in place; it must give what the runner that gathered
+the states of the rows that did not go unsafe gave, bit for bit, and hold
+less than twice its state and action bytes.
 """
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setquant import geometry
 from setquant.geometry import MEMBER_TOL, BoxRegion, DeltaCover, build_cover, refine_cover
 from setquant.scenario import (
     FiniteActionSet,
     UniformPolicy,
+    _FreshStream,
+    _SELECT,
+    _doubles,
     _sample_desc,
+    _stream_words,
     make_lead_follow,
     make_three_vehicle,
+    make_toy_shrink,
+    make_toy_threshold,
     noise_sampler,
     run_batch,
     sample_stream,
 )
-from setquant.validation import validate_eps_delta
+from setquant.validation import _block_cap, _run_block, validate_eps_delta
 
 
 def same_bits(a, b) -> bool:
@@ -314,7 +326,171 @@ def test_run_batch_takes_block_arrays_and_per_row_pairs_alike():
     want = [draw(sample_stream(_sample_desc(17, i))) for i in ORDINALS]
     b = run_batch(sys_, x0, (np.stack([u for u, _ in want]), np.stack([w for _, w in want])))
     assert a.code.tolist() == b.code.tolist() and a.length.tolist() == b.length.tolist()
-    for j in range(len(ORDINALS)):  # a stopped row's slots past its length are never written
+    for j in range(len(ORDINALS)):
         ta, tb = a.trajectory(j), b.trajectory(j)
         assert same_bits(ta.states, tb.states) and same_bits(ta.actions, tb.actions)
     assert 0 < (a.code >= 0).sum() < len(ORDINALS)
+
+
+# ---------------------------------------------------------------------------
+# the block runner: one query in place
+# ---------------------------------------------------------------------------
+
+
+def gathered_run_block(sys_, x0, first, draw, seed, region, record):
+    """The block runner before the in-place query: it gathered the states past the start of the safe rows."""
+    rolls = run_batch(sys_, x0, draw.block(seed, np.arange(first, first + len(x0))))
+    failed = rolls.code >= 0
+    safe = np.flatnonzero(~failed)
+    steps = rolls.states.shape[1] - 1
+    states = rolls.states[safe, 1:].reshape(-1, x0.shape[1])
+    failed[safe] = region.outside(states).reshape(safe.size, steps).any(axis=1)
+    bad = np.flatnonzero(failed)
+    if record is not None:
+        for j in range(bad[0] + 1 if bad.size else len(x0)):
+            record(first + j, rolls.trajectory(j))
+    return (first + int(bad[0]), rolls.trajectory(int(bad[0]))) if bad.size else (-1, None)
+
+
+BLOCK_SYSTEMS = {
+    "toy-threshold": make_toy_threshold,
+    "toy-shrink": make_toy_shrink,
+    "lead-follow": lambda omega_bar: make_lead_follow(sv="brake", omega_bar=omega_bar),
+}
+# a start that goes unsafe on its first step (toy-shrink has no unsafe facet)
+UNSAFE_START = {"toy-threshold": [0.5], "lead-follow": [16.0, 0.0, 5.6], "toy-shrink": None}
+
+
+@st.composite
+def blocks(draw):
+    """One validation block: system, noise sampler, region, starts, first ordinal and seed.
+
+    The action set is the system's box, a three-point or a one-point set,
+    with or without disturbance; the region a box inside the domain, or a
+    lattice cover of the domain with dead centers, alone or with off-lattice
+    centers appended.  Some starts go unsafe, and the horizon may be 1.
+    """
+    name = draw(st.sampled_from(sorted(BLOCK_SYSTEMS)))
+    sys_ = BLOCK_SYSTEMS[name](omega_bar=draw(st.sampled_from([0.0, 0.2])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    box, ab = sys_.state_box, sys_.action_box.box
+    kind = draw(st.sampled_from(["box", "finite", "one-point"]))
+    acts = sys_.action_box if kind == "box" else FiniteActionSet(
+        [tuple(p) for p in rng.uniform(ab.lower, ab.upper, size=(3 if kind == "finite" else 1, ab.dim))])
+    horizon = draw(st.sampled_from([1, 2, 9, 30]))
+    draw_noise = noise_sampler(sys_, UniformPolicy(acts), horizon - 1)
+    shape = draw(st.sampled_from(["box", "lattice", "appended"]))
+    if shape == "box":
+        region = BoxRegion(box.lower + box.widths * rng.uniform(0.0, 0.3, box.dim),
+                           box.upper - box.widths * rng.uniform(0.0, 0.3, box.dim))
+    else:
+        region = build_cover(box, float(box.widths.max()) / draw(st.sampled_from([6, 12])))
+        region.deactivate(rng.choice(len(region), size=len(region) // 4, replace=False))
+        if shape == "appended":
+            for c in rng.uniform(box.lower, box.upper, size=(draw(st.integers(1, 5)), box.dim)):
+                region.append(c)
+    x0 = rng.uniform(box.lower, box.upper, size=(draw(st.integers(1, 40)), box.dim))
+    if UNSAFE_START[name] is not None:
+        x0[rng.random(len(x0)) < 0.2] = UNSAFE_START[name]
+    return sys_, draw_noise, region, x0, draw(st.integers(0, 2**40)), draw(st.integers(0, 2**40))
+
+
+def logged(log):
+    return lambda i, t: log.append((i, t.states.tobytes(), t.actions.tobytes(), t.exit_kind, t.exit_facet))
+
+
+@given(blocks(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_the_in_place_query_gives_what_the_gathered_one_gave(case, tiny_chunks):
+    sys_, draw_noise, region, x0, first, seed = case
+    with mock.patch.object(geometry, "_QUERY_ROWS", 3 if tiny_chunks else geometry._QUERY_ROWS):
+        mine, theirs = [], []
+        with np.errstate(all="raise"):  # a stopped row's raw exit state is queried too
+            bad, traj = _run_block(sys_, x0, first, draw_noise, seed, region, logged(mine))
+        want_bad, want = gathered_run_block(sys_, x0, first, draw_noise, seed, region, logged(theirs))
+    assert bad == want_bad and mine == theirs
+    assert (traj is None) == (want is None)
+    if traj is not None:
+        assert same_bits(traj.states, want.states) and same_bits(traj.actions, want.actions)
+        assert (traj.exit_kind, traj.exit_facet) == (want.exit_kind, want.exit_facet)
+
+
+@given(blocks())
+@settings(max_examples=100, deadline=None)
+def test_a_row_that_stopped_unsafe_repeats_its_exit_state_to_the_end(case):
+    sys_, draw_noise, _, x0, first, seed = case
+    rolls = run_batch(sys_, x0, draw_noise.block(seed, np.arange(first, first + len(x0))))
+    bits = rolls.states.view(np.int64)
+    for j in np.flatnonzero(rolls.code >= 0):
+        last = int(rolls.length[j]) - 1
+        assert (bits[j, last:] == bits[j, last]).all()
+
+
+def test_the_lock_step_roller_fills_every_slot_of_stopped_rows():
+    # toy-threshold rows from 0.5 stop on their first step; the rest run 12 steps
+    toy = make_toy_threshold()
+    x0 = np.array([[0.5], [5.0], [0.25], [2.0]])
+    rolls = run_batch(toy, x0, noise_sampler(toy, UniformPolicy(toy.action_box), 12).block(3, np.arange(4)))
+    assert rolls.length.tolist() == [2, 13, 2, 13]
+    assert rolls.states[:, :, 0].tolist() == [[0.5] + [-4.5] * 12, [5.0] * 13, [0.25] + [-4.75] * 12, [2.0] * 13]
+
+
+ZERO_VIEWS = {
+    "box": lambda: (make_lead_follow(sv="brake"), None),
+    "box-toy": lambda: (make_toy_shrink(), None),
+    "finite": lambda: (make_three_vehicle(sv="idm"), [(-5.0, -7.0), (3.0, -3.0), (0.0, -5.0)]),
+    "finite-toy": lambda: (make_toy_threshold(), [(-1.0,), (1.0,)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ZERO_VIEWS))
+@pytest.mark.parametrize("steps", [0, 1, 39])
+def test_blocks_without_disturbance_hold_a_read_only_zero_view(kind, steps):
+    sys_, points = ZERO_VIEWS[kind]()
+    acts = sys_.action_box if points is None else FiniteActionSet(points)
+    for seed, ordinals in STREAMS:
+        _, w = noise_sampler(sys_, UniformPolicy(acts), steps).block(seed, ordinals)
+        assert w.shape == (len(ordinals), steps, sys_.disturbance_dim)
+        assert not w.flags.writeable and w.strides == (0, 0, 0)
+        assert (w.view(np.int64) == 0).all()  # +0.0, not -0.0
+
+
+@pytest.mark.parametrize("make", [lambda w: make_lead_follow(sv="idm", omega_bar=w),
+                                  lambda w: make_three_vehicle(sv="brake", omega_bar=w),
+                                  lambda w: make_toy_shrink(omega_bar=w)])
+@pytest.mark.parametrize("omega_bar", [0.0, 0.4])
+@pytest.mark.parametrize("steps", [0, 1, 39])
+def test_box_block_scaled_in_place_equals_lower_plus_span_times_raw(make, omega_bar, steps):
+    sys_ = make(omega_bar)
+    draw_noise = noise_sampler(sys_, UniformPolicy(sys_.action_box), steps)
+    m, k = sys_.action_box.dim, sys_.disturbance_dim
+    width = m + (k if omega_bar > 0.0 else 0)
+    for seed, ordinals in STREAMS:
+        u, w = draw_noise.block(seed, ordinals)
+        raw = _doubles(_stream_words(seed, ordinals, steps * width))
+        want = (draw_noise.lower + draw_noise.span * raw).reshape(len(ordinals), steps, width)
+        assert same_bits(u, want[..., :m])
+        if omega_bar > 0.0:
+            assert same_bits(w, want[..., m:])
+
+
+def test_a_slab_block_holds_less_than_twice_its_state_and_action_bytes():
+    # the lf-val slab's largest block: lead-follow brake under the action box, K = 40, on the 320-center slab cover
+    lf = make_lead_follow(sv="brake")
+    cover = DeltaCover(build_cover(BoxRegion([0.0, 0.0, 20.0], [4.0, 16.0, 60.0]), 1.0).centers, 1.0, lf.state_box)
+    horizon, n, m = 40, lf.state_box.dim, lf.action_box.dim
+    rows = _block_cap(lf, horizon)
+    assert rows == 1092
+    starts = cover.centers[cover.active_indices()[_FreshStream(5, _SELECT).integers(len(cover), size=rows)]]
+    draw_noise = noise_sampler(lf, UniformPolicy(lf.action_box), horizon - 1)
+    assert _run_block(lf, starts, 0, draw_noise, 5, cover, None) == (-1, None)  # builds the index, warms the caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert _run_block(lf, starts, 1792, draw_noise, 5, cover, None) == (-1, None)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    held = rows * (horizon * n + (horizon - 1) * m) * 8  # the Rollouts' states and actions
+    assert peak < 2 * held
