@@ -435,18 +435,10 @@ def test_the_lock_step_roller_fills_every_slot_of_stopped_rows():
     assert rolls.states[:, :, 0].tolist() == [[0.5] + [-4.5] * 12, [5.0] * 13, [0.25] + [-4.75] * 12, [2.0] * 13]
 
 
-ZERO_VIEWS = {
-    "box": lambda: (make_lead_follow(sv="brake"), None),
-    "box-toy": lambda: (make_toy_shrink(), None),
-    "finite": lambda: (make_three_vehicle(sv="idm"), [(-5.0, -7.0), (3.0, -3.0), (0.0, -5.0)]),
-    "finite-toy": lambda: (make_toy_threshold(), [(-1.0,), (1.0,)]),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(ZERO_VIEWS))
+@pytest.mark.parametrize("kind", ["box", "finite", "one-point"])
 @pytest.mark.parametrize("steps", [0, 1, 39])
 def test_blocks_without_disturbance_hold_a_read_only_zero_view(kind, steps):
-    sys_, points = ZERO_VIEWS[kind]()
+    sys_, points = SAMPLERS[kind]()
     acts = sys_.action_box if points is None else FiniteActionSet(points)
     for seed, ordinals in STREAMS:
         _, w = noise_sampler(sys_, UniformPolicy(acts), steps).block(seed, ordinals)
@@ -455,22 +447,19 @@ def test_blocks_without_disturbance_hold_a_read_only_zero_view(kind, steps):
         assert (w.view(np.int64) == 0).all()  # +0.0, not -0.0
 
 
-@pytest.mark.parametrize("make", [lambda w: make_lead_follow(sv="idm", omega_bar=w),
-                                  lambda w: make_three_vehicle(sv="brake", omega_bar=w),
-                                  lambda w: make_toy_shrink(omega_bar=w)])
-@pytest.mark.parametrize("omega_bar", [0.0, 0.4])
+@pytest.mark.parametrize("kind", ["box", "box-disturbed"])
 @pytest.mark.parametrize("steps", [0, 1, 39])
-def test_box_block_scaled_in_place_equals_lower_plus_span_times_raw(make, omega_bar, steps):
-    sys_ = make(omega_bar)
+def test_box_block_scaled_in_place_equals_lower_plus_span_times_raw(kind, steps):
+    sys_, _ = SAMPLERS[kind]()
     draw_noise = noise_sampler(sys_, UniformPolicy(sys_.action_box), steps)
-    m, k = sys_.action_box.dim, sys_.disturbance_dim
-    width = m + (k if omega_bar > 0.0 else 0)
+    m = sys_.action_box.dim
+    width = m + draw_noise.noisy
     for seed, ordinals in STREAMS:
         u, w = draw_noise.block(seed, ordinals)
         raw = _doubles(_stream_words(seed, ordinals, steps * width))
         want = (draw_noise.lower + draw_noise.span * raw).reshape(len(ordinals), steps, width)
         assert same_bits(u, want[..., :m])
-        if omega_bar > 0.0:
+        if width > m:
             assert same_bits(w, want[..., m:])
 
 
