@@ -38,7 +38,8 @@ _SYSTEM_KEYS = {"system.name", "system.state_box", "system.action_box", "system.
 _HYPER_KEYS = {"hyper.epsilon", "hyper.beta", "hyper.delta0", "hyper.gamma", "hyper.delta_min",
                "hyper.K", "hyper.N", "hyper.omega_bar", "hyper.dt"}
 
-# per-system hyper defaults; filled in when the config stays silent
+# per-system hyper defaults, filled in when the config stays silent: its keys are the vehicle
+# systems, the ones with a subject-vehicle policy and a settable dt; the toys share _TOY_HYPER
 _DEFAULT_HYPER = {
     "lead-follow": {"epsilon": 0.01, "beta": 0.1, "delta0": 4.0, "gamma": 0.5, "delta_min": 1.0,
                     "K": 40, "N": 200_000, "omega_bar": 0.0, "dt": 0.1},
@@ -225,8 +226,8 @@ def parse_config(text: str) -> RunConfig:
     sv = pairs.get("system.sv_policy")
     if sv is not None:
         _domain(sv in ("brake", "idm"), f"sv_policy must be brake or idm, got {sv!r}")
-        _domain(name in ("lead-follow", "three-vehicle"), f"system {name!r} has no subject-vehicle policy")
-    elif name in ("lead-follow", "three-vehicle"):
+        _domain(name in _DEFAULT_HYPER, f"system {name!r} has no subject-vehicle policy")
+    elif name in _DEFAULT_HYPER:
         sv = "brake"
 
     state_box = pairs.get("system.state_box")
@@ -307,7 +308,7 @@ def materialize(cfg: RunConfig) -> tuple[ScenarioSystem, object, HyperParams]:
     if cfg.action_box is not None:
         kwargs["action_box"] = BoxActionSet([p[0] for p in cfg.action_box],
                                             [p[1] for p in cfg.action_box])
-    if cfg.system_name in ("lead-follow", "three-vehicle"):
+    if cfg.system_name in _DEFAULT_HYPER:
         kwargs["sv"] = cfg.sv_policy or "brake"
         kwargs["dt"] = cfg.hyper["dt"]
     try:

@@ -81,8 +81,14 @@ class BoxRegion:
         p = np.asarray(point, dtype=float)
         return bool(np.all(p >= self.lower - tol) and np.all(p <= self.upper + tol))
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper)
+    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+        """A point uniform over the box, or ``size`` of them as (size, n) rows.
+
+        ``lower + widths * rng.random(...)`` is how numpy's ``uniform(lower, upper)``
+        computes its doubles, so the points and the stream state are those of
+        one ``uniform`` call per point.
+        """
+        return self.lower + self.widths * rng.random(self.dim if size is None else (size, self.dim))
 
     def outside(self, points: np.ndarray) -> np.ndarray:
         """Per row of (B, n) ``points``, whether it lies farther than ``MEMBER_TOL`` outside the box."""

@@ -327,8 +327,7 @@ def quantify_adaptive(sys: ScenarioSystem, actions, hyper: HyperParams, seed: in
         raise ValueError("horizon must be at least 1")
     sel = _FreshStream(seed, _SELECT)
     draw = noise_sampler(sys, UniformPolicy(actions), hyper.horizon - 1)
-    uniform = lambda: dom.lower + dom.widths * sel.random(dom.dim)  # numpy's uniform over the box
-    cover = DeltaCover(np.asarray([uniform() if initial_state is None else initial_state], dtype=float),
+    cover = DeltaCover(np.asarray([dom.sample(sel) if initial_state is None else initial_state], dtype=float),
                        hyper.delta0, dom)
     n = streak = decays = restarts = 0
     last_restart_n = -(10 * n_eps)
@@ -338,7 +337,7 @@ def quantify_adaptive(sys: ScenarioSystem, actions, hyper: HyperParams, seed: in
         n, _, traj = _fresh_block(sys, draw, seed, sel, cover, n, size, record)
         streak = streak + size if traj is None else 0
         if traj is not None and traj.exit_kind == EXIT_UNSAFE:
-            cover = DeltaCover(np.asarray([uniform()]), cover.radius, dom)
+            cover = DeltaCover(np.asarray([dom.sample(sel)]), cover.radius, dom)
             restarts += 1
             last_restart_n = n
         elif traj is not None:

@@ -274,8 +274,7 @@ def validate_eps(sys: ScenarioSystem, region, horizon: int, epsilon: float, beta
         act = region.active_indices()
         pick_starts = lambda pick, n: region.centers[act[pick.integers(act.size, size=n)]]
     else:
-        # n calls of region.sample (numpy's uniform) in one draw: the same values and stream state
-        pick_starts = lambda pick, n: region.lower + region.widths * pick.random((n, region.dim))
+        pick_starts = region.sample
     return _validate_sampled(sys, horizon, epsilon, beta, actions, rng, n_samples, workers, record,
                              region, pick_starts, "eps")
 

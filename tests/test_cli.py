@@ -434,6 +434,10 @@ def test_the_widest_accepted_delta0_runs(tmp_path, capsys):
     ("three-vehicle", "system.action_box = [[-5, 3]]", "5 and 1"),
     ("three-vehicle", "system.state_box = [[0, 6], [0, 6], [0, 6], [5, 25]]", "4 and 2"),
     ("toy-shrink", "system.action_box = [[-0.5, 0.5], [-0.5, 0.5]]", "1 and 2"),
+    # the vehicle count comes from the system, so the other chain's boxes are refused whole
+    ("lead-follow", "system.state_box = [[0, 6], [0, 6], [0, 6], [5, 25], [-25, -5]]\n"
+                    "system.action_box = [[-5, 3], [-7, -3]]", "5 and 2"),
+    ("three-vehicle", "system.state_box = [[0, 16], [0, 16], [5.5, 60]]\nsystem.action_box = [[-5, 3]]", "3 and 1"),
 ])
 def test_main_rejects_a_box_of_the_wrong_width(tmp_path, capsys, system, box, got):
     # a short state box used to end in an IndexError, and a wide action box ran on its first axis alone
