@@ -50,7 +50,7 @@ _SIZE_CAP = 2**30
 
 @dataclass(frozen=True)
 class BoxRegion:
-    """Axis-aligned box given by per-dimension lower/upper bounds."""
+    """Axis-aligned box given by per-dimension lower/upper bounds; ``widths`` is ``upper - lower``."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -64,14 +64,11 @@ class BoxRegion:
             raise ValueError("each lower bound must be strictly below its upper bound")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+        object.__setattr__(self, "widths", hi - lo)
 
     @property
     def dim(self) -> int:
         return self.lower.shape[0]
-
-    @property
-    def widths(self) -> np.ndarray:
-        return self.upper - self.lower
 
     @property
     def volume(self) -> float:

@@ -24,6 +24,7 @@ from its ordinal alone.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -44,6 +45,7 @@ from .geometry import (
 )
 from .reporting import RunReport
 from .scenario import (
+    EXIT_NONE,
     EXIT_UNSAFE,
     ScenarioSystem,
     UniformPolicy,
@@ -196,14 +198,17 @@ class TrajectoryBuffer(list):
     """
 
 
-def _start_draws(sel: _FreshStream, weighted: bool, k: int, count: int) -> np.ndarray:
-    """``count`` start draws with one call: uniforms in [0, 1) when ``weighted``, else integers below ``k``.
+def _new_states(states: np.ndarray, out: np.ndarray, limit: float) -> list:
+    """The discoveries among ``states``: the rows that ``out`` marks outside the cover, in order.
 
-    ``sel`` is the selection stream.  A call gives the values of ``count``
-    scalar calls of its kind on numpy's ``Generator`` of that stream, and
-    moves ``sel``'s ``position`` as they move the generator's state.
+    A row within ``limit`` of a row taken before it is not one: the cover
+    only grows by them, so one query against it as it was suffices.
     """
-    return sel.random(count) if weighted else sel.integers(k, size=count)
+    new: list = []
+    for t in np.flatnonzero(out).tolist():
+        if not any(np.abs(c - states[t]).max() <= limit for c in new):
+            new.append(states[t])
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +346,9 @@ def quantify_adaptive(sys: ScenarioSystem, actions, hyper: HyperParams, seed: in
             restarts += 1
             last_restart_n = n
         elif traj is not None:
-            # each state outside the cover joins it, unless within reach of a center this trajectory
-            # added: the cover only grows, so one query against it as it was before suffices
-            m, limit = len(cover), cover.radius + MEMBER_TOL
             states = traj.states[1:]
-            for t in np.flatnonzero(cover.outside(states)).tolist():
-                if not (np.abs(cover.centers[m:] - states[t]).max(axis=1) <= limit).any():
-                    cover.append(states[t])
+            for state in _new_states(states, cover.outside(states), cover.radius + MEMBER_TOL):
+                cover.append(state)
         if streak >= n_eps:
             if hyper.decay_undershoots(cover.radius):
                 converged = True
@@ -406,16 +407,18 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
 
     The result is that of one sample at a time, but the samples run
     speculatively in blocks: the next starts are drawn from the unchanged
-    cover, rolled in lock-step by ``run_batch`` and checked against the cover
-    with one query, then applied in order.  The starts come from the
+    cover and rolled in lock-step by ``run_batch``.  Fresh blocks and the
+    replay pass apply trajectories through one routine, ``apply_in_order``:
+    one cover query, then the trajectories in order up to the first event.
+    The starts come from the
     selection stream, a ``_FreshStream`` of ordinal ``_SELECT``, which gives
     what numpy's generator of that stream would.  At the first event its
     ``position`` is set back to where the block began and the kept starts
     are drawn again, which leaves it just after the last kept start's draw;
     the rest of the block is dropped unseen, so ``record``, ``trace``, the
     replay buffer and the counters see exactly the sequential calls.  The
-    replay pass queries the cover once per chunk of buffered trajectories,
-    again after each event.
+    replay pass applies the buffer in chunks of ``_REPLAY_CHUNK``, and the
+    rest of a chunk again after each event.
 
     Under a held input (the sampler is ``held``: a one-point action set and
     no disturbance) a rollout is a function of its start alone, so each
@@ -470,77 +473,61 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
         pruned_pts.append(p)
         dist_to_pruned = np.minimum(dist_to_pruned, np.abs(cover.centers - p).max(axis=1))
 
-    def cover_outside(parts: list) -> list:
-        """For each array of ``parts``, whether each of its rows lies outside the cover, with one query.
+    def change_cover(start_ord: int, states: np.ndarray, exit_kind: str, out: np.ndarray) -> bool:
+        """Apply one trajectory from a live start; ``out`` says which of ``states[1:]`` lie outside the cover.
 
-        A row with the bits of the row before it in its part has that row's
-        answer, so only the first row of a part and the rows that differ
-        from their predecessor are queried.
-        """
-        ends = np.cumsum([p.shape[0] for p in parts])
-        if not ends.size or not ends[-1]:
-            return [np.empty(0, dtype=bool)] * len(parts)
-        pts = np.concatenate(parts)
-        bits = pts.view(np.int64)
-        new = np.ones(pts.shape[0], dtype=bool)
-        new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-        new[ends[:-1]] = True
-        out = cover.outside(pts[new])[np.cumsum(new) - 1]
-        return [out[e - p.shape[0]:e] for p, e in zip(parts, ends.tolist())]
-
-    def apply_trajectory(start_ord: int, states: np.ndarray, exit_kind: str, base_out) -> bool:
-        """Apply one trajectory (``change_cover``); no event checks a held start."""
-        event = change_cover(start_ord, states, exit_kind, base_out)
-        if held and not event:
-            checked.add(start_ord)
-        return event
-
-    def change_cover(start_ord: int, states: np.ndarray, exit_kind: str, base_out) -> bool:
-        """Apply one trajectory; ``base_out`` says which of ``states[1:]`` lie outside the cover.
-
-        A state outside the cover is a discovery unless it lies within
-        ``limit`` of a center this trajectory already added.  A prune, or a
+        Unless the start lies within ``limit`` of the pruned frontier, its
+        ``_new_states`` join the cover as discoveries edged from it; then an
+        unsafe exit state, never a discovery, prunes it.  A prune, or a
         discovery that brings a dead center back, unchecks every start: a
         discovery at a new ordinal only adds a live center, which leaves
         every checked start live, its states inside and its distance to the
         frontier as they were, so its answer is still no event.
         """
         nonlocal weights_cum
-        if not cover.active[start_ord]:
-            return False
-        length = states.shape[0]
-        if length < 2:
-            return False
         limit = cover.radius + MEMBER_TOL
-        if exit_kind != EXIT_UNSAFE and (dist_to_pruned[start_ord] <= limit or not base_out.any()):
-            return False  # no prune, and no state can be a discovery
-        event = False
-        new_centers: list = []
-        for t in range(1, length):
-            if exit_kind == EXIT_UNSAFE and t == length - 1:
-                closure = reachable_closure(graph, start_ord)
-                live = [v for v in closure if cover.active[v]]
-                cover.deactivate(live)
-                note_pruned(cover.centers[start_ord])
+        unsafe = exit_kind == EXIT_UNSAFE
+        near = dist_to_pruned[start_ord] <= limit  # a start near the frontier discovers nothing
+        found = [] if near else _new_states(states[1:], out[:-1] if unsafe else out, limit)
+        for state in found:
+            m = len(cover)
+            o = cover.append(state)
+            if o < m:  # an existing center: a dead one brought back
                 checked.clear()
-                event = True
-                weights_cum = None
-                break
-            out = bool(base_out[t - 1]) and all(float(np.abs(c - states[t]).max()) > limit for c in new_centers)
-            if out and dist_to_pruned[start_ord] > limit:
-                m = len(cover)
-                o = cover.append(states[t])
-                if o < m:  # an existing center: a dead one brought back
-                    checked.clear()
-                extend_dists()
-                graph.add_edge(start_ord, int(o))
-                new_centers.append(np.asarray(states[t], dtype=float))
-                event = True
-                weights_cum = None
-        return event
+            graph.add_edge(start_ord, o)
+        extend_dists()
+        if unsafe:
+            cover.deactivate([v for v in reachable_closure(graph, start_ord) if cover.active[v]])
+            note_pruned(cover.centers[start_ord])
+            checked.clear()
+        if found or unsafe:
+            weights_cum = None
+        return bool(found) or unsafe
+
+    def apply_in_order(records: list, each) -> int:
+        """Apply ``(start ordinal, states, exit kind)`` records in order up to the first event; its index, or -1.
+
+        One ``outside`` query answers the states after the start of every
+        record whose start is live and not checked; no other record can
+        have an event, and until the first one the cover is as the query saw
+        it.  A held start with no event is checked.  ``each(k, event)`` is
+        called after record ``k``.
+        """
+        todo = [k for k, (i, _, _) in enumerate(records) if cover.active[i] and i not in checked]
+        parts = [records[k][1][1:] for k in todo]
+        ends = np.cumsum([p.shape[0] for p in parts])[:-1]
+        outs = dict(zip(todo, np.split(cover.outside(np.concatenate(parts)), ends) if parts else []))
+        for k, (i, states, exit_kind) in enumerate(records):
+            event = k in outs and change_cover(i, states, exit_kind, outs[k])
+            if held and k in outs and not event:
+                checked.add(i)
+            each(k, event)
+            if event:
+                return k
+        return -1
 
     def start_ordinals(act: np.ndarray, draws: np.ndarray, weighted: bool) -> np.ndarray:
-        """The starts that a block's ``_start_draws`` pick: uniform over ``act``, or weighted toward the frontier."""
+        """The starts that a block's draws pick: integers indexing ``act``, or uniforms weighted toward the frontier."""
         nonlocal weights_cum
         if not weighted:
             return act[draws]
@@ -563,17 +550,22 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
         nonlocal replayed
         records = iter(buffer)
         while chunk := list(itertools.islice(records, _REPLAY_CHUNK)):
-            j = 0
-            while j < len(chunk):
-                live = [k for k in range(j, len(chunk))
-                        if cover.active[chunk[k][0]] and chunk[k][0] not in checked]
-                outs = dict(zip(live, cover_outside([chunk[k][1][1:] for k in live])))
-                for k in range(j, len(chunk)):
-                    start_ord, states, exit_kind = chunk[k]
-                    replayed += max(0, states.shape[0] - 1)
-                    j = k + 1
-                    if start_ord not in checked and apply_trajectory(start_ord, states, exit_kind, outs.get(k)):
-                        break  # the cover changed: query the rest of the chunk afresh
+            replayed += sum(states.shape[0] - 1 for _, states, _ in chunk)
+            while (k := apply_in_order(chunk, lambda *_: None)) >= 0:
+                chunk = chunk[k + 1:]  # the cover changed: query the rest of the chunk afresh
+
+    def sampled(k: int, event: bool) -> None:
+        """Count fresh sample ``k`` of the block, and show it to ``record``, the buffer and ``trace``."""
+        nonlocal n, streak
+        n += 1
+        if record is not None:
+            record(n - 1, rows[k][0].trajectory(rows[k][1]))
+        if buffer is not None:  # a held rollout is buffered as its row of the store, not as a copy
+            i, states, exit_kind = records[k]
+            buffer.append((i, states if held else states.copy(), exit_kind))
+        if trace is not None:
+            trace(n, cover, event)
+        streak = 0 if event else streak + 1
 
     while True:
         if cover.n_active() == 0:
@@ -584,32 +576,20 @@ def quantify_spe(sys: ScenarioSystem, actions, hyper: HyperParams, seed: int, *,
         size = min(max(streak, _SPEC_MIN), _SPEC_MAX, hyper.budget - n, n_eps - streak)
         act = cover.active_indices()
         weighted = prioritized and bool(pruned_pts)
+        draw = sel.random if weighted else functools.partial(sel.integers, act.size)
         before = sel.position
-        starts = start_ordinals(act, _start_draws(sel, weighted, act.size, size), weighted)
+        starts = start_ordinals(act, draw(size), weighted)
         if held:
             rows = held_rollouts(act, starts)
         else:
             rolls = run_batch(sys, cover.centers[starts], draw_noise.block(seed, np.arange(n, n + starts.size)))
             rows = [(rolls, j) for j in range(starts.size)]
-        unchecked = [j for j, idx in enumerate(starts.tolist()) if idx not in checked]
-        outs = dict(zip(unchecked, cover_outside([r.states[k, 1:r.length[k]] for r, k in
-                                                  (rows[j] for j in unchecked)])))
-        for j, idx in enumerate(starts.tolist()):
-            rolls, k = rows[j]
-            traj = rolls.trajectory(k)
-            n += 1
-            if record is not None:
-                record(n - 1, traj)
-            if buffer is not None:  # a held rollout is buffered as its row of the store, not as a copy
-                buffer.append((idx, rolls.states[k, :len(traj)] if held else traj.states, traj.exit_kind))
-            event = idx not in checked and apply_trajectory(idx, traj.states, traj.exit_kind, outs[j])
-            if trace is not None:
-                trace(n, cover, event)
-            streak = 0 if event else streak + 1
-            if event:
-                sel.position = before  # undo the dropped draws: redraw the kept ones as the block did
-                _start_draws(sel, weighted, act.size, j + 1)
-                break
+        records = [(i, r.states[j, :r.length[j]], EXIT_UNSAFE if r.code[j] >= 0 else EXIT_NONE)
+                   for i, (r, j) in zip(starts.tolist(), rows)]
+        k = apply_in_order(records, sampled)
+        if k >= 0:
+            sel.position = before  # undo the dropped draws: redraw the kept ones as the block did
+            draw(k + 1)
         if streak >= n_eps:
             if hyper.decay_undershoots(cover.radius):
                 converged = True

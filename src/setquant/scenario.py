@@ -115,7 +115,6 @@ class BoxActionSet:
 
     def __init__(self, lower, upper):
         self.box = BoxRegion(np.atleast_1d(lower), np.atleast_1d(upper))
-        self._widths = self.box.widths
 
     @property
     def dim(self) -> int:
@@ -123,7 +122,7 @@ class BoxActionSet:
 
     def sample(self, rng: np.random.Generator) -> tuple:
         # numpy's uniform(lower, upper) computes exactly this, from the same doubles
-        widths = self._widths
+        widths = self.box.widths
         return tuple((self.box.lower + widths * rng.random(widths.size)).tolist())
 
     def measure(self) -> float:
@@ -215,9 +214,11 @@ def idm_accel(p: IdmParams, v0: float, v_lead: float, gap: float) -> float:
     s_star = s0 + v0*T + v0*(v0 - v_lead) / (2*sqrt(a_max*b))
     a      = a_max * (1 - (v0/v_des)^4 - (s_star/gap)^2)
     """
-    if gap <= 0.0:
-        return p.clamp_lo
     s_star = p.s0 + v0 * p.headway + v0 * (v0 - v_lead) / (2.0 * math.sqrt(p.a_max * p.b))
+    # no gap, or one so small that the square of s_star / gap would overflow: a is clamp_lo there,
+    # as it is for any ratio past about 2.7 with the built-in parameters
+    if gap <= 0.0 or abs(s_star) * 1e-150 > gap:
+        return p.clamp_lo
     a = p.a_max * (1.0 - (v0 / p.v_des) ** 4 - (s_star / gap) ** 2)
     return min(max(a, p.clamp_lo), p.clamp_hi)
 
@@ -235,8 +236,8 @@ def _float_pow(x: np.ndarray, k: int) -> np.ndarray:
 
 def idm_accel_array(p: IdmParams, v0, v_lead, gap) -> np.ndarray:
     """``idm_accel`` over arrays, equal to the scalar form element by element."""
-    dead = gap <= 0.0
     s_star = p.s0 + v0 * p.headway + v0 * (v0 - v_lead) / (2.0 * math.sqrt(p.a_max * p.b))
+    dead = (gap <= 0.0) | (np.abs(s_star) * 1e-150 > gap)
     a = p.a_max * (1.0 - _float_pow(v0 / p.v_des, 4) - _float_pow(s_star / np.where(dead, 1.0, gap), 2))
     return np.where(dead, p.clamp_lo, np.minimum(np.maximum(a, p.clamp_lo), p.clamp_hi))
 

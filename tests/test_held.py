@@ -4,7 +4,7 @@ A block whose every row holds its input (the same bits at every step) stops
 ``run_batch`` at the first step that leaves every live row where it was; it
 must equal a loop of ``step_batch`` calls over every step.  A one-point
 action set's ``block`` seeds no stream.  ``quantify_spe`` draws a block's
-starts with one call and queries the cover once per distinct state; under a
+starts with one call and queries the cover once per block; under a
 held input it rolls each center once and skips a start that the unchanged
 cover already saw with no event.  It must equal the one-sample-at-a-time
 loop of ``test_speculative``.

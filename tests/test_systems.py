@@ -10,6 +10,7 @@ scalar one row by row, whichever inner loops numpy dispatches to.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from setquant import scenario
+from setquant.cli import main
 from setquant.geometry import BoxRegion
 from setquant.scenario import (
     BUILTIN_SYSTEMS,
@@ -255,8 +257,8 @@ def assert_same_bits(got, want):
 # the values where the maps branch or clamp: signed zeros, standstill, gaps at and below zero,
 # the toys' thresholds and the values either side of them
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0), -2.5]
-# (IDM squares s_star / gap through Python floats, which raise OverflowError past 1.8e308: both forms
-# raise alike on a gap in (5e-324, 1e-150), which no built-in box lets a state reach)
+# (IDM squares s_star / gap through Python floats, which raise OverflowError past 1.8e308: the
+# reference raises on a gap in (5e-324, 1e-150), so those gaps are pinned against clamp_lo below)
 values = st.one_of(st.sampled_from(EDGES), st.floats(-30.0, 70.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-100))
 
 
@@ -308,6 +310,27 @@ def test_idm_reads_a_gap_at_or_below_zero_as_the_dead_branch():
     u, w = np.zeros((2, 3)), np.broadcast_to(0.0, (3, 3)).T
     assert (new.transition.policy.accel_array(x[0], x[1], x[3]) == new.transition.policy.params.clamp_lo).all()
     assert_steps_equal(new.transition, old.transition, x, u, w)
+
+
+@pytest.mark.parametrize("gap", [1e-160, 1e-300, 5e-324])
+def test_idm_reads_a_gap_too_small_to_square_against_as_clamp_lo(gap):
+    # (s_star / gap)^2 would pass the float range; both forms return clamp_lo before dividing
+    policy = scenario.make_lead_follow(sv="idm").transition.policy
+    v0, v_lead = np.array([0.0, 1.0, 30.0, 5.0]), np.array([0.0, 1.0, 0.0, 40.0])
+    with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        got = policy.accel_array(v0, v_lead, np.full(4, gap))
+        scalar = [policy.accel(a, b, gap) for a, b in zip(v0.tolist(), v_lead.tolist())]
+    assert_same_bits(got, [policy.params.clamp_lo] * 4)
+    assert_same_bits(scalar, [policy.params.clamp_lo] * 4)
+
+
+def test_a_qnt_ae_run_from_a_vanishing_gap_ends_without_a_traceback(tmp_path):
+    cfg = tmp_path / "idm.cfg"
+    cfg.write_text("algorithm = qnt-ae\nseed = 0\nsystem.name = lead-follow\nsystem.sv_policy = idm\n"
+                   "system.state_box = [[0, 16], [0, 16], [0, 60]]\nhyper.K = 5\nhyper.N = 200\n"
+                   "options.initial_state = [1.0, 1.0, 1e-200]\n")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 1  # not converged
 
 
 @pytest.mark.parametrize("name", CHAINS)
