@@ -12,7 +12,7 @@ from .geometry import (
     signed_distance,
     volume_estimate,
 )
-from .scenario import (
+from .systems import (
     BUILTIN_SYSTEMS,
     BoxActionSet,
     BrakeToStop,
@@ -21,11 +21,7 @@ from .scenario import (
     IdmParams,
     IdmPolicy,
     ScenarioSystem,
-    StepOutcome,
-    Trajectory,
     UniformPolicy,
-    adversarial_actions,
-    default_action_samples,
     idm_accel,
     make_lead_follow,
     make_three_vehicle,
@@ -34,6 +30,12 @@ from .scenario import (
     make_toy_shrink,
     make_toy_threshold,
     make_toy_two_basins,
+)
+from .scenario import (
+    StepOutcome,
+    Trajectory,
+    adversarial_actions,
+    default_action_samples,
     run_scenario,
     step,
     step_batch,

@@ -51,7 +51,8 @@ from .reporting import (
     write_slices_csv,
     write_trajectories_ndjson,
 )
-from .scenario import FiniteActionSet, FixedActionPolicy, default_action_samples, outside_domain
+from .scenario import default_action_samples, outside_domain
+from .systems import FiniteActionSet, FixedActionPolicy
 from .validation import validate_delta, validate_eps, validate_eps_delta
 
 __all__ = ["main", "dispatch"]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .geometry import _SIZE_CAP, DOMAIN_TOL, BoxRegion, _bucket_width
 from .quantification import HyperParams
-from .scenario import (
+from .systems import (
     BUILTIN_SYSTEMS,
     BoxActionSet,
     FiniteActionSet,
@@ -174,6 +174,9 @@ def _check_options(opts: dict, box: BoxRegion, action_dim: int) -> None:
     _domain(isinstance(pts, list) and pts and all(
         isinstance(p, list) and len(p) == action_dim and all(_is_number(x) for x in p) for p in pts),
         f"options.action_points must be a non-empty list of points of {action_dim} numbers, got {pts!r}")
+    # a repeat would count twice in the set's measure, and so in the reported cost
+    _domain(len({tuple(map(float, p)) for p in pts}) == len(pts),
+            f"options.action_points must be distinct points, got {pts!r}")
 
 
 def _check_hyper(h: dict) -> None:

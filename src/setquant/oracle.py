@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LATTICE_TOL, DeltaCover, _lattices, build_cover, compare_grids
-from .scenario import ScenarioSystem, default_action_samples, run_held
+from .scenario import default_action_samples, run_held
+from .systems import ScenarioSystem
 
 __all__ = [
     "OracleSet",

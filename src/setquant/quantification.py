@@ -44,19 +44,9 @@ from .geometry import (
     volume_estimate,
 )
 from .reporting import RunReport
-from .scenario import (
-    EXIT_NONE,
-    EXIT_UNSAFE,
-    ScenarioSystem,
-    UniformPolicy,
-    _SELECT,
-    _FreshStream,
-    _rows_within,
-    _sample_desc,
-    noise_sampler,
-    run_batch,
-    sample_stream,
-)
+from .scenario import EXIT_NONE, EXIT_UNSAFE, _rows_within, noise_sampler, run_batch
+from .streams import _SELECT, _FreshStream, _sample_desc, sample_stream
+from .systems import ScenarioSystem, UniformPolicy
 from .validation import _run_block, sample_size_probabilistic, validate_eps_delta
 
 __all__ = [

@@ -27,22 +27,16 @@ import numpy as np
 
 from .geometry import BandPredicate, DeltaCover
 from .scenario import (
-    FiniteActionSet,
-    FixedActionPolicy,
-    ScenarioSystem,
     Trajectory,
-    UniformPolicy,
-    _SELECT,
-    _FreshStream,
     _check_inside,
     _rows_within,
-    _sample_desc,
     noise_sampler,
     outside_domain,
     run_batch,
     run_scenario,
-    sample_stream,
 )
+from .streams import _SELECT, _FreshStream, _sample_desc, sample_stream
+from .systems import FiniteActionSet, FixedActionPolicy, ScenarioSystem, UniformPolicy
 
 __all__ = [
     "ValidationVerdict",

@@ -25,11 +25,6 @@ from setquant.geometry import MEMBER_TOL, BoxRegion, DeltaCover, build_cover, re
 from setquant.scenario import (
     FiniteActionSet,
     UniformPolicy,
-    _FreshStream,
-    _SELECT,
-    _doubles,
-    _sample_desc,
-    _stream_words,
     make_lead_follow,
     make_three_vehicle,
     make_toy_shrink,
@@ -38,6 +33,7 @@ from setquant.scenario import (
     run_batch,
     sample_stream,
 )
+from setquant.streams import _SELECT, _doubles, _FreshStream, _sample_desc, _stream_words
 from setquant.validation import _block_cap, _run_block, validate_eps_delta
 
 

@@ -215,6 +215,8 @@ def test_main_rejects_a_bad_oracle_horizon(tmp_path, capsys, extra):
     ("qnt-ae", "options.initial_state = [1, 2]"),
     ("qnt-spe", 'options.action_points = [["a"]]'),
     ("qnt-spe", "options.action_points = [[0.5, 0.5]]"),
+    ("qnt-spe", "options.action_points = [[-0.5], [-0.5]]"),  # a repeat: the cost would count it twice
+    ("qnt-spe", "options.action_points = [[0.0], [-0.0]]"),  # equal by value
     ("qnt-spe", 'options.min_feature_scale = "z"'),
 ])
 def test_main_rejects_a_malformed_option(tmp_path, capsys, algorithm, option):

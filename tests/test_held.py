@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from setquant import quantification, scenario
+from setquant import quantification, scenario, streams
 from setquant.geometry import DeltaCover
 from setquant.quantification import HyperParams
 from setquant.scenario import (
@@ -166,7 +166,7 @@ def test_a_one_point_block_seeds_no_stream(monkeypatch):
     sys_ = make_lead_follow(sv="brake")
     draw = noise_sampler(sys_, UniformPolicy(FiniteActionSet([(-5.0,)])), 39)
     want = [draw(sample_stream(scenario._sample_desc(3, i))) for i in range(20)]  # the per-step draws
-    monkeypatch.setattr(scenario, "_seed_words", None)  # the lanes' seeding
+    monkeypatch.setattr(streams, "_seed_words", None)  # the lanes' seeding
     monkeypatch.setattr(scenario, "sample_stream", None)
     u, w = draw.block(3, np.arange(20))
     assert same_bits(u, np.array([a for a, _ in want])) and same_bits(w, np.array([b for _, b in want]))

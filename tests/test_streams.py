@@ -1,7 +1,7 @@
 """PCG64 in lanes, against numpy's own generator, bit for bit.
 
 Every block of box noise and of a finite set's picks, and validation's start
-picks, come from the lane kernel (``scenario._pcg64_next``) instead of one
+picks, come from the lane kernel (``streams._pcg64_next``) instead of one
 numpy ``Generator`` per stream.  Every word, double and pick must equal what
 numpy's ``SeedSequence`` and ``PCG64`` give for the same seed descriptor
 (``sample_stream``), and a failed verdict's counterexample, taken from the
@@ -12,13 +12,19 @@ the descriptor alone.
 import numpy as np
 import pytest
 
-from setquant import scenario, validation
+from setquant import streams, validation
 from setquant.geometry import BoxRegion, build_cover
 from setquant.scenario import (
-    _SELECT,
     BoxActionSet,
     FiniteActionSet,
     UniformPolicy,
+    make_lead_follow,
+    make_toy_shrink,
+    noise_sampler,
+    sample_stream,
+)
+from setquant.streams import (
+    _SELECT,
     _doubles,
     _FreshStream,
     _jump,
@@ -27,10 +33,6 @@ from setquant.scenario import (
     _pcg64_next,
     _sample_desc,
     _stream_words,
-    make_lead_follow,
-    make_toy_shrink,
-    noise_sampler,
-    sample_stream,
 )
 from setquant.validation import replay_counterexample, validate_eps, validate_eps_delta
 
@@ -44,13 +46,13 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("cells", [scenario._LANE_CELLS, 8, 1])
+@pytest.mark.parametrize("cells", [streams._LANE_CELLS, 8, 1])
 @pytest.mark.parametrize("count", [0, 1, 39, 77])
 @pytest.mark.parametrize("ordinals", ORDINALS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lane_words_and_doubles_equal_numpys_pcg64(monkeypatch, seed, ordinals, count, cells):
     # a small _LANE_CELLS steps a few columns at a time: the jumps between runs are exercised too
-    monkeypatch.setattr(scenario, "_LANE_CELLS", cells)
+    monkeypatch.setattr(streams, "_LANE_CELLS", cells)
     words = _stream_words(seed, ordinals, count)
     assert words.shape == (len(ordinals), count)
     for j, i in enumerate(ordinals):
@@ -144,11 +146,11 @@ def assert_same_place(mine, theirs):
     assert state["has_uint32"] == (half is not None) and (half is None or state["uinteger"] == half)
 
 
-@pytest.mark.parametrize("cells", [scenario._LANE_CELLS, 8, 1])
+@pytest.mark.parametrize("cells", [streams._LANE_CELLS, 8, 1])
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_the_stateful_stream_equals_one_numpy_generator(monkeypatch, seed, cells):
     # one stream, many calls: a small _LANE_CELLS refills the window often, at jumped positions
-    monkeypatch.setattr(scenario, "_LANE_CELLS", cells)
+    monkeypatch.setattr(streams, "_LANE_CELLS", cells)
     theirs, mine = sample_stream(_sample_desc(seed, _SELECT)), _FreshStream(seed, _SELECT)
     plan = np.random.default_rng(seed % 1000 + cells)
     saved = []

@@ -27,9 +27,8 @@ from setquant.scenario import (
     BoxActionSet,
     FiniteActionSet,
     ScenarioSystem,
-    _check_dims,
-    _sv_policy,
 )
+from setquant.systems import _check_dims, _sv_policy
 
 # ---------------------------------------------------------------------------
 # the reference: one class per traffic scenario, one if-chain per toy form,

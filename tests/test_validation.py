@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from setquant import validation
 from setquant.geometry import BoxRegion, DeltaCover, boundary_band, build_cover
+from setquant.quantification import HyperParams, quantify_spe
 from setquant.scenario import (
     EXIT_UNSAFE,
+    FiniteActionSet,
     FixedActionPolicy,
     UniformPolicy,
     make_lead_follow,
@@ -18,6 +20,8 @@ from setquant.scenario import (
     make_toy_shift,
     make_toy_shrink,
     make_toy_threshold,
+    noise_sampler,
+    run_batch,
     run_scenario,
 )
 from setquant.validation import (
@@ -231,6 +235,50 @@ def test_val_eps_delta_passes_a_cover_at_the_rate_its_doomed_fraction_gives():
                      for s in seeds)
         assert lo <= passes <= hi, (f"{passes} of {len(seeds)} runs passed a cover with a doomed fraction of "
                                     f"{doomed:.3f}; expected {len(seeds) * (1.0 - doomed) ** n:.1f}, band [{lo}, {hi}]")
+
+
+def exact_doomed_fraction(sys_, cover, horizon: int, actions) -> float:
+    """The share of ``cover``'s live centers whose rollout exits unsafely or leaves the cover, under a held input.
+
+    A one-point action set with no disturbance makes every rollout
+    deterministic, so one ``run_batch`` over the live centers and one
+    ``outside`` query give exactly the fraction that ``val-eps-delta`` samples.
+    """
+    x0 = cover.active_centers()
+    draw = noise_sampler(sys_, UniformPolicy(actions), horizon - 1)
+    assert draw.held
+    rolls = run_batch(sys_, x0, draw.block(0, np.arange(len(x0))))
+    b, k, n = rolls.states.shape
+    out = cover.outside(rolls.states.reshape(-1, n)).reshape(b, k)
+    return float(((rolls.code >= 0) | out[:, 1:].any(axis=1)).mean())
+
+
+# fixed before the first run, and apart from the seeds 0-19 that first measured these fractions
+GUARANTEE_SEEDS = range(100, 112)
+
+
+@pytest.mark.parametrize("name", ["lead-follow", "toy-threshold"])
+def test_a_converged_qnt_spe_cover_is_doomed_above_eps_at_most_at_the_rate_beta(name):
+    # criterion 2's setup with prioritized starts off, so a start is a uniform draw over the live centers;
+    # toy-threshold's invariant set is known exactly, [1, 10], where x' = x
+    if name == "lead-follow":
+        sys_, point = make_lead_follow(sv="brake"), (-5.0,)
+        hyper = HyperParams(epsilon=0.01, beta=0.1, delta0=4.0, gamma=0.5, delta_min=1.0, horizon=40, budget=200_000)
+    else:
+        sys_, point = make_toy_threshold(), (0.0,)
+        hyper = HyperParams(epsilon=0.01, beta=0.1, delta0=1.0, gamma=0.5, delta_min=0.25, horizon=8, budget=50_000)
+    actions = FiniteActionSet([point])
+    lo, hi = binomial_band(len(GUARANTEE_SEEDS), hyper.beta, 1e-6)  # fixed before the run
+    fractions = []
+    for seed in GUARANTEE_SEEDS:
+        res = quantify_spe(sys_, actions, hyper, seed, replay=True)
+        assert res.converged
+        fractions.append(exact_doomed_fraction(sys_, res.cover, hyper.horizon, actions))
+        if name == "toy-threshold":
+            assert fractions[-1] == 0.0 and (res.cover.active_centers() >= 1.0).all()
+    above = sum(f > hyper.epsilon for f in fractions)
+    assert lo <= above <= hi, (f"{above} of {len(fractions)} converged covers are doomed above eps = "
+                               f"{hyper.epsilon} (fractions {fractions}); band [{lo}, {hi}] at beta = {hyper.beta}")
 
 
 def test_val_delta_runs_one_sample_per_cell_where_the_resolution_bound_is_tight():
